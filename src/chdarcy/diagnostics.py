@@ -102,8 +102,8 @@ def energy(state: SimState, model: TumourModel,
     else:
         diss_darcy = float(np.sum(W * sum(vi.values ** 2 for vi in der.v))
                            / params.K)
-    M_bdry = sp.boundary_mass_matrix(basis)
-    diss_boundary = params.D * params.b * float(gamma.data @ M_bdry @ gamma.data)
+    M_gamma = sp.boundary_mass_apply(basis, gamma.data)
+    diss_boundary = params.D * params.b * float(gamma.data @ M_gamma)
 
     _, N_sigma, _ = md.nutrient_free_energy_density(
         GridField(grid, phi), GridField(grid, sigma), params)
@@ -127,7 +127,7 @@ def energy(state: SimState, model: TumourModel,
     int_N_sigma = (params.D * float(gamma.data @ bvec)
                    + params.chi * (bdry_measure - float(alpha.data @ bvec)))
     int_sigma_one_minus_phi = float(gamma.data @ bvec) \
-        - float(gamma.data @ M_bdry @ alpha.data)
+        - float(M_gamma @ alpha.data)
     work_boundary = params.b * (sigma_inf * int_N_sigma
                                 - params.chi * int_sigma_one_minus_phi)
 
@@ -592,7 +592,8 @@ class DiagnosticsCollector:
         der = dyn.derive(state, model, config)
         vol_root = np.sqrt(basis.domain.volume)
         grid = der.v[0].grid
-        M_bdry = sp.boundary_mass_matrix(basis)
+        sigma_bdry_sq = float(state.gamma.data @ sp.boundary_mass_apply(
+            basis, state.gamma.data))
 
         res_phi = res_sigma = res_energy = 0.0
         if self._prev_state is not None:
@@ -627,8 +628,7 @@ class DiagnosticsCollector:
                     sum(vi.values ** 2 for vi in der.v))) / np.sqrt(params.K))
                 if params.K > 0 and not config.no_flow else 0.0),
             norm_p_H1=sp.norm(der.p, "H1"),
-            norm_sigma_boundary=float(np.sqrt(max(
-                0.0, state.gamma.data @ M_bdry @ state.gamma.data))),
+            norm_sigma_boundary=float(np.sqrt(max(0.0, sigma_bdry_sq))),
             acc_diss=tuple(self._acc),
             res_mass_phi=res_phi,
             res_mass_sigma=res_sigma,

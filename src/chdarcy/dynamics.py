@@ -188,22 +188,11 @@ def rhs(state: SimState, model: TumourModel, config: StepperConfig,
                            for vi in der.v)
         dgamma -= sp.divergence_to_coeffs(conv_sigma).data
     if params.b != 0.0:
-        M_bdry = _boundary_matrix(basis)
-        sigma_inf = eff.sigma_inf(state.t)
-        Sigma_vec = sigma_inf * sp.boundary_integral_vector(basis)
-        dgamma += params.b * (Sigma_vec - M_bdry @ state.gamma.data)
+        deficit = (sp.constant_field(basis, eff.sigma_inf(state.t)).data
+                   - state.gamma.data)
+        dgamma += params.b * sp.boundary_mass_apply(basis, deficit)
 
     return dalpha, dgamma
-
-
-_boundary_cache: dict[int, np.ndarray] = {}
-
-
-def _boundary_matrix(basis: SpectralBasis) -> np.ndarray:
-    key = id(basis)
-    if key not in _boundary_cache:
-        _boundary_cache[key] = sp.boundary_mass_matrix(basis)
-    return _boundary_cache[key]
 
 
 @dataclass
@@ -359,7 +348,11 @@ def step_imex(state: SimState, config: StepperConfig,
     """
     dt = config.dt
     if not (config.energy_guard and _source_free(model, config)):
-        return _imex_increment(state, model, config, dt)
+        try:
+            return _imex_increment(state, model, config, dt)
+        except sp.SpectralError as exc:
+            raise BlowUpError("IMEX step produced non-finite values",
+                              t=state.t, state=state) from exc
 
     from .diagnostics import energy  # local import: diagnostics sits above
 

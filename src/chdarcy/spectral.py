@@ -333,7 +333,11 @@ def inverse_neumann_laplacian(c: FieldCoeffs) -> FieldCoeffs:
 
 
 def boundary_mass_matrix(basis: SpectralBasis) -> np.ndarray:
-    """M[j, i] = int_{boundary} w_i w_j, assembled in closed form."""
+    """M[j, i] = int_{boundary} w_i w_j, assembled in closed form.
+
+    Dense n_modes x n_modes reference for boundary_mass_apply; the
+    solver never forms it.
+    """
     if basis.dim == 1:
         left, right = _trace_1d(basis.domain.lengths[0], basis.modes[0])
         return np.outer(left, left) + np.outer(right, right)
@@ -347,11 +351,28 @@ def boundary_mass_matrix(basis: SpectralBasis) -> np.ndarray:
     return M
 
 
+def boundary_mass_apply(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:
+    """M @ c for the boundary mass matrix M, without forming M.
+
+    Each 1D factor B = left left^T + right right^T has rank 2, and on a
+    rectangle M = kron(Bx, I) + kron(I, By), so with G = c.reshape(kx, ky)
+    the product is Bx G + G By: O(n_modes) work and memory.
+    """
+    if basis.dim == 1:
+        left, right = _trace_1d(basis.domain.lengths[0], basis.modes[0])
+        return left * (left @ c) + right * (right @ c)
+    (Lx, Ly), (kx, ky) = basis.domain.lengths, basis.modes
+    lx, rx = _trace_1d(Lx, kx)
+    ly, ry = _trace_1d(Ly, ky)
+    G = c.reshape(kx, ky)
+    out = (np.outer(lx, lx @ G) + np.outer(rx, rx @ G)
+           + np.outer(G @ ly, ly) + np.outer(G @ ry, ry))
+    return out.ravel()
+
+
 def boundary_integral_vector(basis: SpectralBasis) -> np.ndarray:
     """b_j = int_{boundary} w_j; equals M_boundary applied to the constant field."""
-    one = np.zeros(basis.n_modes)
-    one[0] = np.sqrt(basis.domain.volume)
-    return boundary_mass_matrix(basis) @ one
+    return boundary_mass_apply(basis, constant_field(basis, 1.0).data)
 
 
 def inner_product(c1: FieldCoeffs, c2: FieldCoeffs, kind: str = "L2") -> float:

@@ -101,6 +101,25 @@ def test_spectral_infrastructure():
     assert np.max(np.abs(M - oracle)) < 1e-10
 
 
+def test_reference_128_steps_within_memory():
+    # two diagnosed reference steps at 128^2 modes; one dense boundary
+    # matrix alone would take 2.1 GB
+    import tracemalloc
+
+    config, basis, model, stepper, initial = build_run(
+        load_reference_spec(modes=[128, 128], T=2 * 0.001))
+    collector = dg.DiagnosticsCollector(model, stepper)
+    tracemalloc.start()
+    try:
+        traj = dyn.run(initial, stepper, model, config.T,
+                       observer=collector.observe, cadence=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 3 and len(collector.records) == 3
+    assert peak < 128 * 2 ** 20
+
+
 def test_oracle_equivalence_dense_vs_matrix_free():
     # 2D, 6 modes per dimension, 10 seeded states, relative mismatch 1e-8
     basis = sp.build_basis(sp.Domain("rectangle", (1.0, 1.0)), (6, 6))

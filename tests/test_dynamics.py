@@ -107,6 +107,38 @@ class TestRhs:
         assert np.max(np.abs(da - da2)) / scale < 1e-8
         assert np.max(np.abs(dgm - dg2)) / scale < 1e-8
 
+    def test_robin_term_tracks_length_across_recycled_bases(self):
+        # Bases are built and dropped in turn, so their ids get reused;
+        # each one's boundary term must still follow its own length L.
+        model = make_model(make_params(b=0.5))
+        config = dyn.StepperConfig(dt=1e-3)
+        for i in range(300):
+            basis = sp.build_basis(sp.Domain("interval", (0.5 + i / 200,)), 8)
+            state = random_state(basis, i, scale=0.3)
+            da, dgm = dyn.rhs(state, model, config)
+            da2, dg2 = dyn.dense_rhs(state, model, config)
+            scale = max(1.0, np.max(np.abs(da2)), np.max(np.abs(dg2)))
+            assert np.max(np.abs(da - da2)) / scale < 1e-8, f"basis {i}"
+            assert np.max(np.abs(dgm - dg2)) / scale < 1e-8, f"basis {i}"
+
+    def test_dense_boundary_matrix_stays_out_of_the_solver(self, rect_basis,
+                                                           monkeypatch):
+        def refuse(basis):
+            raise AssertionError("dense boundary matrix built")
+
+        monkeypatch.setattr(sp, "boundary_mass_matrix", refuse)
+        model = make_model()
+        config = dyn.StepperConfig(dt=1e-3)
+        collector = dg.DiagnosticsCollector(model, config)
+        dyn.run(random_state(rect_basis, 23), config, model, 3e-3,
+                observer=collector.observe)
+        assert len(collector.records) == 4
+        assert collector.records[-1].norm_sigma_boundary > 0.0
+
+        free = make_model(make_params(b=0.0), sources="zero")
+        guarded = dyn.StepperConfig(dt=1e-3, energy_guard=True)
+        dyn.step_imex(random_state(rect_basis, 24), guarded, free)
+
     def test_darcy_weak_divergence_matches_volume_source(self, rect_basis):
         # weak divergence of the Darcy velocity reproduces Gamma_v / nothing
         model = make_model()
@@ -241,6 +273,15 @@ class TestImex:
         e0 = dg.energy(state, model, config).total
         new = dyn.step_imex(state, config, model)
         assert dg.energy(new, model, config).total <= e0 + 1e-12
+
+
+    def test_nonfinite_step_is_blowup(self, interval_basis):
+        model = make_model()
+        state = random_state(interval_basis, 3)
+        state.alpha.data *= 1e120
+        with pytest.raises(dyn.BlowUpError) as info, np.errstate(all="ignore"):
+            dyn.step_imex(state, dyn.StepperConfig(dt=1e-3), model)
+        assert info.value.t == state.t and info.value.state is state
 
 
 class TestRk4:

@@ -215,6 +215,23 @@ class TestBoundary:
         assert np.max(np.abs(M - M.T)) < 1e-13
         assert np.min(np.linalg.eigvalsh(M)) > -1e-12
 
+    @pytest.mark.parametrize("kind, lengths, modes", [
+        ("interval", (1.3,), 9),
+        ("rectangle", (1.0, 1.0), 7),
+        ("rectangle", (1.0, 2.5), (6, 4)),
+    ])
+    def test_matrix_free_apply_matches_dense(self, kind, lengths, modes):
+        basis = sp.build_basis(sp.Domain(kind, lengths), modes)
+        M = sp.boundary_mass_matrix(basis)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            c = rng.standard_normal(basis.n_modes)
+            expect = M @ c
+            got = sp.boundary_mass_apply(basis, c)
+            assert got.shape == expect.shape
+            assert (np.linalg.norm(got - expect)
+                    <= 1e-12 * np.linalg.norm(expect))
+
     def test_integral_vector_is_constant_column(self, rect_basis):
         bvec = sp.boundary_integral_vector(rect_basis)
         # applied to the constant field it returns the boundary measure
