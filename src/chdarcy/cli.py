@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as cf
@@ -187,30 +188,9 @@ def _cmd_sweep(args, parameter: str) -> int:
 
 def _cmd_mms(args) -> int:
     config = _load_config(args)
-    # the study runs on its own 1D interval basis; only the model pieces
-    # of the config are used
-    from . import model as md
-    potential = (md.Potential.quartic_double_well()
-                 if config.potential_kind == "quartic-double-well"
-                 else md.Potential.quadratic())
-    spec = config.source_spec
-    if spec["kind"] == "zero":
-        sources = md.SourceModel.zero()
-    elif spec["kind"] == "hawkins":
-        sources = md.SourceModel.hawkins(
-            spec["f0"], config.params,
-            interpolated=spec.get("interpolated", False))
-    else:
-        sources = md.SourceModel.proliferation(
-            spec["lambda_p"], spec["lambda_a"], spec["lambda_c"])
-    model = md.TumourModel(
-        params=config.params, potential=potential,
-        mobility_m=md.Mobility.constant(config.mobility_m),
-        mobility_n=md.Mobility.constant(config.mobility_n),
-        sources=sources,
-        sigma_inf=md.BoundaryAndInitialData.constant_sigma_inf(
-            config.sigma_inf_value),
-    )
+    # the study runs on its own 1D interval bases, so only the model
+    # pieces of the config are used: the volume source is dropped
+    model = replace(config.build_model(config.build_basis()), gamma_v=None)
     result = ex.manufactured_solution_study(
         orders=(1, 2, 3, 5),
         dts=(1e-2, 5e-3, 2.5e-3, 1.25e-3),

@@ -8,17 +8,16 @@ the integral-form Gronwall envelope, and time-aggregated norm suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid, trapezoid
 
 from . import dynamics as dyn
 from . import model as md
 from . import spectral as sp
-from .dynamics import SimState, StepperConfig, Trajectory
+from .dynamics import SimState, StateFields, StepperConfig, Trajectory
 from .model import TumourModel
-from .spectral import FieldCoeffs, GridField
+from .spectral import GridField
 
 
 def _config(config: StepperConfig | None) -> StepperConfig:
@@ -67,56 +66,48 @@ class EnergyBreakdown:
 
 
 def energy(state: SimState, model: TumourModel,
-           config: StepperConfig | None = None) -> EnergyBreakdown:
-    config = _config(config)
-    eff = model.effective(no_chemotaxis=config.no_chemotaxis)
+           config: StepperConfig | None = None,
+           fields: StateFields | None = None) -> EnergyBreakdown:
+    """Energy ledger at the state (fields: see dynamics.StateFields)."""
+    f = fields if fields is not None else dyn.derive(state, model,
+                                                     _config(config))
+    eff = f.model
     params = eff.params
     basis = state.basis
-    grid = sp.default_grid(basis)
+    grid = f.grid
     W = grid.weight_array()
 
     alpha, gamma = state.alpha, state.gamma
-    phi = sp.to_grid(alpha, grid).values
-    sigma = sp.to_grid(gamma, grid).values
+    phi = f.phi_g.values
+    sigma = f.sigma_g.values
+    mu_g = f.mu_g.values
 
-    psi_part = params.A * grid.integrate(eff.potential.psi(phi))
-    gradient_part = 0.5 * params.B * sp.inner_product(alpha, alpha, "H1-seminorm")
-    nutrient_part = 0.5 * params.D * sp.inner_product(gamma, gamma)
-    chemotaxis_part = params.chi * grid.integrate(sigma * (1.0 - phi))
+    psi_part, gradient_part, nutrient_part, chemotaxis_part = md.free_energy(
+        alpha, gamma, f.phi_g, f.sigma_g, params, eff.potential)
     total = psi_part + gradient_part + nutrient_part + chemotaxis_part
-
-    der = dyn.derive(state, model, config, grid)
-    mu_g = sp.to_grid(der.mu, grid).values
-    grad_mu = sp.gradient_on_grid(der.mu, grid)
-    grad_phi = sp.gradient_on_grid(alpha, grid)
-    grad_sigma = sp.gradient_on_grid(gamma, grid)
 
     m_vals = eff.mobility_m(phi)
     n_vals = eff.mobility_n(phi)
-    diss_mu = float(np.sum(W * m_vals * sum(g.values ** 2 for g in grad_mu)))
+    diss_mu = float(np.sum(W * m_vals * sum(g.values ** 2 for g in f.grad_mu)))
     grad_Ns = [params.D * gs.values - params.chi * gp.values
-               for gs, gp in zip(grad_sigma, grad_phi)]
+               for gs, gp in zip(f.grad_sigma, f.grad_phi)]
     diss_nutrient = float(np.sum(W * n_vals * sum(g ** 2 for g in grad_Ns)))
-    if config.no_flow or params.K == 0.0:
+    if f.no_flow or params.K == 0.0:
         diss_darcy = 0.0
     else:
-        diss_darcy = float(np.sum(W * sum(vi.values ** 2 for vi in der.v))
+        diss_darcy = float(np.sum(W * sum(vi.values ** 2 for vi in f.v))
                            / params.K)
     M_gamma = sp.boundary_mass_apply(basis, gamma.data)
     diss_boundary = params.D * params.b * float(gamma.data @ M_gamma)
 
-    _, N_sigma, _ = md.nutrient_free_energy_density(
-        GridField(grid, phi), GridField(grid, sigma), params)
-    gamma_phi, S = md.evaluate_sources(
-        GridField(grid, phi), GridField(grid, mu_g), GridField(grid, sigma),
-        eff.sources)
-    work_phi_source = grid.integrate(gamma_phi.values * mu_g)
-    work_nutrient_source = -grid.integrate(S.values * N_sigma.values)
+    _, N_sigma, _ = md.nutrient_free_energy_density(f.phi_g, f.sigma_g, params)
+    work_phi_source = grid.integrate(f.gamma_phi.values * mu_g)
+    work_nutrient_source = -grid.integrate(f.S.values * N_sigma.values)
 
     work_volume_source = 0.0
-    if eff.gamma_v is not None and not config.no_flow:
+    if eff.gamma_v is not None and not f.no_flow:
         gv = sp.to_grid(eff.gamma_v(state.t), grid).values
-        p_g = sp.to_grid(der.p, grid).values
+        p_g = sp.to_grid(f.p, grid).values
         lam_v = p_g - mu_g * phi - 0.5 * params.D * sigma ** 2
         work_volume_source = grid.integrate(gv * lam_v)
 
@@ -200,21 +191,13 @@ class MassBalance:
         return float(np.max(np.abs(self.sigma_residuals))) / self.scale_sigma
 
 
-def _mass_rates(state: SimState, model: TumourModel,
-                config: StepperConfig) -> tuple[float, float]:
+def _mass_rates(f: StateFields) -> tuple[float, float]:
     """Exact rates of the total masses, by the constant test function."""
-    eff = model.effective(no_chemotaxis=config.no_chemotaxis)
-    params = eff.params
-    grid = sp.default_grid(state.basis)
-    der = dyn.derive(state, model, config, grid)
-    phi_g = sp.to_grid(state.alpha, grid)
-    mu_g = sp.to_grid(der.mu, grid)
-    sigma_g = sp.to_grid(state.gamma, grid)
-    gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, eff.sources)
-    rate_phi = grid.integrate(gamma_phi.values)
+    state, params = f.state, f.model.params
+    rate_phi = f.grid.integrate(f.gamma_phi.values)
     bvec = sp.boundary_integral_vector(state.basis)
-    rate_sigma = -grid.integrate(S.values) + params.b * (
-        eff.sigma_inf(state.t) * state.basis.domain.boundary_measure
+    rate_sigma = -f.grid.integrate(f.S.values) + params.b * (
+        f.model.sigma_inf(state.t) * state.basis.domain.boundary_measure
         - float(state.gamma.data @ bvec)
     )
     return rate_phi, rate_sigma
@@ -245,7 +228,8 @@ def mass_balance_residuals(traj: Trajectory, model: TumourModel,
             gv_means[i] = eff.gamma_v(s.t).mean()
     for i in range(n):
         dt = times[i + 1] - times[i]
-        rate_phi, rate_sigma = _mass_rates(traj.states[i], model, config)
+        rate_phi, rate_sigma = _mass_rates(
+            dyn.derive(traj.states[i], model, config))
         r_phi[i] = (masses_phi[i + 1] - masses_phi[i]) - dt * rate_phi
         r_sigma[i] = (masses_sigma[i + 1] - masses_sigma[i]) - dt * rate_sigma
     scale_phi = max(1.0, float(np.max(np.abs(masses_phi))))
@@ -278,8 +262,6 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
         raise IndexError(f"test index {j} outside 0..{basis.n_modes - 1}")
     if equation not in ("phi", "mu", "sigma", "pressure", "velocity"):
         raise ValueError(f"unknown equation {equation!r}")
-    eff = model.effective(no_chemotaxis=config.no_chemotaxis)
-    params = eff.params
     times = np.asarray(traj.times)
 
     if equation in ("phi", "sigma"):
@@ -299,6 +281,8 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
     for state in traj.states:
         grid4 = basis.quadrature_grid(oversample=4.0)
         der = dyn.derive(state, model, config)
+        eff = der.model
+        params = eff.params
         phi4 = sp.to_grid(state.alpha, grid4)
         if equation == "mu":
             psi4 = sp.to_coeffs(GridField(grid4, eff.potential.dpsi(phi4.values)))
@@ -324,16 +308,13 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
             if config.no_flow:
                 r = max(float(np.max(np.abs(vi.values))) for vi in der.v)
             else:
-                grid = der.v[0].grid
-                grad_p = sp.gradient_on_grid(der.p, grid)
-                grad_phi = sp.gradient_on_grid(state.alpha, grid)
-                drive = (sp.to_grid(der.mu, grid).values
-                         + params.chi * sp.to_grid(state.gamma, grid).values)
+                grad_p = sp.gradient_on_grid(der.p, der.grid)
+                drive = der.mu_g.values + params.chi * der.sigma_g.values
                 r = max(
                     float(np.max(np.abs(
                         vi.values + params.K * (gp.values - drive * gphi.values)
                     )))
-                    for vi, gp, gphi in zip(der.v, grad_p, grad_phi)
+                    for vi, gp, gphi in zip(der.v, grad_p, der.grad_phi)
                 )
         max_abs = max(max_abs, abs(r))
     return WeakResidual(equation, j, max_abs, max_abs)
@@ -356,17 +337,13 @@ def pressure_reformulations(state: SimState, model: TumourModel,
     lambda_v = p - mu phi - (D/2) sigma^2 is evaluated through each of
     the rescaled pressures; all three routes must agree pointwise.
     """
-    config = _config(config)
-    eff = model.effective(no_chemotaxis=config.no_chemotaxis)
-    params = eff.params
-    grid = sp.default_grid(state.basis)
-    der = dyn.derive(state, model, config, grid)
-    phi = sp.to_grid(state.alpha, grid).values
-    sigma = sp.to_grid(state.gamma, grid).values
-    mu = sp.to_grid(der.mu, grid).values
-    p = sp.to_grid(der.p, grid).values
-    grad_phi = sp.gradient_on_grid(state.alpha, grid)
-    grad_sq = sum(g.values ** 2 for g in grad_phi)
+    f = dyn.derive(state, model, _config(config))
+    eff, params, grid = f.model, f.model.params, f.grid
+    phi = f.phi_g.values
+    sigma = f.sigma_g.values
+    mu = f.mu_g.values
+    p = sp.to_grid(f.p, grid).values
+    grad_sq = sum(g.values ** 2 for g in f.grad_phi)
 
     interface = params.A * eff.potential.psi(phi) + 0.5 * params.B * grad_sq
     q = p - interface
@@ -421,7 +398,14 @@ class GronwallEnvelope:
     margin: float          # min over samples of bound - monitored
 
 
+def trapezoid(y, x) -> float:
+    """Trapezoid rule, term for term as scipy.integrate.trapezoid."""
+    y, x = np.asarray(y), np.asarray(x)
+    return np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0)
+
+
 def _cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    from scipy.integrate import cumulative_simpson, cumulative_trapezoid
     if len(x) >= 3:
         return cumulative_simpson(y, x=x, initial=0.0)
     return cumulative_trapezoid(y, x=x, initial=0.0)
@@ -472,6 +456,15 @@ def _field_norms(times, l2s, h1s) -> FieldNorms:
     )
 
 
+def velocity_norms(times, velocities, K: float) -> tuple[float, float]:
+    """|v|_{L2(L2)} over the snapshots (trapezoid in time) and its
+    rescaling K^{-1/2} |v|_{L2(L2)}, which is 0 when K = 0."""
+    v_sq = [v[0].grid.integrate(sum(vi.values ** 2 for vi in v))
+            for v in velocities]
+    v_l2l2 = float(np.sqrt(trapezoid(v_sq, times)))
+    return v_l2l2, (v_l2l2 / np.sqrt(K) if K > 0 else 0.0)
+
+
 def norm_suite(traj: Trajectory, model: TumourModel,
                config: StepperConfig | None = None,
                velocity_gradient: bool = False) -> NormSuite:
@@ -480,7 +473,7 @@ def norm_suite(traj: Trajectory, model: TumourModel,
     params = model.effective(no_chemotaxis=config.no_chemotaxis).params
     times = np.asarray(traj.times)
     acc = {name: ([], []) for name in ("phi", "sigma", "mu", "p")}
-    v_sq = []
+    velocities = []
     dv = [] if velocity_gradient else None
     for state in traj.states:
         der = dyn.derive(state, model, config)
@@ -488,16 +481,14 @@ def norm_suite(traj: Trajectory, model: TumourModel,
                              ("mu", der.mu), ("p", der.p)):
             acc[name][0].append(sp.norm(coeffs))
             acc[name][1].append(sp.norm(coeffs, "H1"))
-        grid = der.v[0].grid
-        v_sq.append(grid.integrate(sum(vi.values ** 2 for vi in der.v)))
+        velocities.append(der.v)
         if velocity_gradient:
             total = 0.0
             for vi in der.v:
                 ci = sp.to_coeffs(vi)
                 total += sp.inner_product(ci, ci, "H1-seminorm")
             dv.append(np.sqrt(total))
-    v_l2l2 = float(np.sqrt(trapezoid(np.asarray(v_sq), times)))
-    scaled = v_l2l2 / np.sqrt(params.K) if params.K > 0 else 0.0
+    v_l2l2, scaled = velocity_norms(times, velocities, params.K)
     return NormSuite(
         phi=_field_norms(times, *acc["phi"]),
         sigma=_field_norms(times, *acc["sigma"]),
@@ -571,40 +562,42 @@ class DiagnosticsCollector:
         self.model = model
         self.config = config
         self.records: list[DiagnosticsRecord] = []
-        self._prev_state: SimState | None = None
-        self._prev_breakdown: EnergyBreakdown | None = None
+        self._prev = None  # last snapshot: state, energy ledger, mass rates
         self._acc = np.zeros(4)
 
     def accumulators(self) -> np.ndarray:
         return self._acc.copy()
 
+    def _evaluate(self, state: SimState):
+        """The state's one evaluation, its energy ledger and mass rates."""
+        f = dyn.derive(state, self.model, self.config)
+        bd = energy(state, self.model, self.config, fields=f)
+        return f, bd, _mass_rates(f)
+
     def restore(self, acc: np.ndarray, last_state: SimState):
         self._acc = np.asarray(acc, dtype=float).copy()
-        self._prev_state = last_state
-        self._prev_breakdown = energy(last_state, self.model, self.config)
+        _, bd, rates = self._evaluate(last_state)
+        self._prev = (last_state, bd, rates)
 
     def observe(self, step: int, t: float, state: SimState):
-        model, config = self.model, self.config
-        eff = model.effective(no_chemotaxis=config.no_chemotaxis)
-        params = eff.params
         basis = state.basis
-        bd = energy(state, model, config)
-        der = dyn.derive(state, model, config)
+        der, bd, rates = self._evaluate(state)
+        params = der.model.params
         vol_root = np.sqrt(basis.domain.volume)
-        grid = der.v[0].grid
+        v_L2 = float(np.sqrt(der.grid.integrate(
+            sum(vi.values ** 2 for vi in der.v))))
         sigma_bdry_sq = float(state.gamma.data @ sp.boundary_mass_apply(
             basis, state.gamma.data))
 
         res_phi = res_sigma = res_energy = 0.0
-        if self._prev_state is not None:
-            prev, prev_bd = self._prev_state, self._prev_breakdown
+        if self._prev is not None:
+            prev, prev_bd, (rate_phi, rate_sigma) = self._prev
             dt = t - prev.t
             diss = np.array([bd.diss_mu, bd.diss_nutrient,
                              bd.diss_darcy, bd.diss_boundary])
             prev_diss = np.array([prev_bd.diss_mu, prev_bd.diss_nutrient,
                                   prev_bd.diss_darcy, prev_bd.diss_boundary])
             self._acc += 0.5 * dt * (diss + prev_diss)
-            rate_phi, rate_sigma = _mass_rates(prev, model, config)
             res_phi = (state.alpha.data[0] - prev.alpha.data[0]) * vol_root \
                 - dt * rate_phi
             res_sigma = (state.gamma.data[0] - prev.gamma.data[0]) * vol_root \
@@ -621,12 +614,9 @@ class DiagnosticsCollector:
             norm_sigma_L2=sp.norm(state.gamma),
             norm_mu_H1=sp.norm(der.mu, "H1"),
             norm_grad_sigma=sp.norm(state.gamma, "H1-seminorm"),
-            norm_v_L2=float(np.sqrt(grid.integrate(
-                sum(vi.values ** 2 for vi in der.v)))),
-            norm_v_scaled=(
-                float(np.sqrt(grid.integrate(
-                    sum(vi.values ** 2 for vi in der.v))) / np.sqrt(params.K))
-                if params.K > 0 and not config.no_flow else 0.0),
+            norm_v_L2=v_L2,
+            norm_v_scaled=(float(v_L2 / np.sqrt(params.K))
+                           if params.K > 0 and not der.no_flow else 0.0),
             norm_p_H1=sp.norm(der.p, "H1"),
             norm_sigma_boundary=float(np.sqrt(max(0.0, sigma_bdry_sq))),
             acc_diss=tuple(self._acc),
@@ -635,5 +625,4 @@ class DiagnosticsCollector:
             res_energy_identity=res_energy,
         )
         self.records.append(record)
-        self._prev_state = state
-        self._prev_breakdown = bd
+        self._prev = (state, bd, rates)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model as md
 from . import spectral as sp
-from .model import ModelParams, TumourModel
+from .model import TumourModel
 from .spectral import FieldCoeffs, GridField, QuadratureGrid, SpectralBasis
 
 
@@ -34,18 +34,10 @@ class BlowUpError(StepFailureError):
 
 
 @dataclass
-class DerivedFields:
-    mu: FieldCoeffs
-    p: FieldCoeffs
-    v: tuple[GridField, ...]
-
-
-@dataclass
 class SimState:
     t: float
     alpha: FieldCoeffs  # order parameter
     gamma: FieldCoeffs  # nutrient
-    _derived: DerivedFields | None = field(default=None, repr=False)
 
     @property
     def basis(self) -> SpectralBasis:
@@ -117,11 +109,37 @@ def _effective(model: TumourModel, config: StepperConfig) -> TumourModel:
     return model.effective(no_chemotaxis=config.no_chemotaxis)
 
 
+@dataclass(frozen=True, eq=False)
+class StateFields:
+    """Everything a (model, config) pair fixes algebraically at one state.
+
+    Only phi and sigma evolve; mu, p, v and the sources follow from them
+    at each instant.  Built by derive and never stored on the state; a
+    function taking `fields` uses it in place of derive(state, model,
+    config), so one evaluation serves the step, the energy ledger and
+    the mass rates.
+    """
+
+    state: SimState
+    model: TumourModel   # effective model: chemotaxis off under no_chemotaxis
+    no_flow: bool        # p and v are identically zero
+    grid: QuadratureGrid
+    phi_g: GridField
+    sigma_g: GridField
+    mu_g: GridField
+    grad_phi: tuple[GridField, ...]
+    grad_sigma: tuple[GridField, ...]
+    grad_mu: tuple[GridField, ...]
+    mu: FieldCoeffs
+    p: FieldCoeffs
+    v: tuple[GridField, ...]
+    gamma_phi: GridField  # Gamma_phi on the grid
+    S: GridField          # nutrient consumption on the grid
+
+
 def derive(state: SimState, model: TumourModel, config: StepperConfig,
-           grid: QuadratureGrid | None = None) -> DerivedFields:
-    """Chemical potential, pressure, and velocity at the current state."""
-    if state._derived is not None:
-        return state._derived
+           grid: QuadratureGrid | None = None) -> StateFields:
+    """Evaluate the state: grid values, mu, p, v and the sources."""
     eff = _effective(model, config)
     basis = state.basis
     if grid is None:
@@ -138,40 +156,40 @@ def derive(state: SimState, model: TumourModel, config: StepperConfig,
         gv = eff.gamma_v(state.t) if eff.gamma_v is not None else None
         p, v = md.solve_darcy(state.alpha, mu, state.gamma, gv,
                               eff.params, grid)
-    state._derived = DerivedFields(mu=mu, p=p, v=v)
-    return state._derived
+    phi_g = sp.to_grid(state.alpha, grid)
+    sigma_g = sp.to_grid(state.gamma, grid)
+    mu_g = sp.to_grid(mu, grid)
+    gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, eff.sources)
+    return StateFields(
+        state=state, model=eff, no_flow=config.no_flow, grid=grid,
+        phi_g=phi_g, sigma_g=sigma_g, mu_g=mu_g,
+        grad_phi=sp.gradient_on_grid(state.alpha, grid),
+        grad_sigma=sp.gradient_on_grid(state.gamma, grid),
+        grad_mu=sp.gradient_on_grid(mu, grid),
+        mu=mu, p=p, v=v, gamma_phi=gamma_phi, S=S,
+    )
 
 
 def rhs(state: SimState, model: TumourModel, config: StepperConfig,
-        grid: QuadratureGrid | None = None
-        ) -> tuple[np.ndarray, np.ndarray]:
+        grid: QuadratureGrid | None = None,
+        fields: StateFields | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Matrix-free right-hand side of the coefficient ODE system."""
-    eff = _effective(model, config)
+    f = fields if fields is not None else derive(state, model, config, grid)
+    eff = f.model
     params = eff.params
     basis = state.basis
-    if grid is None:
-        grid = sp.default_grid(basis)
-    der = derive(state, model, config, grid)
-
-    phi_g = sp.to_grid(state.alpha, grid)
-    sigma_g = sp.to_grid(state.gamma, grid)
-    mu_g = sp.to_grid(der.mu, grid)
-    grad_mu = sp.gradient_on_grid(der.mu, grid)
-    grad_phi = sp.gradient_on_grid(state.alpha, grid)
-    grad_sigma = sp.gradient_on_grid(state.gamma, grid)
-
-    m_vals = eff.mobility_m(phi_g.values)
-    n_vals = eff.mobility_n(phi_g.values)
+    grid = f.grid
+    m_vals = eff.mobility_m(f.phi_g.values)
+    n_vals = eff.mobility_n(f.phi_g.values)
 
     # d/dt alpha_j = -int m grad(mu).grad(w_j) + int Gamma_phi w_j
     #               + int phi v . grad(w_j)
-    flux_mu = tuple(GridField(grid, m_vals * g.values) for g in grad_mu)
+    flux_mu = tuple(GridField(grid, m_vals * g.values) for g in f.grad_mu)
     dalpha = sp.divergence_to_coeffs(flux_mu).data
-    gamma_phi_g, S_g = md.evaluate_sources(phi_g, mu_g, sigma_g, eff.sources)
-    dalpha += sp.to_coeffs(gamma_phi_g).data
-    if not config.no_flow:
-        conv_phi = tuple(GridField(grid, phi_g.values * vi.values)
-                         for vi in der.v)
+    dalpha += sp.to_coeffs(f.gamma_phi).data
+    if not f.no_flow:
+        conv_phi = tuple(GridField(grid, f.phi_g.values * vi.values)
+                         for vi in f.v)
         dalpha -= sp.divergence_to_coeffs(conv_phi).data
 
     # d/dt gamma_j = -int n (D grad(sigma) - chi grad(phi)).grad(w_j)
@@ -179,13 +197,13 @@ def rhs(state: SimState, model: TumourModel, config: StepperConfig,
     #               + b int_bdry (sigma_inf - sigma) w_j
     flux_sigma = tuple(
         GridField(grid, n_vals * (params.D * gs.values - params.chi * gp.values))
-        for gs, gp in zip(grad_sigma, grad_phi)
+        for gs, gp in zip(f.grad_sigma, f.grad_phi)
     )
     dgamma = sp.divergence_to_coeffs(flux_sigma).data
-    dgamma -= sp.to_coeffs(S_g).data
-    if not config.no_flow:
-        conv_sigma = tuple(GridField(grid, sigma_g.values * vi.values)
-                           for vi in der.v)
+    dgamma -= sp.to_coeffs(f.S).data
+    if not f.no_flow:
+        conv_sigma = tuple(GridField(grid, f.sigma_g.values * vi.values)
+                           for vi in f.v)
         dgamma -= sp.divergence_to_coeffs(conv_sigma).data
     if params.b != 0.0:
         deficit = (sp.constant_field(basis, eff.sigma_inf(state.t)).data
@@ -320,9 +338,11 @@ def _implicit_factors(basis: SpectralBasis, model: TumourModel,
     return 1.0 + dt * L_phi, 1.0 + dt * L_sigma
 
 
-def _imex_increment(state: SimState, model: TumourModel,
-                    config: StepperConfig, dt: float) -> SimState:
-    dalpha, dgamma = rhs(state, model, config)
+def _imex_update(state: SimState, tendency: tuple[np.ndarray, np.ndarray],
+                 model: TumourModel, config: StepperConfig,
+                 dt: float) -> SimState:
+    """state + dt * tendency, each mode damped by its implicit factor."""
+    dalpha, dgamma = tendency
     denom_phi, denom_sigma = _implicit_factors(state.basis, model, config, dt)
     alpha = state.alpha.data + dt * dalpha / denom_phi
     gamma = state.gamma.data + dt * dgamma / denom_sigma
@@ -331,14 +351,39 @@ def _imex_increment(state: SimState, model: TumourModel,
                     FieldCoeffs(state.basis, gamma))
 
 
-def _source_free(model: TumourModel, config: StepperConfig) -> bool:
-    eff = _effective(model, config)
+def _rk4_update(state: SimState, dt: float,
+                tendency: Callable[[SimState], tuple[np.ndarray, np.ndarray]],
+                k1: tuple[np.ndarray, np.ndarray]) -> SimState:
+    """Classical RK4 combination; k1 is tendency(state)."""
+    basis = state.basis
+
+    def f(t, a, g):
+        return tendency(SimState(t, FieldCoeffs(basis, a), FieldCoeffs(basis, g)))
+
+    a0, g0 = state.alpha.data, state.gamma.data
+    k1a, k1g = k1
+    k2a, k2g = f(state.t + dt / 2, a0 + dt / 2 * k1a, g0 + dt / 2 * k1g)
+    k3a, k3g = f(state.t + dt / 2, a0 + dt / 2 * k2a, g0 + dt / 2 * k2g)
+    k4a, k4g = f(state.t + dt, a0 + dt * k3a, g0 + dt * k3g)
+    a1 = a0 + dt / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+    g1 = g0 + dt / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
+    return SimState(state.t + dt, FieldCoeffs(basis, a1),
+                    FieldCoeffs(basis, g1))
+
+
+def _source_free(eff: TumourModel) -> bool:
     return (eff.sources.kind == "zero" and eff.params.b == 0.0
             and eff.gamma_v is None)
 
 
-def step_imex(state: SimState, config: StepperConfig,
-              model: TumourModel) -> SimState:
+def _total_energy(state: SimState, eff: TumourModel, phi_g: GridField,
+                  sigma_g: GridField) -> float:
+    return sum(md.free_energy(state.alpha, state.gamma, phi_g, sigma_g,
+                              eff.params, eff.potential))
+
+
+def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
+              fields: StateFields | None = None) -> SimState:
     """One stabilized IMEX step of length config.dt.
 
     The implicit operator damps each mode of the increment with the
@@ -347,26 +392,35 @@ def step_imex(state: SimState, config: StepperConfig,
     halved substeps whenever the discrete energy rises beyond tol_E.
     """
     dt = config.dt
-    if not (config.energy_guard and _source_free(model, config)):
-        try:
-            return _imex_increment(state, model, config, dt)
-        except sp.SpectralError as exc:
-            raise BlowUpError("IMEX step produced non-finite values",
-                              t=state.t, state=state) from exc
+    try:
+        if fields is None:
+            fields = derive(state, model, config)
+        if not (config.energy_guard and _source_free(fields.model)):
+            return _imex_update(
+                state, rhs(state, model, config, fields=fields),
+                model, config, dt)
+    except sp.SpectralError as exc:
+        raise BlowUpError("IMEX step produced non-finite values",
+                          t=state.t, state=state) from exc
 
-    from .diagnostics import energy  # local import: diagnostics sits above
-
-    E0 = energy(state, model, config).total
+    # the guard compares E alone, which needs phi and sigma on the grid
+    # but nothing derived, so no accepted state is evaluated here
+    eff, grid = fields.model, fields.grid
+    E0 = _total_energy(state, eff, fields.phi_g, fields.sigma_g)
     for halving in range(config.max_halvings + 1):
         nsub = 2 ** halving
         sub = state
         try:
             with np.errstate(over="raise", invalid="raise"):
-                for _ in range(nsub):
-                    sub = _imex_increment(sub, model, config, dt / nsub)
+                for k in range(nsub):
+                    f = fields if k == 0 else derive(sub, model, config)
+                    sub = _imex_update(sub, rhs(sub, model, config, fields=f),
+                                       model, config, dt / nsub)
         except (sp.SpectralError, FloatingPointError):
             continue  # non-finite substep counts as a rejected interval
-        if energy(sub, model, config).total <= E0 + config.tol_E:
+        E1 = _total_energy(sub, eff, sp.to_grid(sub.alpha, grid),
+                           sp.to_grid(sub.gamma, grid))
+        if E1 <= E0 + config.tol_E:
             return sub
     raise StepFailureError(
         f"energy guard exhausted {config.max_halvings} halvings",
@@ -375,25 +429,15 @@ def step_imex(state: SimState, config: StepperConfig,
 
 
 def step_rk4_explicit(state: SimState, config: StepperConfig,
-                      model: TumourModel) -> SimState:
+                      model: TumourModel,
+                      fields: StateFields | None = None) -> SimState:
     """Classical RK4 step; oracle integrator for small dt."""
-    dt = config.dt
-    basis = state.basis
-
-    def f(t, a, g):
-        s = SimState(t, FieldCoeffs(basis, a), FieldCoeffs(basis, g))
+    def tendency(s):
         return rhs(s, model, config)
 
-    a0, g0 = state.alpha.data, state.gamma.data
     try:
-        k1a, k1g = f(state.t, a0, g0)
-        k2a, k2g = f(state.t + dt / 2, a0 + dt / 2 * k1a, g0 + dt / 2 * k1g)
-        k3a, k3g = f(state.t + dt / 2, a0 + dt / 2 * k2a, g0 + dt / 2 * k2g)
-        k4a, k4g = f(state.t + dt, a0 + dt * k3a, g0 + dt * k3g)
-        a1 = a0 + dt / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-        g1 = g0 + dt / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
-        new = SimState(state.t + dt, FieldCoeffs(basis, a1),
-                       FieldCoeffs(basis, g1))
+        k1 = rhs(state, model, config, fields=fields)
+        new = _rk4_update(state, config.dt, tendency, k1)
     except sp.SpectralError as exc:
         raise BlowUpError("explicit step produced non-finite values",
                           t=state.t, state=state) from exc
@@ -406,10 +450,14 @@ def step_rk4_explicit(state: SimState, config: StepperConfig,
 class Trajectory:
     times: list[float] = field(default_factory=list)
     states: list[SimState] = field(default_factory=list)
+    # Darcy velocity on the grid at each snapshot, None when not evaluated
+    velocities: list[tuple[GridField, ...] | None] = field(default_factory=list)
 
-    def append(self, state: SimState):
+    def append(self, state: SimState,
+               velocity: tuple[GridField, ...] | None = None):
         self.times.append(state.t)
         self.states.append(state)
+        self.velocities.append(velocity)
 
     def __len__(self):
         return len(self.states)
@@ -423,27 +471,32 @@ def run(initial: SimState, config: StepperConfig, model: TumourModel,
         cadence: int = 1, observe_initial: bool = True) -> Trajectory:
     """Advance for a duration T, snapshotting every `cadence` steps.
 
-    observe_initial=False skips recording the starting state, which is
-    what a resumed run wants: its first snapshot was already written.
+    Each state is evaluated once (derive) and that evaluation drives its
+    step and supplies the snapshot's velocity.  observe_initial=False
+    skips recording the starting state, which is what a resumed run
+    wants: its first snapshot was already written.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     stepper = step_imex if config.scheme == "imex1" else step_rk4_explicit
     traj = Trajectory()
     state = initial
-    if observe_initial:
-        traj.append(state)
-        if observer is not None:
-            observer(0, state.t, state)
     n_steps = int(round(T / config.dt))
-    for i in range(1, n_steps + 1):
+    for i in range(n_steps + 1):
+        snapshot = (i % cadence == 0 or i == n_steps) and (
+            i > 0 or observe_initial)
+        if i == n_steps and not snapshot:
+            break  # a resumed run already at its horizon
         try:
-            state = stepper(state, config, model)
-        except StepFailureError as exc:
-            exc.t = state.t
-            raise
-        if i % cadence == 0 or i == n_steps:
-            traj.append(state)
+            fields = derive(state, model, config)
+        except sp.SpectralError as exc:
+            raise BlowUpError("state evaluation produced non-finite values",
+                              t=state.t, state=state) from exc
+        if snapshot:
+            traj.append(state, fields.v)
             if observer is not None:
                 observer(i, state.t, state)
+        if i == n_steps:
+            break
+        state = stepper(state, config, model, fields)
     return traj

@@ -92,75 +92,54 @@ def _difference_norm(a: Trajectory, b: Trajectory, field: str,
     diffs = np.asarray(diffs)
     if comparison == "Linf-L2":
         return float(np.max(diffs))
-    times = np.asarray(a.times)
-    from scipy.integrate import trapezoid
-    return float(np.sqrt(trapezoid(diffs ** 2, times)))
-
-
-def _run_member(model: TumourModel, initial: SimState, spec: SweepSpec,
-                **config_kw) -> tuple[Trajectory, StepperConfig]:
-    config = StepperConfig(dt=spec.dt, **config_kw)
-    traj = dyn.run(initial.copy(), config, model, spec.T,
-                   cadence=spec.cadence)
-    return traj, config
+    return float(np.sqrt(dg.trapezoid(diffs ** 2, a.times)))
 
 
 def sweep_vanishing_permeability(spec: SweepSpec, model: TumourModel,
                                  initial: SimState) -> list[SweepRow]:
     """Member runs at decreasing K with b = K, against the no-flow limit."""
-    if spec.parameter != "K":
-        raise ValueError("spec.parameter must be 'K'")
     if model.gamma_v is not None:
         raise ValueError("permeability sweep requires a zero volume source")
-    limit_model = model.with_params(model.params.with_(b=0.0))
-    limit_traj, _ = _run_member(limit_model, initial, spec, no_flow=True)
-
-    rows = []
-    for K in spec.values:
-        member = model.with_params(model.params.with_(K=K, b=K))
-        try:
-            traj, config = _run_member(member, initial, spec)
-            suite = dg.norm_suite(traj, member, config)
-            rows.append(SweepRow(
-                value=K,
-                v_l2l2=suite.v_l2l2,
-                v_scaled=suite.v_l2l2_scaled,
-                diff_phi=_difference_norm(traj, limit_traj, "phi",
-                                          spec.comparison),
-                diff_sigma=_difference_norm(traj, limit_traj, "sigma",
-                                            spec.comparison),
-            ))
-        except dyn.StepFailureError as exc:
-            rows.append(SweepRow(K, np.nan, np.nan, np.nan, np.nan,
-                                 failed=str(exc)))
-    return rows
+    limit = model.with_params(model.params.with_(b=0.0))
+    return _sweep(spec, "K", model, initial, limit, no_flow=True)
 
 
 def sweep_vanishing_chemotaxis(spec: SweepSpec, model: TumourModel,
                                initial: SimState) -> list[SweepRow]:
     """Member runs at decreasing chi with b = chi, against the chi = 0 run."""
-    if spec.parameter != "chi":
-        raise ValueError("spec.parameter must be 'chi'")
-    limit_model = model.with_params(model.params.with_(chi=0.0, b=0.0))
-    limit_traj, _ = _run_member(limit_model, initial, spec)
+    limit = model.with_params(model.params.with_(chi=0.0, b=0.0))
+    return _sweep(spec, "chi", model, initial, limit)
 
+
+def _sweep(spec: SweepSpec, parameter: str, model: TumourModel,
+           initial: SimState, limit_model: TumourModel,
+           **limit_config) -> list[SweepRow]:
+    """Members with parameter = b = value, each against the limit run."""
+    if spec.parameter != parameter:
+        raise ValueError(f"spec.parameter must be {parameter!r}")
+    limit_traj = dyn.run(initial.copy(),
+                         StepperConfig(dt=spec.dt, **limit_config),
+                         limit_model, spec.T, cadence=spec.cadence)
     rows = []
-    for chi in spec.values:
-        member = model.with_params(model.params.with_(chi=chi, b=chi))
+    for value in spec.values:
+        member = model.with_params(
+            model.params.with_(**{parameter: value, "b": value}))
         try:
-            traj, config = _run_member(member, initial, spec)
-            suite = dg.norm_suite(traj, member, config)
+            traj = dyn.run(initial.copy(), StepperConfig(dt=spec.dt), member,
+                           spec.T, cadence=spec.cadence)
+            v_l2l2, v_scaled = dg.velocity_norms(traj.times, traj.velocities,
+                                                 member.params.K)
             rows.append(SweepRow(
-                value=chi,
-                v_l2l2=suite.v_l2l2,
-                v_scaled=suite.v_l2l2_scaled,
+                value=value,
+                v_l2l2=v_l2l2,
+                v_scaled=v_scaled,
                 diff_phi=_difference_norm(traj, limit_traj, "phi",
                                           spec.comparison),
                 diff_sigma=_difference_norm(traj, limit_traj, "sigma",
                                             spec.comparison),
             ))
         except dyn.StepFailureError as exc:
-            rows.append(SweepRow(chi, np.nan, np.nan, np.nan, np.nan,
+            rows.append(SweepRow(value, np.nan, np.nan, np.nan, np.nan,
                                  failed=str(exc)))
     return rows
 
@@ -256,33 +235,16 @@ def _forcing(ms: ManufacturedSolution, basis: SpectralBasis, t: float,
 
 def _forced_step(state: SimState, model: TumourModel, config: StepperConfig,
                  ms: ManufacturedSolution) -> SimState:
-    basis = state.basis
-    dt = config.dt
-    if config.scheme == "imex1":
-        fa, fg = _forcing(ms, basis, state.t, model, config)
-        da, dg_ = dyn.rhs(state, model, config)
-        denom_phi, denom_sigma = dyn._implicit_factors(basis, model, config, dt)
-        alpha = state.alpha.data + dt * (da + fa) / denom_phi
-        gamma = state.gamma.data + dt * (dg_ + fg) / denom_sigma
-        return SimState(state.t + dt, FieldCoeffs(basis, alpha),
-                        FieldCoeffs(basis, gamma))
-
-    def f(t, a, g):
-        s = SimState(t, FieldCoeffs(basis, a), FieldCoeffs(basis, g))
+    """One step of config.scheme with the forcing f added to the rhs."""
+    def forced_rhs(s):
         da, dg_ = dyn.rhs(s, model, config)
-        fa, fg = _forcing(ms, basis, t, model, config)
+        fa, fg = _forcing(ms, s.basis, s.t, model, config)
         return da + fa, dg_ + fg
 
-    a0, g0 = state.alpha.data, state.gamma.data
-    k1a, k1g = f(state.t, a0, g0)
-    k2a, k2g = f(state.t + dt / 2, a0 + dt / 2 * k1a, g0 + dt / 2 * k1g)
-    k3a, k3g = f(state.t + dt / 2, a0 + dt / 2 * k2a, g0 + dt / 2 * k2g)
-    k4a, k4g = f(state.t + dt, a0 + dt * k3a, g0 + dt * k3g)
-    return SimState(
-        state.t + dt,
-        FieldCoeffs(basis, a0 + dt / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)),
-        FieldCoeffs(basis, g0 + dt / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)),
-    )
+    if config.scheme == "imex1":
+        return dyn._imex_update(state, forced_rhs(state), model, config,
+                                config.dt)
+    return dyn._rk4_update(state, config.dt, forced_rhs, forced_rhs(state))
 
 
 def run_manufactured(ms: ManufacturedSolution, basis: SpectralBasis,

@@ -303,6 +303,19 @@ def nutrient_free_energy_density(phi_g: GridField, sigma_g: GridField,
     return GridField(g, N), GridField(g, N_sigma), GridField(g, N_phi)
 
 
+def free_energy(phi: FieldCoeffs, sigma: FieldCoeffs, phi_g: GridField,
+                sigma_g: GridField, params: ModelParams, potential: Potential
+                ) -> tuple[float, float, float, float]:
+    """The four parts of E(phi, sigma), as in diagnostics.EnergyBreakdown."""
+    grid = phi_g.grid
+    return (
+        params.A * grid.integrate(potential.psi(phi_g.values)),
+        0.5 * params.B * sp.inner_product(phi, phi, "H1-seminorm"),
+        0.5 * params.D * sp.inner_product(sigma, sigma),
+        params.chi * grid.integrate(sigma_g.values * (1.0 - phi_g.values)),
+    )
+
+
 @dataclass
 class AssumptionCheck:
     name: str

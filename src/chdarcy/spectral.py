@@ -10,6 +10,7 @@ below are projections rather than approximations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -59,7 +60,7 @@ class Domain:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.lengths))
+        return float(math.prod(self.lengths))
 
     @property
     def boundary_measure(self) -> float:
@@ -111,7 +112,7 @@ class SpectralBasis:
 
     @property
     def n_modes(self) -> int:
-        return int(np.prod(self.modes))
+        return math.prod(self.modes)
 
     @property
     def dim(self) -> int:

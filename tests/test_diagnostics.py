@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from chdarcy import config as cf
 from chdarcy import diagnostics as dg
 from chdarcy import dynamics as dyn
 from chdarcy import model as md
@@ -256,6 +259,17 @@ class TestGronwall:
             dg.GronwallInput(t=t, alpha=ones, beta=0 * ones, u=ones, v=-ones)
 
 
+class TestTrapezoid:
+    @pytest.mark.parametrize("n", [1, 2, 3, 401])
+    def test_matches_scipy_bit_for_bit(self, n):
+        from scipy.integrate import trapezoid
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.random(n)) * 1e-3
+        y = rng.random(n) ** 3
+        assert dg.trapezoid(y, x) == trapezoid(y, x)
+        assert dg.trapezoid(list(y), list(x)) == trapezoid(y, x)
+
+
 class TestNormSuite:
     def test_equilibrium_velocity_free(self, interval_basis):
         model = make_model(make_params(b=0.0), sources="zero")
@@ -325,3 +339,20 @@ class TestCollector:
         assert len(merged) == len(full.records)
         for a, b in zip(merged, full.records):
             assert a.row() == b.row()
+
+
+class TestPureEvaluation:
+    def test_energy_follows_the_model_it_is_given(self):
+        # a state evaluated under one permeability must not carry that
+        # velocity into an evaluation under another
+        reference = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
+        config = cf.parse_config(reference.read_text())
+        basis = config.build_basis()
+        model_K1 = config.build_model(basis)
+        model_K001 = model_K1.with_params(model_K1.params.with_(K=0.01))
+        state = config.build_initial_state(basis)
+        fresh = state.copy()
+        dg.energy(state, model_K1)
+        second = dg.energy(state, model_K001)
+        assert second == dg.energy(fresh, model_K001)
+        assert second.diss_darcy != dg.energy(fresh, model_K1).diss_darcy

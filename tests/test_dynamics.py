@@ -353,3 +353,89 @@ class TestRun:
         norm = 1.0 + state.norm()
         assert np.max(np.abs(mb.phi_residuals)) < 1e-12 * norm
         assert np.max(np.abs(mb.sigma_residuals)) < 1e-12 * norm
+
+
+class TestPureEvaluation:
+    def test_rhs_follows_the_config_it_is_given(self, interval_basis):
+        model = make_model(make_params(chi=0.3))
+        state = random_state(interval_basis, 8)
+        fresh = state.copy()
+        plain = dyn.StepperConfig(dt=1e-3)
+        limit = dyn.StepperConfig(dt=1e-3, no_chemotaxis=True)
+        dyn.rhs(state, model, plain)
+        da, dgm = dyn.rhs(state, model, limit)
+        da_fresh, dg_fresh = dyn.rhs(fresh, model, limit)
+        assert np.array_equal(da, da_fresh)
+        assert np.array_equal(dgm, dg_fresh)
+
+    def test_derive_stores_nothing_on_the_state(self, interval_basis):
+        state = random_state(interval_basis, 8)
+        before = dict(vars(state))
+        dyn.derive(state, make_model(), dyn.StepperConfig(dt=1e-3))
+        assert vars(state) == before
+
+
+class TestEvaluationBudget:
+    n = 10
+
+    @pytest.fixture
+    def source_calls(self, monkeypatch):
+        calls = []
+        real = md.evaluate_sources
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(md, "evaluate_sources", counted)
+        return calls
+
+    def test_unguarded_run_evaluates_each_state_once(self, rect_basis,
+                                                     source_calls):
+        config = dyn.StepperConfig(dt=1e-3)
+        dyn.run(random_state(rect_basis, 40), config, make_model(),
+                self.n * config.dt)
+        assert len(source_calls) <= self.n + 1
+
+    def test_guarded_run_evaluates_each_state_once(self, rect_basis,
+                                                   source_calls):
+        model = make_model(make_params(b=0.0), sources="zero")
+        config = dyn.StepperConfig(dt=1e-3, energy_guard=True, tol_E=1e-12)
+        traj = dyn.run(random_state(rect_basis, 41, scale=0.1), config, model,
+                       self.n * config.dt)
+        assert len(traj) == self.n + 1
+        assert len(source_calls) <= self.n + 1
+
+    def test_observed_run_evaluates_each_state_at_most_twice(
+            self, rect_basis, source_calls):
+        model = make_model()
+        config = dyn.StepperConfig(dt=1e-3)
+        collector = dg.DiagnosticsCollector(model, config)
+        dyn.run(random_state(rect_basis, 42), config, model,
+                self.n * config.dt, observer=collector.observe)
+        assert len(collector.records) == self.n + 1
+        assert len(source_calls) <= 2 * (self.n + 1)
+
+    def test_snapshots_carry_the_velocity_of_their_state(self, rect_basis):
+        model = make_model()
+        config = dyn.StepperConfig(dt=1e-3)
+        traj = dyn.run(random_state(rect_basis, 43), config, model, 5e-3,
+                       cadence=2)
+        assert len(traj.velocities) == len(traj) == 4
+        for state, v in zip(traj.states, traj.velocities):
+            expect = dyn.derive(state.copy(), model, config).v
+            assert all(np.array_equal(a.values, b.values)
+                       for a, b in zip(v, expect))
+
+
+class TestRunFailures:
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_overflowing_state_is_blowup(self, interval_basis, guarded):
+        model = make_model(make_params(b=0.0), sources="zero")
+        config = dyn.StepperConfig(dt=1e-3, energy_guard=guarded)
+        collector = dg.DiagnosticsCollector(model, config)
+        state = random_state(interval_basis, 3)
+        state.alpha.data *= 1e120
+        with pytest.raises(dyn.BlowUpError) as info, np.errstate(all="ignore"):
+            dyn.run(state, config, model, 5e-3, observer=collector.observe)
+        assert info.value.t == state.t and info.value.state is state

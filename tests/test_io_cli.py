@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chdarcy
 from chdarcy import cli
 from chdarcy import config as cf
 from chdarcy import diagnostics as dg
@@ -299,3 +304,31 @@ class TestCli:
                              "--seed", seed]) == cli.EXIT_OK
             outs.append((out / "final.snap").read_bytes())
         assert outs[0] != outs[1]
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(chdarcy.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, chdarcy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_mms_ignores_the_volume_source(tmp_path, capsys):
+    spec = json.loads(REFERENCE.read_text())
+    outputs = []
+    for gamma_v in ({"kind": "zero"},
+                    {"kind": "cosine", "amplitude": 0.3, "mode": [1, 0]}):
+        spec["gamma_v"] = gamma_v
+        path = tmp_path / "mms.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["mms", "--config", str(path)]) == cli.EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert "temporal slope" in outputs[0]
+    assert outputs[0] == outputs[1]
