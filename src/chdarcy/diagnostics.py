@@ -278,8 +278,8 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
                             float(np.max(np.abs(res))))
 
     max_abs = 0.0
+    grid4 = basis.quadrature_grid(oversample=4.0)
     for state in traj.states:
-        grid4 = basis.quadrature_grid(oversample=4.0)
         der = dyn.derive(state, model, config)
         eff = der.model
         params = eff.params
@@ -551,7 +551,8 @@ class DiagnosticsRecord:
 
 
 class DiagnosticsCollector:
-    """Observer that turns snapshots into DiagnosticsRecords.
+    """Observer that turns the run's evaluated snapshots into
+    DiagnosticsRecords.
 
     Keeps running time-integrals of the dissipation terms (trapezoid
     between recorded snapshots) and per-interval residuals of the mass
@@ -568,24 +569,20 @@ class DiagnosticsCollector:
     def accumulators(self) -> np.ndarray:
         return self._acc.copy()
 
-    def _evaluate(self, state: SimState):
-        """The state's one evaluation, its energy ledger and mass rates."""
-        f = dyn.derive(state, self.model, self.config)
-        bd = energy(state, self.model, self.config, fields=f)
-        return f, bd, _mass_rates(f)
-
     def restore(self, acc: np.ndarray, last_state: SimState):
         self._acc = np.asarray(acc, dtype=float).copy()
-        _, bd, rates = self._evaluate(last_state)
-        self._prev = (last_state, bd, rates)
+        f = dyn.derive(last_state, self.model, self.config)
+        self._prev = (last_state, energy(last_state, self.model, fields=f),
+                      _mass_rates(f))
 
-    def observe(self, step: int, t: float, state: SimState):
-        basis = state.basis
-        der, bd, rates = self._evaluate(state)
-        params = der.model.params
+    def observe(self, step: int, t: float, fields: StateFields):
+        """Record the snapshot at step from its evaluation."""
+        state, basis = fields.state, fields.state.basis
+        bd = energy(state, self.model, fields=fields)
+        params = fields.model.params
         vol_root = np.sqrt(basis.domain.volume)
-        v_L2 = float(np.sqrt(der.grid.integrate(
-            sum(vi.values ** 2 for vi in der.v))))
+        v_L2 = float(np.sqrt(fields.grid.integrate(
+            sum(vi.values ** 2 for vi in fields.v))))
         sigma_bdry_sq = float(state.gamma.data @ sp.boundary_mass_apply(
             basis, state.gamma.data))
 
@@ -612,12 +609,12 @@ class DiagnosticsCollector:
             mass_sigma=state.gamma.data[0] * vol_root,
             norm_phi_H1=sp.norm(state.alpha, "H1"),
             norm_sigma_L2=sp.norm(state.gamma),
-            norm_mu_H1=sp.norm(der.mu, "H1"),
+            norm_mu_H1=sp.norm(fields.mu, "H1"),
             norm_grad_sigma=sp.norm(state.gamma, "H1-seminorm"),
             norm_v_L2=v_L2,
             norm_v_scaled=(float(v_L2 / np.sqrt(params.K))
-                           if params.K > 0 and not der.no_flow else 0.0),
-            norm_p_H1=sp.norm(der.p, "H1"),
+                           if params.K > 0 and not fields.no_flow else 0.0),
+            norm_p_H1=sp.norm(fields.p, "H1"),
             norm_sigma_boundary=float(np.sqrt(max(0.0, sigma_bdry_sq))),
             acc_diss=tuple(self._acc),
             res_mass_phi=res_phi,
@@ -625,4 +622,4 @@ class DiagnosticsCollector:
             res_energy_identity=res_energy,
         )
         self.records.append(record)
-        self._prev = (state, bd, rates)
+        self._prev = (state, bd, _mass_rates(fields))

@@ -11,7 +11,7 @@ for the matrix-free right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -77,16 +77,14 @@ class StepperConfig:
         return float(np.max(np.abs(model.potential.d2psi(t))))
 
 
-def project_initial_data(phi0, sigma0, basis: SpectralBasis,
-                         grid: QuadratureGrid | None = None
+def project_initial_data(phi0, sigma0, basis: SpectralBasis
                          ) -> tuple[FieldCoeffs, FieldCoeffs]:
     """L2 projection of initial fields onto the truncated basis.
 
     phi0 / sigma0 may be callables of the grid coordinates, GridFields,
     or coefficient vectors already in the basis.
     """
-    if grid is None:
-        grid = sp.default_grid(basis)
+    grid = sp.default_grid(basis)
 
     def project(f):
         if isinstance(f, FieldCoeffs):
@@ -137,13 +135,12 @@ class StateFields:
     S: GridField          # nutrient consumption on the grid
 
 
-def derive(state: SimState, model: TumourModel, config: StepperConfig,
-           grid: QuadratureGrid | None = None) -> StateFields:
+def derive(state: SimState, model: TumourModel,
+           config: StepperConfig) -> StateFields:
     """Evaluate the state: grid values, mu, p, v and the sources."""
     eff = _effective(model, config)
     basis = state.basis
-    if grid is None:
-        grid = sp.default_grid(basis)
+    grid = sp.default_grid(basis)
     mu = md.chemical_potential(state.alpha, state.gamma, eff.params,
                                eff.potential, grid)
     if config.no_flow:
@@ -171,10 +168,9 @@ def derive(state: SimState, model: TumourModel, config: StepperConfig,
 
 
 def rhs(state: SimState, model: TumourModel, config: StepperConfig,
-        grid: QuadratureGrid | None = None,
         fields: StateFields | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Matrix-free right-hand side of the coefficient ODE system."""
-    f = fields if fields is not None else derive(state, model, config, grid)
+    f = fields if fields is not None else derive(state, model, config)
     eff = f.model
     params = eff.params
     basis = state.basis
@@ -328,7 +324,7 @@ def dense_rhs(state: SimState, model: TumourModel, config: StepperConfig,
 def _implicit_factors(basis: SpectralBasis, model: TumourModel,
                       config: StepperConfig, dt: float
                       ) -> tuple[np.ndarray, np.ndarray]:
-    params = _effective(model, config).params
+    params = model.params  # A, B and D do not depend on chemotaxis
     lam = basis.eigenvalues
     mbar = config.mbar if config.mbar is not None else model.mobility_m.upper
     nbar = config.nbar if config.nbar is not None else model.mobility_n.upper
@@ -463,7 +459,7 @@ class Trajectory:
         return len(self.states)
 
 
-Observer = Callable[[int, float, SimState], None]
+Observer = Callable[[int, float, StateFields], None]
 
 
 def run(initial: SimState, config: StepperConfig, model: TumourModel,
@@ -472,13 +468,15 @@ def run(initial: SimState, config: StepperConfig, model: TumourModel,
     """Advance for a duration T, snapshotting every `cadence` steps.
 
     Each state is evaluated once (derive) and that evaluation drives its
-    step and supplies the snapshot's velocity.  observe_initial=False
+    step, supplies the snapshot's velocity and is what the observer
+    receives.  kappa is resolved once for the run.  observe_initial=False
     skips recording the starting state, which is what a resumed run
     wants: its first snapshot was already written.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     stepper = step_imex if config.scheme == "imex1" else step_rk4_explicit
+    config = replace(config, kappa=config.resolved_kappa(model))
     traj = Trajectory()
     state = initial
     n_steps = int(round(T / config.dt))
@@ -495,7 +493,7 @@ def run(initial: SimState, config: StepperConfig, model: TumourModel,
         if snapshot:
             traj.append(state, fields.v)
             if observer is not None:
-                observer(i, state.t, state)
+                observer(i, state.t, fields)
         if i == n_steps:
             break
         state = stepper(state, config, model, fields)

@@ -10,7 +10,7 @@ in-span exactness and the first-order temporal rate of the IMEX scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -254,6 +254,7 @@ def run_manufactured(ms: ManufacturedSolution, basis: SpectralBasis,
     returns the final-time coefficient-space L2 error."""
     cp, cs = ms.coeffs(basis, 0.0)
     state = SimState(0.0, cp, cs)
+    config = replace(config, kappa=config.resolved_kappa(model))
     n = int(round(T / config.dt))
     for _ in range(n):
         state = _forced_step(state, model, config, ms)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,23 +68,24 @@ def _basis_header(basis: SpectralBasis, t: float) -> bytes:
     return ("\n".join(lines) + "\n\n").encode("ascii")
 
 
-def _parse_header(fh) -> tuple[sp.Domain, tuple[int, ...], float]:
-    def line():
-        raw = fh.readline()
-        if not raw.endswith(b"\n"):
-            raise SnapshotFormatError("truncated snapshot header")
-        try:
-            return raw[:-1].decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise SnapshotFormatError("corrupt snapshot header") from exc
+def _line(fh) -> str:
+    raw = fh.readline()
+    if not raw.endswith(b"\n"):
+        raise SnapshotFormatError("truncated header")
+    try:
+        return raw[:-1].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError("non-ASCII header line") from exc
 
-    if line() != SNAPSHOT_MAGIC:
+
+def _parse_header(fh) -> tuple[sp.Domain, tuple[int, ...], float]:
+    if _line(fh) != SNAPSHOT_MAGIC:
         raise SnapshotFormatError("bad snapshot magic")
     fields = {}
     for _ in range(4):
-        key, _, rest = line().partition(" ")
+        key, _, rest = _line(fh).partition(" ")
         fields[key] = rest
-    if line() != "":
+    if _line(fh) != "":
         raise SnapshotFormatError("missing header terminator")
     try:
         domain = sp.Domain(fields["kind"],
@@ -91,7 +94,34 @@ def _parse_header(fh) -> tuple[sp.Domain, tuple[int, ...], float]:
         t = float(fields["t"])
     except (KeyError, ValueError, sp.InvalidDomainError) as exc:
         raise SnapshotFormatError(f"corrupt snapshot header: {exc}") from exc
+    if not math.isfinite(t):
+        raise SnapshotFormatError(f"non-finite time {t} in header")
     return domain, modes, t
+
+
+def _read_payload(fh, path, domain: sp.Domain, modes: tuple[int, ...],
+                  basis: SpectralBasis | None, n_extra: int
+                  ) -> tuple[SpectralBasis, np.ndarray]:
+    """The header's basis (or the supplied one, which must match) and the
+    rest of the file: exactly 2 n_modes + n_extra finite doubles."""
+    if basis is not None and (basis.domain != domain or basis.modes != modes):
+        raise SnapshotFormatError(
+            f"{path} was written for {domain.kind} {domain.lengths} "
+            f"modes {modes}, not the supplied basis")
+    size = (2 * math.prod(modes) + n_extra) * 8
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left != size:  # checked before a basis of that size is built
+        raise SnapshotFormatError(
+            f"{path} holds {left} payload bytes, expected {size}")
+    if basis is None:
+        try:
+            basis = sp.build_basis(domain, modes)
+        except sp.InvalidDomainError as exc:
+            raise SnapshotFormatError(f"corrupt header in {path}: {exc}") from exc
+    data = np.frombuffer(fh.read(size), dtype="<f8").astype(float)
+    if not np.all(np.isfinite(data)):
+        raise SnapshotFormatError(f"non-finite payload in {path}")
+    return basis, data
 
 
 def write_field_snapshot(state: SimState, path) -> None:
@@ -110,19 +140,8 @@ def read_field_snapshot(path, basis: SpectralBasis | None = None) -> SimState:
     path = Path(path)
     with path.open("rb") as fh:
         domain, modes, t = _parse_header(fh)
-        if basis is None:
-            basis = sp.build_basis(domain, modes)
-        else:
-            if basis.domain != domain or basis.modes != modes:
-                raise SnapshotFormatError(
-                    f"snapshot {path} was written for {domain.kind} "
-                    f"{domain.lengths} modes {modes}, not the supplied basis"
-                )
-        n = basis.n_modes
-        raw = fh.read(2 * n * 8)
-        if len(raw) != 2 * n * 8:
-            raise SnapshotFormatError(f"snapshot {path} payload truncated")
-        data = np.frombuffer(raw, dtype="<f8").astype(float)
+        basis, data = _read_payload(fh, path, domain, modes, basis, 0)
+    n = basis.n_modes
     return SimState(t, FieldCoeffs(basis, data[:n].copy()),
                     FieldCoeffs(basis, data[n:].copy()))
 
@@ -161,19 +180,12 @@ def read_checkpoint(path, basis: SpectralBasis | None = None) -> Checkpoint:
         first = fh.readline()
         if first != (CHECKPOINT_MAGIC + "\n").encode("ascii"):
             raise SnapshotFormatError("bad checkpoint magic")
-        key, _, config_hash = fh.readline()[:-1].decode("ascii").partition(" ")
+        key, _, config_hash = _line(fh).partition(" ")
         if key != "config":
             raise SnapshotFormatError("missing config hash")
         domain, modes, t = _parse_header(fh)
-        if basis is None:
-            basis = sp.build_basis(domain, modes)
-        elif basis.domain != domain or basis.modes != modes:
-            raise SnapshotFormatError("checkpoint basis mismatch")
-        n = basis.n_modes
-        raw = fh.read((2 * n + 4) * 8)
-        if len(raw) != (2 * n + 4) * 8:
-            raise SnapshotFormatError("checkpoint payload truncated")
-        data = np.frombuffer(raw, dtype="<f8").astype(float)
+        basis, data = _read_payload(fh, path, domain, modes, basis, 4)
+    n = basis.n_modes
     state = SimState(t, FieldCoeffs(basis, data[:n].copy()),
                      FieldCoeffs(basis, data[n:2 * n].copy()))
     return Checkpoint(config_hash, state, data[2 * n:].copy())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -51,8 +51,9 @@ class Domain:
             raise InvalidDomainError(
                 f"{self.kind} needs {expected} length(s), got {len(self.lengths)}"
             )
-        if any(L <= 0 for L in self.lengths):
-            raise InvalidDomainError(f"lengths must be positive, got {self.lengths}")
+        if not all(0 < L < math.inf for L in self.lengths):
+            raise InvalidDomainError(
+                f"lengths must be positive and finite, got {self.lengths}")
 
     @property
     def dim(self) -> int:
@@ -109,6 +110,8 @@ class SpectralBasis:
     modes: tuple[int, ...]
     eigenvalues_1d: tuple[np.ndarray, ...] = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)  # flat, C-order over mode tuple
+    # per-dim basis values at the endpoints 0 and L
+    traces_1d: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -117,6 +120,11 @@ class SpectralBasis:
     @property
     def dim(self) -> int:
         return self.domain.dim
+
+    @cached_property
+    def default_grid(self) -> "QuadratureGrid":
+        """The shared dealiased grid, built on first use."""
+        return self.quadrature_grid()
 
     def quadrature_grid(self, oversample: float = 2.0) -> "QuadratureGrid":
         """Midpoint grid with at least ceil(3k/2)+1 points per dimension.
@@ -148,19 +156,15 @@ class SpectralBasis:
             npoints=tuple(npoints),
             nodes=tuple(nodes),
             weights=tuple(weights),
+            W=weights[0] if self.dim == 1 else np.outer(*weights),
             synth=tuple(synth),
             deriv=tuple(deriv),
         )
 
 
-@lru_cache(maxsize=128)
-def _default_grid(basis: SpectralBasis) -> "QuadratureGrid":
-    return basis.quadrature_grid()
-
-
 def default_grid(basis: SpectralBasis) -> "QuadratureGrid":
-    """Shared dealiased grid for a basis (cached by basis identity)."""
-    return _default_grid(basis)
+    """Shared dealiased grid for a basis, kept for the basis's life."""
+    return basis.default_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +173,7 @@ class QuadratureGrid:
     npoints: tuple[int, ...]
     nodes: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
+    W: np.ndarray = field(repr=False)  # tensor product of the weights
     synth: tuple[np.ndarray, ...]  # per-dim synthesis matrices, (n, k)
     deriv: tuple[np.ndarray, ...]  # per-dim derivative matrices, (n, k)
 
@@ -177,9 +182,7 @@ class QuadratureGrid:
         return self.basis.dim
 
     def weight_array(self) -> np.ndarray:
-        if self.dim == 1:
-            return self.weights[0]
-        return np.outer(self.weights[0], self.weights[1])
+        return self.W
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         if self.dim == 1:
@@ -187,7 +190,7 @@ class QuadratureGrid:
         return np.meshgrid(self.nodes[0], self.nodes[1], indexing="ij")
 
     def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weight_array() * values))
+        return float(np.sum(self.W * values))
 
 
 @dataclass(eq=False)
@@ -252,7 +255,8 @@ def build_basis(domain: Domain, modes_per_dim) -> SpectralBasis:
     else:
         flat = (eigs_1d[0][:, None] + eigs_1d[1][None, :]).ravel()
     return SpectralBasis(
-        domain=domain, modes=modes, eigenvalues_1d=eigs_1d, eigenvalues=flat
+        domain=domain, modes=modes, eigenvalues_1d=eigs_1d, eigenvalues=flat,
+        traces_1d=tuple(_trace_1d(L, k) for L, k in zip(domain.lengths, modes)),
     )
 
 
@@ -272,10 +276,9 @@ def to_coeffs(f: GridField) -> FieldCoeffs:
     """Analysis: L2 projection of nodal data onto the basis via quadrature."""
     g = f.grid
     if g.dim == 1:
-        data = g.synth[0].T @ (g.weights[0] * f.values)
+        data = g.synth[0].T @ (g.W * f.values)
     else:
-        wv = (g.weights[0][:, None] * g.weights[1][None, :]) * f.values
-        data = (g.synth[0].T @ wv @ g.synth[1]).ravel()
+        data = (g.synth[0].T @ (g.W * f.values) @ g.synth[1]).ravel()
     return FieldCoeffs(g.basis, data)
 
 
@@ -308,12 +311,11 @@ def divergence_to_coeffs(components: tuple[GridField, ...]) -> FieldCoeffs:
         if comp.grid is not g:
             raise BasisMismatchError("vector components on mismatched grids")
     if g.dim == 1:
-        data = -(g.deriv[0].T @ (g.weights[0] * components[0].values))
+        data = -(g.deriv[0].T @ (g.W * components[0].values))
     else:
-        W = g.weights[0][:, None] * g.weights[1][None, :]
         data = -(
-            g.deriv[0].T @ (W * components[0].values) @ g.synth[1]
-            + g.synth[0].T @ (W * components[1].values) @ g.deriv[1]
+            g.deriv[0].T @ (g.W * components[0].values) @ g.synth[1]
+            + g.synth[0].T @ (g.W * components[1].values) @ g.deriv[1]
         ).ravel()
     return FieldCoeffs(g.basis, data)
 
@@ -340,11 +342,10 @@ def boundary_mass_matrix(basis: SpectralBasis) -> np.ndarray:
     solver never forms it.
     """
     if basis.dim == 1:
-        left, right = _trace_1d(basis.domain.lengths[0], basis.modes[0])
+        (left, right), = basis.traces_1d
         return np.outer(left, left) + np.outer(right, right)
-    (Lx, Ly), (kx, ky) = basis.domain.lengths, basis.modes
-    lx, rx = _trace_1d(Lx, kx)
-    ly, ry = _trace_1d(Ly, ky)
+    (lx, rx), (ly, ry) = basis.traces_1d
+    kx, ky = basis.modes
     Bx = np.outer(lx, lx) + np.outer(rx, rx)  # traces at x = 0 and x = Lx
     By = np.outer(ly, ly) + np.outer(ry, ry)
     # Edge x = const contributes trace_x * delta_{n n'}; likewise for y.
@@ -360,12 +361,10 @@ def boundary_mass_apply(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:
     the product is Bx G + G By: O(n_modes) work and memory.
     """
     if basis.dim == 1:
-        left, right = _trace_1d(basis.domain.lengths[0], basis.modes[0])
+        (left, right), = basis.traces_1d
         return left * (left @ c) + right * (right @ c)
-    (Lx, Ly), (kx, ky) = basis.domain.lengths, basis.modes
-    lx, rx = _trace_1d(Lx, kx)
-    ly, ry = _trace_1d(Ly, ky)
-    G = c.reshape(kx, ky)
+    (lx, rx), (ly, ry) = basis.traces_1d
+    G = c.reshape(basis.modes)
     out = (np.outer(lx, lx @ G) + np.outer(rx, rx @ G)
            + np.outer(G @ ly, ly) + np.outer(G @ ry, ry))
     return out.ravel()

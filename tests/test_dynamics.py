@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -415,6 +417,44 @@ class TestEvaluationBudget:
                 self.n * config.dt, observer=collector.observe)
         assert len(collector.records) == self.n + 1
         assert len(source_calls) <= 2 * (self.n + 1)
+
+    def test_observed_run_evaluates_each_state_once(self, rect_basis,
+                                                    source_calls):
+        model = make_model()
+        config = dyn.StepperConfig(dt=1e-3)
+        collector = dg.DiagnosticsCollector(model, config)
+        dyn.run(random_state(rect_basis, 42), config, model,
+                self.n * config.dt, observer=collector.observe)
+        assert len(collector.records) == self.n + 1
+        assert len(source_calls) <= self.n + 1
+
+    def test_observer_receives_the_evaluation_of_each_snapshot(
+            self, rect_basis):
+        model = make_model()
+        config = dyn.StepperConfig(dt=1e-3)
+        seen = []
+        traj = dyn.run(random_state(rect_basis, 45), config, model, 6e-3,
+                       observer=lambda i, t, f: seen.append((t, f)),
+                       cadence=2)
+        assert len(seen) == len(traj) == 4
+        for (t, f), state, v in zip(seen, traj.states, traj.velocities):
+            assert isinstance(f, dyn.StateFields)
+            assert f.state is state and f.v is v and t == state.t
+
+    def test_run_resolves_kappa_once(self, interval_basis):
+        calls = []
+        model = make_model()
+        d2psi = model.potential.d2psi
+
+        def counted(t):
+            calls.append(1)
+            return d2psi(t)
+
+        model.potential = replace(model.potential, d2psi=counted)
+        config = dyn.StepperConfig(dt=1e-3)
+        dyn.run(random_state(interval_basis, 44), config, model,
+                self.n * config.dt)
+        assert len(calls) == 1
 
     def test_snapshots_carry_the_velocity_of_their_state(self, rect_basis):
         model = make_model()

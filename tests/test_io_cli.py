@@ -1,11 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chdarcy
 from chdarcy import cli
@@ -119,6 +122,97 @@ class TestCheckpoints:
         path.write_bytes(b"not-a-checkpoint\n")
         with pytest.raises(cio.SnapshotFormatError):
             cio.read_checkpoint(path)
+
+
+def _write(kind, basis, path):
+    state = random_state(basis, 9, t=0.125)
+    if kind == "snapshot":
+        cio.write_field_snapshot(state, path)
+    else:
+        cio.write_checkpoint(
+            cio.Checkpoint("deadbeef", state, np.arange(4.0)), path)
+
+
+def _read(kind, path, basis=None):
+    if kind == "snapshot":
+        return cio.read_field_snapshot(path, basis)
+    return cio.read_checkpoint(path, basis)
+
+
+def _patch_header(path, pattern: bytes, repl: bytes):
+    head, sep, payload = path.read_bytes().partition(b"\n\n")
+    path.write_bytes(re.sub(pattern, repl, head, count=1) + sep + payload)
+
+
+@pytest.mark.parametrize("kind", ["snapshot", "checkpoint"])
+class TestHeaderChecks:
+    """Headers that name no valid basis are format errors, also when the
+    reader builds the basis itself."""
+
+    def test_zero_modes(self, kind, interval_basis, tmp_path):
+        path = tmp_path / "f"
+        _write(kind, interval_basis, path)
+        _patch_header(path, rb"\nmodes [^\n]*", b"\nmodes 0")
+        with pytest.raises(cio.SnapshotFormatError):
+            _read(kind, path)
+
+    def test_infinite_length(self, kind, interval_basis, tmp_path):
+        path = tmp_path / "f"
+        _write(kind, interval_basis, path)
+        _patch_header(path, rb"\nlengths [^\n]*", b"\nlengths inf")
+        with pytest.raises(cio.SnapshotFormatError):
+            _read(kind, path)
+
+    def test_nan_time(self, kind, interval_basis, tmp_path):
+        path = tmp_path / "f"
+        _write(kind, interval_basis, path)
+        _patch_header(path, rb"\nt [^\n]*", b"\nt nan")
+        with pytest.raises(cio.SnapshotFormatError):
+            _read(kind, path, interval_basis)
+
+    def test_trailing_bytes(self, kind, interval_basis, tmp_path):
+        path = tmp_path / "f"
+        _write(kind, interval_basis, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(cio.SnapshotFormatError):
+            _read(kind, path, interval_basis)
+
+    def test_non_finite_payload(self, kind, interval_basis, tmp_path):
+        path = tmp_path / "f"
+        _write(kind, interval_basis, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] + np.array([np.nan], "<f8").tobytes())
+        with pytest.raises(cio.SnapshotFormatError):
+            _read(kind, path, interval_basis)
+
+
+def _mutations(data: bytes):
+    """Truncations, single-byte flips and single-byte insertions."""
+    n = len(data)
+    return st.one_of(
+        st.integers(0, n - 1).map(lambda i: data[:i]),
+        st.tuples(st.integers(0, n - 1), st.integers(1, 255)).map(
+            lambda a: data[:a[0]] + bytes([data[a[0]] ^ a[1]])
+            + data[a[0] + 1:]),
+        st.tuples(st.integers(0, n), st.integers(0, 255)).map(
+            lambda a: data[:a[0]] + bytes([a[1]]) + data[a[0]:]),
+    )
+
+
+@pytest.mark.parametrize("kind", ["snapshot", "checkpoint"])
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_files_parse_or_raise_format_errors(kind, data, tmp_path):
+    basis = sp.build_basis(sp.Domain("interval", (1.0,)), 8)
+    path = tmp_path / "f"  # rewritten by every example
+    _write(kind, basis, path)
+    path.write_bytes(data.draw(_mutations(path.read_bytes())))
+    for supplied in (None, basis):
+        try:
+            _read(kind, path, supplied)
+        except cio.SnapshotFormatError:
+            pass
 
 
 class TestParseConfig:
@@ -280,6 +374,26 @@ class TestCli:
                          "--checkpoint", str(tmp_path / "nope.ckpt"),
                          "--out", str(tmp_path / "r")])
         assert code == cli.EXIT_IO
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw.replace(b"\nconfig ", b"\nconfig \xff", 1),
+        lambda raw: re.sub(rb"\nt [^\n]*", b"\nt nan", raw, count=1),
+        lambda raw: raw + b"trailing",
+    ], ids=["non-ascii-config-line", "nan-time", "trailing-bytes"])
+    def test_resume_damaged_checkpoint_is_io_failure(self, tmp_path, capsys,
+                                                     damage):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(out)]) == cli.EXIT_OK
+        ckpt = out / "checkpoint.ckpt"
+        ckpt.write_bytes(damage(ckpt.read_bytes()))
+        capsys.readouterr()
+        code = cli.main(["resume", "--config", str(cfg),
+                         "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_IO
+        assert "I/O failure" in capsys.readouterr().err
 
     def test_sweep_chi_writes_table(self, tmp_path):
         cfg = self.write_config(tmp_path, small_config(T=0.005))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,3 +257,22 @@ class TestNorms:
         grid = sp.default_grid(rect_basis)
         vals = sp.to_grid(c, grid).values
         assert abs(sp.norm(c) ** 2 - grid.integrate(vals ** 2)) < 1e-12
+
+
+class TestGridOwnership:
+    def test_default_grid_is_kept_for_the_life_of_its_basis(self):
+        domain = sp.Domain("interval", (1.0,))
+        b0 = sp.build_basis(domain, 8)
+        first = sp.default_grid(b0)
+        others = [sp.build_basis(domain, 8) for _ in range(128)]
+        for b in others:
+            sp.default_grid(b)
+        assert sp.default_grid(b0) is first
+
+    def test_dropped_basis_is_freed(self):
+        basis = sp.build_basis(sp.Domain("rectangle", (1.0, 2.0)), (4, 3))
+        sp.default_grid(basis)
+        ref = weakref.ref(basis)
+        del basis
+        gc.collect()
+        assert ref() is None
