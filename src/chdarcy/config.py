@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,6 +194,10 @@ _SOURCE_KEYS = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class _Checker:
     def __init__(self, strict: bool):
         self.strict = strict
@@ -219,17 +224,28 @@ class _Checker:
             self.fail(f"{path}.{key}", "must be a number")
             return None
         v = float(v)
+        if not math.isfinite(v):
+            self.fail(f"{path}.{key}", "must be finite")
+            return None
         if positive and v <= 0:
             self.fail(f"{path}.{key}", "must be positive")
         if nonnegative and v < 0:
             self.fail(f"{path}.{key}", "must be nonnegative")
         return v
 
+    def integer(self, obj: dict, key: str, path: str, default: int,
+                minimum: int) -> int:
+        v = obj.get(key, default)
+        if not _is_int(v) or v < minimum:
+            self.fail(f"{path}.{key}", f"must be an int >= {minimum}")
+            return default
+        return v
+
     def choice(self, obj: dict, key: str, path: str, allowed) -> str | None:
-        v = obj.get(key)
-        if v is None:
+        if key not in obj:
             return None
-        if v not in allowed:
+        v = obj[key]
+        if not isinstance(v, str) or v not in allowed:
             self.fail(f"{path}.{key}", f"must be one of {sorted(allowed)}")
             return None
         return v
@@ -263,13 +279,16 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
                 domain = sp.Domain(kind, tuple(float(x) for x in lengths))
             except (sp.InvalidDomainError, ValueError, TypeError) as exc:
                 ck.fail("$.domain", str(exc))
+        elif kind and "lengths" in dom_spec:
+            ck.fail("$.domain.lengths", "must be a list of numbers")
     else:
         ck.fail("$.domain", "must be an object")
 
     modes_spec = raw.get("modes")
-    if isinstance(modes_spec, int):
+    if _is_int(modes_spec):
         modes = (modes_spec,) * (domain.dim if domain else 1)
-    elif isinstance(modes_spec, list) and all(isinstance(m, int) for m in modes_spec):
+    elif (isinstance(modes_spec, list) and modes_spec
+          and all(_is_int(m) for m in modes_spec)):
         modes = tuple(modes_spec)
     else:
         ck.fail("$.modes", "must be an int or list of ints")
@@ -292,7 +311,8 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         kappa = ck.number(scheme_spec, "kappa", "$.scheme", positive=True)
         energy_guard = bool(scheme_spec.get("energy_guard", False))
         tol_E = ck.number(scheme_spec, "tol_E", "$.scheme", nonnegative=True) or 0.0
-        max_halvings = int(scheme_spec.get("max_halvings", 8))
+        max_halvings = ck.integer(scheme_spec, "max_halvings", "$.scheme",
+                                  8, minimum=0)
     else:
         ck.fail("$.scheme", "must be an object")
 
@@ -354,6 +374,7 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         gk = ck.choice(gamma_v_spec, "kind", "$.gamma_v", {"zero", "cosine"})
         if gk == "cosine":
             ck.keys(gamma_v_spec, "$.gamma_v", {"kind", "amplitude", "mode"})
+            ck.number(gamma_v_spec, "amplitude", "$.gamma_v")
             mode = gamma_v_spec.get("mode")
             if (not isinstance(mode, list) or not mode
                     or not all(isinstance(m, int) and m >= 0 for m in mode)
@@ -393,6 +414,12 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
             if pk:
                 req, opt = _PROFILE_KEYS[pk]
                 ck.keys(prof, path, req, opt)
+                for key in sorted((req | opt) - {"kind", "mode", "cutoff",
+                                                 "seed"}):
+                    ck.number(prof, key, path, positive=key == "width")
+                if pk == "random":
+                    ck.integer(prof, "cutoff", path, 4, minimum=1)
+                    ck.integer(prof, "seed", path, 0, minimum=0)
                 if pk == "cosine":
                     mode = prof.get("mode")
                     if (not isinstance(mode, list)
@@ -410,14 +437,8 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
     else:
         ck.fail("$.initial", "must be an object")
 
-    cadence = raw.get("cadence", 1)
-    if not isinstance(cadence, int) or cadence < 1:
-        ck.fail("$.cadence", "must be a positive int")
-        cadence = 1
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        ck.fail("$.seed", "must be an int")
-        seed = 0
+    cadence = ck.integer(raw, "cadence", "$", 1, minimum=1)
+    seed = ck.integer(raw, "seed", "$", 0, minimum=0)
     if "output_dir" in raw and not isinstance(raw["output_dir"], str):
         ck.fail("$.output_dir", "must be a string")
 

@@ -137,12 +137,20 @@ class StateFields:
 
 def derive(state: SimState, model: TumourModel,
            config: StepperConfig) -> StateFields:
-    """Evaluate the state: grid values, mu, p, v and the sources."""
+    """Evaluate the state: grid values, mu, p, v and the sources.
+
+    phi, sigma and mu are each synthesized and differentiated once; mu
+    and the Darcy solve take those grid fields instead of redoing them.
+    """
     eff = _effective(model, config)
     basis = state.basis
     grid = sp.default_grid(basis)
+    phi_g = sp.to_grid(state.alpha, grid)
+    sigma_g = sp.to_grid(state.gamma, grid)
+    grad_phi = sp.gradient_on_grid(state.alpha, grid)
     mu = md.chemical_potential(state.alpha, state.gamma, eff.params,
-                               eff.potential, grid)
+                               eff.potential, grid, phi_g=phi_g)
+    mu_g = sp.to_grid(mu, grid)
     if config.no_flow:
         p = FieldCoeffs(basis, np.zeros(basis.n_modes))
         v = tuple(GridField(grid, np.zeros(grid.npoints))
@@ -152,15 +160,13 @@ def derive(state: SimState, model: TumourModel,
             raise ValueError("K = 0 requires no-flow mode")
         gv = eff.gamma_v(state.t) if eff.gamma_v is not None else None
         p, v = md.solve_darcy(state.alpha, mu, state.gamma, gv,
-                              eff.params, grid)
-    phi_g = sp.to_grid(state.alpha, grid)
-    sigma_g = sp.to_grid(state.gamma, grid)
-    mu_g = sp.to_grid(mu, grid)
+                              eff.params, grid, grad_phi=grad_phi,
+                              mu_g=mu_g, sigma_g=sigma_g)
     gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, eff.sources)
     return StateFields(
         state=state, model=eff, no_flow=config.no_flow, grid=grid,
         phi_g=phi_g, sigma_g=sigma_g, mu_g=mu_g,
-        grad_phi=sp.gradient_on_grid(state.alpha, grid),
+        grad_phi=grad_phi,
         grad_sigma=sp.gradient_on_grid(state.gamma, grid),
         grad_mu=sp.gradient_on_grid(mu, grid),
         mu=mu, p=p, v=v, gamma_phi=gamma_phi, S=S,
@@ -169,7 +175,11 @@ def derive(state: SimState, model: TumourModel,
 
 def rhs(state: SimState, model: TumourModel, config: StepperConfig,
         fields: StateFields | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix-free right-hand side of the coefficient ODE system."""
+    """Matrix-free right-hand side of the coefficient ODE system.
+
+    Each equation is tested against every w_j once: its fluxes are added
+    on the grid and projected together with its source by sp.weak_form.
+    """
     f = fields if fields is not None else derive(state, model, config)
     eff = f.model
     params = eff.params
@@ -178,29 +188,22 @@ def rhs(state: SimState, model: TumourModel, config: StepperConfig,
     m_vals = eff.mobility_m(f.phi_g.values)
     n_vals = eff.mobility_n(f.phi_g.values)
 
-    # d/dt alpha_j = -int m grad(mu).grad(w_j) + int Gamma_phi w_j
-    #               + int phi v . grad(w_j)
-    flux_mu = tuple(GridField(grid, m_vals * g.values) for g in f.grad_mu)
-    dalpha = sp.divergence_to_coeffs(flux_mu).data
-    dalpha += sp.to_coeffs(f.gamma_phi).data
-    if not f.no_flow:
-        conv_phi = tuple(GridField(grid, f.phi_g.values * vi.values)
-                         for vi in f.v)
-        dalpha -= sp.divergence_to_coeffs(conv_phi).data
-
-    # d/dt gamma_j = -int n (D grad(sigma) - chi grad(phi)).grad(w_j)
-    #               - int S w_j + int sigma v . grad(w_j)
+    # d/dt alpha_j = int Gamma_phi w_j - int (m grad(mu) - phi v).grad(w_j)
+    flux_phi = [m_vals * g.values for g in f.grad_mu]
+    # d/dt gamma_j = -int S w_j
+    #               - int (n (D grad(sigma) - chi grad(phi)) - sigma v).grad(w_j)
     #               + b int_bdry (sigma_inf - sigma) w_j
-    flux_sigma = tuple(
-        GridField(grid, n_vals * (params.D * gs.values - params.chi * gp.values))
-        for gs, gp in zip(f.grad_sigma, f.grad_phi)
-    )
-    dgamma = sp.divergence_to_coeffs(flux_sigma).data
-    dgamma -= sp.to_coeffs(f.S).data
+    flux_sigma = [n_vals * (params.D * gs.values - params.chi * gp.values)
+                  for gs, gp in zip(f.grad_sigma, f.grad_phi)]
     if not f.no_flow:
-        conv_sigma = tuple(GridField(grid, f.sigma_g.values * vi.values)
-                           for vi in f.v)
-        dgamma -= sp.divergence_to_coeffs(conv_sigma).data
+        for d, vi in enumerate(f.v):
+            flux_phi[d] -= f.phi_g.values * vi.values
+            flux_sigma[d] -= f.sigma_g.values * vi.values
+    dalpha = sp.weak_form(
+        f.gamma_phi, tuple(GridField(grid, F) for F in flux_phi)).data
+    dgamma = sp.weak_form(
+        GridField(grid, -f.S.values),
+        tuple(GridField(grid, F) for F in flux_sigma)).data
     if params.b != 0.0:
         deficit = (sp.constant_field(basis, eff.sigma_inf(state.t)).data
                    - state.gamma.data)

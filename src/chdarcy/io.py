@@ -45,13 +45,26 @@ def write_diagnostics_csv(records, path) -> None:
 
 
 def read_diagnostics_csv(path) -> list[tuple[float, ...]]:
+    """The rows after the header; any malformed content is a format error."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise SnapshotFormatError(f"unexpected CSV header in {path}")
-        return [tuple(float(x) for x in row) for row in reader]
+    try:
+        with path.open(newline="") as fh:
+            lines = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SnapshotFormatError(f"unreadable CSV {path}: {exc}") from exc
+    if not lines or tuple(lines[0]) != CSV_COLUMNS:
+        raise SnapshotFormatError(f"unexpected CSV header in {path}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        if len(line) != len(CSV_COLUMNS):
+            raise SnapshotFormatError(
+                f"{path} line {number}: {len(line)} cells, "
+                f"expected {len(CSV_COLUMNS)}")
+        try:
+            rows.append(tuple(float(x) for x in line))
+        except ValueError as exc:
+            raise SnapshotFormatError(f"{path} line {number}: {exc}") from exc
+    return rows
 
 
 SNAPSHOT_MAGIC = "chd-snapshot 1"

@@ -226,17 +226,22 @@ class TumourModel:
 
 def chemical_potential(phi: FieldCoeffs, sigma: FieldCoeffs,
                        params: ModelParams, potential: Potential,
-                       grid: QuadratureGrid | None = None) -> FieldCoeffs:
+                       grid: QuadratureGrid | None = None,
+                       phi_g: GridField | None = None) -> FieldCoeffs:
     """mu = A P_k[psi'(phi)] + B (-Laplacian) phi - chi sigma, in coefficients.
 
     The stiffness term is diagonal in the eigenbasis; psi'(phi) is
     evaluated pseudospectrally on the dealiased grid and projected back.
+    phi_g, phi already on that grid, spares the synthesis.
     """
     sp._check_same_basis(phi, sigma)
     basis = phi.basis
     if grid is None:
         grid = sp.default_grid(basis)
-    phi_g = sp.to_grid(phi, grid)
+    if phi_g is None:
+        phi_g = sp.to_grid(phi, grid)
+    elif phi_g.grid is not grid:
+        raise sp.BasisMismatchError("phi_g lives on a different grid")
     psi_prime = sp.to_coeffs(GridField(grid, potential.dpsi(phi_g.values)))
     data = (params.A * psi_prime.data
             + params.B * basis.eigenvalues * phi.data
@@ -246,19 +251,30 @@ def chemical_potential(phi: FieldCoeffs, sigma: FieldCoeffs,
 
 def solve_darcy(phi: FieldCoeffs, mu: FieldCoeffs, sigma: FieldCoeffs,
                 gamma_v: FieldCoeffs | None, params: ModelParams,
-                grid: QuadratureGrid | None = None
+                grid: QuadratureGrid | None = None,
+                grad_phi: tuple[GridField, ...] | None = None,
+                mu_g: GridField | None = None,
+                sigma_g: GridField | None = None
                 ) -> tuple[FieldCoeffs, tuple[GridField, ...]]:
     """Pressure Poisson solve and Darcy velocity.
 
     p = (-Laplacian_N)^{-1}( Gamma_v / K - div((mu + chi sigma) grad phi) )
     with zero mean, and v = -K (grad p - (mu + chi sigma) grad phi) on the
-    grid.
+    grid.  grad_phi, mu_g and sigma_g, already on that grid, spare their
+    transforms.
     """
     basis = phi.basis
     if grid is None:
         grid = sp.default_grid(basis)
-    grad_phi = sp.gradient_on_grid(phi, grid)
-    drive = sp.to_grid(mu, grid).values + params.chi * sp.to_grid(sigma, grid).values
+    if grad_phi is None:
+        grad_phi = sp.gradient_on_grid(phi, grid)
+    if mu_g is None:
+        mu_g = sp.to_grid(mu, grid)
+    if sigma_g is None:
+        sigma_g = sp.to_grid(sigma, grid)
+    if any(f.grid is not grid for f in (*grad_phi, mu_g, sigma_g)):
+        raise sp.BasisMismatchError("grid fields live on a different grid")
+    drive = mu_g.values + params.chi * sigma_g.values
     forcing = tuple(GridField(grid, drive * comp.values) for comp in grad_phi)
     rhs = -sp.divergence_to_coeffs(forcing).data  # -<div F, w_j>
     if gamma_v is not None:
@@ -436,7 +452,9 @@ def validate_assumptions(params: ModelParams, potential: Potential,
             detail=f"classified as {rep.regime}; presets are one admissible "
                    "choice of the interpolation functions")
 
-    lhs, rhs = params.A, 2.0 * params.chi ** 2 / (params.D * potential.R1)
+    # chi * chi, not chi ** 2: a huge chi fails the check instead of raising
+    lhs = params.A
+    rhs = 2.0 * params.chi * params.chi / (params.D * potential.R1)
     rep.add("A5 chemotaxis smallness A > 2 chi^2 / (D R1)", lhs > rhs,
             detail=f"A = {lhs}, 2 chi^2/(D R1) = {rhs:.6g}")
 

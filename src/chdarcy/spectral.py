@@ -207,7 +207,7 @@ class FieldCoeffs:
                 f"coefficient vector of length {self.data.shape} does not match "
                 f"basis with {self.basis.n_modes} modes"
             )
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise SpectralError("non-finite coefficients")
 
     def copy(self) -> "FieldCoeffs":
@@ -272,14 +272,41 @@ def to_grid(c: FieldCoeffs, g: QuadratureGrid) -> GridField:
     return GridField(g, vals)
 
 
+def weak_form(source: GridField | None,
+              flux: tuple[GridField, ...] = ()) -> FieldCoeffs:
+    """Galerkin projection: j-th coefficient is int s w_j - int F . grad(w_j).
+
+    The one analysis kernel: an equation's source and flux are tested
+    against every w_j in a single pass over the grid.  With the
+    zero-normal-flux basis the flux part is the weak divergence, the
+    integration-by-parts partner of gradient_on_grid.
+    """
+    g = source.grid if source is not None else flux[0].grid
+    if flux and len(flux) != g.dim:
+        raise BasisMismatchError(
+            f"{len(flux)} components for a {g.dim}-dimensional grid"
+        )
+    for comp in flux:
+        if comp.grid is not g:
+            raise BasisMismatchError("vector components on mismatched grids")
+    S, D, W = g.synth, g.deriv, g.W
+    # source and x-flux are tested in x together, so on a rectangle they
+    # share one y-transform
+    rows = S[0].T @ (W * source.values) if source is not None else None
+    if flux:
+        fx = D[0].T @ (W * flux[0].values)
+        rows = -fx if rows is None else rows - fx
+    if g.dim == 1:
+        return FieldCoeffs(g.basis, rows)
+    data = rows @ S[1]
+    if flux:
+        data -= S[0].T @ (W * flux[1].values) @ D[1]
+    return FieldCoeffs(g.basis, data.ravel())
+
+
 def to_coeffs(f: GridField) -> FieldCoeffs:
     """Analysis: L2 projection of nodal data onto the basis via quadrature."""
-    g = f.grid
-    if g.dim == 1:
-        data = g.synth[0].T @ (g.W * f.values)
-    else:
-        data = (g.synth[0].T @ (g.W * f.values) @ g.synth[1]).ravel()
-    return FieldCoeffs(g.basis, data)
+    return weak_form(f)
 
 
 def gradient_on_grid(c: FieldCoeffs, g: QuadratureGrid | None = None) -> tuple[GridField, ...]:
@@ -297,27 +324,8 @@ def gradient_on_grid(c: FieldCoeffs, g: QuadratureGrid | None = None) -> tuple[G
 
 
 def divergence_to_coeffs(components: tuple[GridField, ...]) -> FieldCoeffs:
-    """Weak divergence: j-th coefficient is -int g . grad(w_j).
-
-    With the zero-normal-flux basis this is the integration-by-parts
-    partner of gradient_on_grid.
-    """
-    g = components[0].grid
-    if len(components) != g.dim:
-        raise BasisMismatchError(
-            f"{len(components)} components for a {g.dim}-dimensional grid"
-        )
-    for comp in components:
-        if comp.grid is not g:
-            raise BasisMismatchError("vector components on mismatched grids")
-    if g.dim == 1:
-        data = -(g.deriv[0].T @ (g.W * components[0].values))
-    else:
-        data = -(
-            g.deriv[0].T @ (g.W * components[0].values) @ g.synth[1]
-            + g.synth[0].T @ (g.W * components[1].values) @ g.deriv[1]
-        ).ravel()
-    return FieldCoeffs(g.basis, data)
+    """Weak divergence: j-th coefficient is -int g . grad(w_j)."""
+    return weak_form(None, components)
 
 
 def inverse_neumann_laplacian(c: FieldCoeffs) -> FieldCoeffs:

@@ -456,6 +456,38 @@ class TestEvaluationBudget:
                 self.n * config.dt)
         assert len(calls) == 1
 
+    def test_one_evaluation_transforms_each_field_once(self, rect_basis,
+                                                       monkeypatch):
+        # Counts the outermost spectral transform calls only: to_coeffs
+        # and divergence_to_coeffs delegate to weak_form.
+        calls, depth = [], [0]
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                if depth[0] == 0:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return counted
+
+        for name in ("to_grid", "gradient_on_grid", "to_coeffs",
+                     "divergence_to_coeffs", "weak_form"):
+            if hasattr(sp, name):
+                monkeypatch.setattr(sp, name, counting(name, getattr(sp, name)))
+        model = make_model()
+        config = dyn.StepperConfig(dt=1e-3)
+        state = random_state(rect_basis, 46)
+        dyn.rhs(state, model, config, fields=dyn.derive(state, model, config))
+        # phi, sigma and mu synthesized and differentiated once each, the
+        # psi' projection, the Darcy divergence and grad p, then one
+        # projection per equation
+        assert sorted(calls) == sorted(
+            ["to_grid"] * 3 + ["gradient_on_grid"] * 4 + ["to_coeffs"]
+            + ["divergence_to_coeffs"] + ["weak_form"] * 2)
+
     def test_snapshots_carry_the_velocity_of_their_state(self, rect_basis):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)

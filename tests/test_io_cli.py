@@ -1,4 +1,6 @@
+import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -70,6 +72,34 @@ class TestDiagnosticsCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(cio.SnapshotFormatError):
             cio.read_diagnostics_csv(path)
+
+
+    @pytest.mark.parametrize("body", [
+        "",
+        ",".join(dg.CSV_COLUMNS) + "\n1,x\n",
+        ",".join(dg.CSV_COLUMNS) + "\n1,2\n",
+        ",".join(dg.CSV_COLUMNS) + "\n"
+        + ",".join(["1"] * (len(dg.CSV_COLUMNS) + 1)) + "\n",
+    ], ids=["empty-file", "non-numeric-cell", "short-row", "long-row"])
+    def test_malformed_content_is_format_error(self, tmp_path, body):
+        path = tmp_path / "diag.csv"
+        path.write_text(body)
+        with pytest.raises(cio.SnapshotFormatError):
+            cio.read_diagnostics_csv(path)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_csv_parses_or_raises_format_errors(data, tmp_path):
+    path = tmp_path / "diag.csv"  # rewritten by every example
+    n = len(dg.CSV_COLUMNS)
+    cio.write_diagnostics_csv([np.linspace(0.0, 1.0, n), np.arange(n)], path)
+    path.write_bytes(data.draw(_mutations(path.read_bytes())))
+    try:
+        cio.read_diagnostics_csv(path)
+    except cio.SnapshotFormatError:
+        pass
 
 
 class TestSnapshots:
@@ -293,6 +323,113 @@ class TestParseConfig:
         assert np.array_equal(sa.alpha.data, sb.alpha.data)
 
 
+def _reference_spec(**overrides):
+    spec = json.loads(REFERENCE.read_text())
+    spec["modes"] = [6, 6]  # small: parse_config builds the basis
+    spec.update(overrides)
+    return spec
+
+
+def _set(spec, path, value):
+    *head, last = path
+    for key in head:
+        spec = spec[key]
+    spec[last] = value
+
+
+class TestConfigFaults:
+    """Every malformed value is a ConfigError naming its path."""
+
+    @pytest.mark.parametrize("path,value", [
+        (("dt",), math.nan),
+        (("dt",), math.inf),
+        (("T",), -math.inf),
+        (("params", "K"), math.nan),
+        (("domain", "lengths"), {"a": 1}),
+        (("scheme", "max_halvings"), "x"),
+        (("scheme", "max_halvings"), -3),
+        (("seed",), -1),
+        (("modes",), []),
+        (("potential",), []),
+        (("initial", "phi", "amplitude"), "x"),
+    ], ids=["dt-nan", "dt-inf", "T-minus-inf", "K-nan", "lengths-object",
+            "max-halvings-string", "max-halvings-negative", "seed-negative",
+            "modes-empty", "potential-list", "profile-amplitude-string"])
+    def test_rejected_with_path(self, path, value):
+        spec = _reference_spec()
+        _set(spec, path, value)
+        with pytest.raises(cf.ConfigError) as err:
+            cf.parse_config(json.dumps(spec))
+        name = "$." + ".".join(path)
+        assert any(v.startswith(name + ":") for v in err.value.violations)
+
+    @pytest.mark.parametrize("path,value", [
+        (("dt",), math.nan),
+        (("params", "K"), math.nan),
+        (("seed",), -1),
+    ], ids=["dt-nan", "K-nan", "seed-negative"])
+    def test_run_exits_with_config_error(self, tmp_path, capsys, path, value):
+        spec = small_config()
+        spec["initial"]["phi"] = {"kind": "random", "amplitude": 0.05}
+        _set(spec, path, value)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(spec))
+        code = cli.main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "$." + ".".join(path) in capsys.readouterr().err
+
+    def test_huge_chemotaxis_fails_the_smallness_check(self):
+        spec = _reference_spec()
+        spec["params"]["chi"] = 1e308
+        with pytest.raises(cf.ConfigError) as err, np.errstate(all="ignore"):
+            cf.parse_config(json.dumps(spec))
+        assert any("smallness" in v for v in err.value.violations)
+
+    @pytest.mark.parametrize("flag", ["--seed", "--cadence"])
+    def test_negative_override_is_config_error(self, tmp_path, flag):
+        spec = small_config()
+        spec["initial"]["phi"] = {"kind": "random", "amplitude": 0.05}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(spec))
+        code = cli.main(["run", "--config", str(cfg), flag, "-1",
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+
+
+def _nodes(obj, path=()):
+    """Every value's path below obj, and whether it is a dict key."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,), isinstance(obj, dict)
+        yield from _nodes(value, path + (key,))
+
+
+_REPLACEMENTS = [math.nan, math.inf, -1, 0, "", [], {}, True]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_reference_config_parses_or_raises_config_error(data):
+    spec = _reference_spec()
+    path, is_key = data.draw(st.sampled_from(list(_nodes(spec))))
+    replacement = data.draw(st.sampled_from(
+        _REPLACEMENTS + (["drop"] if is_key else [])))
+    *head, last = path
+    parent = spec
+    for key in head:
+        parent = parent[key]
+    if replacement == "drop":
+        del parent[last]
+    else:
+        parent[last] = replacement
+    try:
+        cf.parse_config(json.dumps(spec))
+    except cf.ConfigError:
+        pass
+
+
 class TestCli:
     def write_config(self, tmp_path, spec=None):
         path = tmp_path / "run.json"
@@ -432,6 +569,50 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _src_env():
+    src = str(Path(chdarcy.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+class TestProcessExit:
+    """The CLI as a process: its exit skips the final collections of the
+    run's leftovers (gc.freeze at exit) and loses nothing by it."""
+
+    OUTPUTS = ("diagnostics.csv", "final.snap", "checkpoint.ckpt")
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("exit")
+        cfg = root / "run.json"
+        cfg.write_text(json.dumps(small_config()))
+        sub_out, own_out = root / "process", root / "in-process"
+        proc = subprocess.run(
+            [sys.executable, "-m", "chdarcy.cli", "run", "--config", str(cfg),
+             "--out", str(sub_out)],
+            env=_src_env(), capture_output=True, text=True)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(own_out)])
+        return proc, sub_out, code, own_out
+
+    def test_process_exits_cleanly_with_its_summary(self, runs):
+        proc, sub_out, _, _ = runs
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stdout == f"wrote 11 diagnostics rows to {sub_out}\n"
+
+    def test_process_outputs_match_an_in_process_run(self, runs):
+        _, sub_out, code, own_out = runs
+        assert code == cli.EXIT_OK
+        for name in self.OUTPUTS:
+            assert (sub_out / name).read_bytes() == \
+                (own_out / name).read_bytes(), name
+
+    def test_nothing_is_frozen_while_the_process_runs(self, runs):
+        assert runs[2] == cli.EXIT_OK
+        assert gc.get_freeze_count() == 0
 
 
 def test_mms_ignores_the_volume_source(tmp_path, capsys):

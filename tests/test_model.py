@@ -155,6 +155,47 @@ class TestDarcy:
             md.solve_darcy(zero, zero, zero, bad, params)
 
 
+class TestGridKeywords:
+    """Grid fields handed in replace the transforms, with the same result."""
+
+    def test_chemical_potential_takes_phi_on_the_grid(self, rect_basis):
+        from conftest import random_state
+        params = make_params()
+        pot = md.Potential.quartic_double_well()
+        state = random_state(rect_basis, 22)
+        grid = sp.default_grid(rect_basis)
+        mu = md.chemical_potential(state.alpha, state.gamma, params, pot)
+        given = md.chemical_potential(state.alpha, state.gamma, params, pot,
+                                      grid, phi_g=sp.to_grid(state.alpha, grid))
+        assert np.array_equal(mu.data, given.data)
+
+    def test_solve_darcy_takes_fields_on_the_grid(self, rect_basis):
+        from conftest import random_state
+        params = make_params()
+        state = random_state(rect_basis, 23)
+        mu = random_state(rect_basis, 24).alpha
+        grid = sp.default_grid(rect_basis)
+        p, v = md.solve_darcy(state.alpha, mu, state.gamma, None, params)
+        p2, v2 = md.solve_darcy(
+            state.alpha, mu, state.gamma, None, params, grid,
+            grad_phi=sp.gradient_on_grid(state.alpha, grid),
+            mu_g=sp.to_grid(mu, grid), sigma_g=sp.to_grid(state.gamma, grid))
+        assert np.array_equal(p.data, p2.data)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(v, v2))
+
+    def test_fields_on_another_grid_rejected(self, rect_basis):
+        params = make_params()
+        pot = md.Potential.quartic_double_well()
+        zero = sp.constant_field(rect_basis, 0.0)
+        other = rect_basis.quadrature_grid(oversample=3.0)
+        with pytest.raises(sp.BasisMismatchError):
+            md.chemical_potential(zero, zero, params, pot,
+                                  phi_g=sp.to_grid(zero, other))
+        with pytest.raises(sp.BasisMismatchError):
+            md.solve_darcy(zero, zero, zero, None, params,
+                           mu_g=sp.to_grid(zero, other))
+
+
 class TestNutrientFreeEnergy:
     def test_density_and_derivatives(self, interval_basis):
         params = make_params(D=2.0, chi=0.5)

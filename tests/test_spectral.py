@@ -152,6 +152,42 @@ class TestTransforms:
                                  + gy.values * grad_c[1].values)))
         assert abs(lhs - rhs) < 1e-12
 
+    @pytest.mark.parametrize("basis", [
+        sp.build_basis(sp.Domain("interval", (1.3,)), 9),
+        sp.build_basis(sp.Domain("rectangle", (1.0, 1.5)), (6, 5)),
+    ], ids=["interval", "rectangle"])
+    def test_weak_form_tests_source_and_flux_together(self, basis):
+        rng = np.random.default_rng(12)
+        grid = sp.default_grid(basis)
+
+        def field():
+            return sp.GridField(grid, rng.standard_normal(grid.npoints))
+
+        s, flux = field(), tuple(field() for _ in range(basis.dim))
+        both = sp.weak_form(s, flux).data
+        # int s w_j - int F . grad(w_j), each w_j taken on the grid
+        W = grid.weight_array()
+        for j in range(basis.n_modes):
+            e = np.zeros(basis.n_modes)
+            e[j] = 1.0
+            w = sp.FieldCoeffs(basis, e)
+            expect = np.sum(W * s.values * sp.to_grid(w, grid).values) - sum(
+                np.sum(W * F.values * dw.values)
+                for F, dw in zip(flux, sp.gradient_on_grid(w, grid)))
+            assert abs(both[j] - expect) < 1e-12
+        assert np.array_equal(sp.to_coeffs(s).data, sp.weak_form(s).data)
+        assert np.array_equal(sp.divergence_to_coeffs(flux).data,
+                              sp.weak_form(None, flux).data)
+
+    def test_weak_form_rejects_mismatched_fluxes(self, rect_basis):
+        grid = sp.default_grid(rect_basis)
+        other = rect_basis.quadrature_grid(oversample=3.0)
+        s = sp.GridField(grid, np.ones(grid.npoints))
+        with pytest.raises(sp.BasisMismatchError):
+            sp.weak_form(s, (s,))
+        with pytest.raises(sp.BasisMismatchError):
+            sp.weak_form(s, (s, sp.GridField(other, np.ones(other.npoints))))
+
     def test_mean_and_constant_field(self, rect_basis):
         c = sp.constant_field(rect_basis, 0.5)
         assert abs(c.mean() - 0.5) < 1e-15
