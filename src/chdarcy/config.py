@@ -241,6 +241,13 @@ class _Checker:
             return default
         return v
 
+    def boolean(self, obj: dict, key: str, path: str, default: bool) -> bool:
+        v = obj.get(key, default)
+        if not isinstance(v, bool):
+            self.fail(f"{path}.{key}", "must be true or false")
+            return default
+        return v
+
     def choice(self, obj: dict, key: str, path: str, allowed) -> str | None:
         if key not in obj:
             return None
@@ -274,10 +281,13 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         ck.keys(dom_spec, "$.domain", {"kind", "lengths"})
         kind = ck.choice(dom_spec, "kind", "$.domain", {"interval", "rectangle"})
         lengths = dom_spec.get("lengths")
-        if kind and isinstance(lengths, list):
+        numbers = isinstance(lengths, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in lengths)
+        if kind and numbers:
             try:
                 domain = sp.Domain(kind, tuple(float(x) for x in lengths))
-            except (sp.InvalidDomainError, ValueError, TypeError) as exc:
+            except sp.InvalidDomainError as exc:
                 ck.fail("$.domain", str(exc))
         elif kind and "lengths" in dom_spec:
             ck.fail("$.domain.lengths", "must be a list of numbers")
@@ -309,7 +319,8 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         scheme = ck.choice(scheme_spec, "name", "$.scheme",
                            {"imex1", "rk4-explicit"}) or "imex1"
         kappa = ck.number(scheme_spec, "kappa", "$.scheme", positive=True)
-        energy_guard = bool(scheme_spec.get("energy_guard", False))
+        energy_guard = ck.boolean(scheme_spec, "energy_guard", "$.scheme",
+                                  False)
         tol_E = ck.number(scheme_spec, "tol_E", "$.scheme", nonnegative=True) or 0.0
         max_halvings = ck.integer(scheme_spec, "max_halvings", "$.scheme",
                                   8, minimum=0)
@@ -364,6 +375,8 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
                 if key in ("kind", "interpolated"):
                     continue
                 ck.number(source_spec, key, "$.sources", nonnegative=True)
+            if "interpolated" in opt:
+                ck.boolean(source_spec, "interpolated", "$.sources", False)
         elif "kind" not in source_spec:
             ck.fail("$.sources.kind", "missing key 'kind'")
     else:

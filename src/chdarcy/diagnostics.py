@@ -69,6 +69,7 @@ def energy(state: SimState, model: TumourModel,
            config: StepperConfig | None = None,
            fields: StateFields | None = None) -> EnergyBreakdown:
     """Energy ledger at the state (fields: see dynamics.StateFields)."""
+    sp._single_member(state.alpha, "energy")
     f = fields if fields is not None else dyn.derive(state, model,
                                                      _config(config))
     eff = f.model
@@ -404,11 +405,38 @@ def trapezoid(y, x) -> float:
     return np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0)
 
 
+def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Integral over [x_i, x_{i+1}] of the parabola through points i,
+    i+1 and i+2, for irregular spacing (Cartwright, J. Math. Sci. Math.
+    Educ. 12(2), eq. 8).  On reversed input it gives the second halves.
+    """
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
 def _cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    from scipy.integrate import cumulative_simpson, cumulative_trapezoid
-    if len(x) >= 3:
-        return cumulative_simpson(y, x=x, initial=0.0)
-    return cumulative_trapezoid(y, x=x, initial=0.0)
+    """Cumulative integral from x[0], 0 at x[0]: composite Simpson for
+    three or more points, trapezoid for two.  Term for term as
+    scipy.integrate.cumulative_simpson(y, x=x, initial=0).
+    """
+    dx = np.diff(x)
+    if len(y) < 3:
+        parts = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        first = _simpson_first_halves(y, dx)
+        second = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
+        parts = np.empty(len(dx))
+        parts[:-1:2] = first[::2]
+        parts[1::2] = second[::2]
+        parts[-1] = second[-1]  # the last interval has no point after it
+    # + 0.0 as scipy adds `initial`, which turns a -0.0 sum into 0.0
+    return np.concatenate(([0.0], np.cumsum(parts) + 0.0))
 
 
 def gronwall_envelope(g: GronwallInput, tol: float = 1e-9) -> GronwallEnvelope:
@@ -461,6 +489,11 @@ def velocity_norms(times, velocities, K: float) -> tuple[float, float]:
     rescaling K^{-1/2} |v|_{L2(L2)}, which is 0 when K = 0."""
     v_sq = [v[0].grid.integrate(sum(vi.values ** 2 for vi in v))
             for v in velocities]
+    return velocity_time_norms(times, v_sq, K)
+
+
+def velocity_time_norms(times, v_sq, K: float) -> tuple[float, float]:
+    """velocity_norms from the snapshots' |v|^2 integrals."""
     v_l2l2 = float(np.sqrt(trapezoid(v_sq, times)))
     return v_l2l2, (v_l2l2 / np.sqrt(K) if K > 0 else 0.0)
 

@@ -7,11 +7,17 @@ first-order IMEX scheme whose implicit operator is diagonal in the
 eigenbasis, and an explicit RK4 oracle for cross-checks at small steps.
 A dense-quadrature operator assembly serves as the brute-force oracle
 for the matrix-free right-hand side.
+
+A state may hold several members on one basis and time grid (leading
+axes of the coefficient arrays, with K, chi and b given per member in
+ModelParams): derive, rhs and the steppers then advance every member at
+once, each exactly as it would advance alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,9 +52,11 @@ class SimState:
     def copy(self) -> "SimState":
         return SimState(self.t, self.alpha.copy(), self.gamma.copy())
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.alpha.data @ self.alpha.data
-                             + self.gamma.data @ self.gamma.data))
+    def norm(self):
+        """Coefficient-space norm; one value per member for a batch."""
+        out = np.sqrt(sp._dot(self.alpha.data, self.alpha.data)
+                      + sp._dot(self.gamma.data, self.gamma.data))
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -152,11 +160,12 @@ def derive(state: SimState, model: TumourModel,
                                eff.potential, grid, phi_g=phi_g)
     mu_g = sp.to_grid(mu, grid)
     if config.no_flow:
-        p = FieldCoeffs(basis, np.zeros(basis.n_modes))
-        v = tuple(GridField(grid, np.zeros(grid.npoints))
+        members = state.alpha.data.shape[:-1]
+        p = FieldCoeffs(basis, np.zeros(members + (basis.n_modes,)))
+        v = tuple(GridField(grid, np.zeros(members + grid.npoints))
                   for _ in range(basis.dim))
     else:
-        if eff.params.K <= 0:
+        if sp._any_member(eff.params.K <= 0):
             raise ValueError("K = 0 requires no-flow mode")
         gv = eff.gamma_v(state.t) if eff.gamma_v is not None else None
         p, v = md.solve_darcy(state.alpha, mu, state.gamma, gv,
@@ -193,7 +202,8 @@ def rhs(state: SimState, model: TumourModel, config: StepperConfig,
     # d/dt gamma_j = -int S w_j
     #               - int (n (D grad(sigma) - chi grad(phi)) - sigma v).grad(w_j)
     #               + b int_bdry (sigma_inf - sigma) w_j
-    flux_sigma = [n_vals * (params.D * gs.values - params.chi * gp.values)
+    chi = sp._per_member(params.chi, f.phi_g.values)
+    flux_sigma = [n_vals * (params.D * gs.values - chi * gp.values)
                   for gs, gp in zip(f.grad_sigma, f.grad_phi)]
     if not f.no_flow:
         for d, vi in enumerate(f.v):
@@ -204,10 +214,13 @@ def rhs(state: SimState, model: TumourModel, config: StepperConfig,
     dgamma = sp.weak_form(
         GridField(grid, -f.S.values),
         tuple(GridField(grid, F) for F in flux_sigma)).data
-    if params.b != 0.0:
+    # in a batch, a member with b = 0 next to members with b != 0 gets
+    # 0 * M(...) added: its rates are unchanged up to the sign of a zero
+    if sp._any_member(params.b != 0.0):
         deficit = (sp.constant_field(basis, eff.sigma_inf(state.t)).data
                    - state.gamma.data)
-        dgamma += params.b * sp.boundary_mass_apply(basis, deficit)
+        dgamma += (sp._per_member(params.b, deficit)
+                   * sp.boundary_mass_apply(basis, deficit))
 
     return dalpha, dgamma
 
@@ -327,6 +340,8 @@ def dense_rhs(state: SimState, model: TumourModel, config: StepperConfig,
 def _implicit_factors(basis: SpectralBasis, model: TumourModel,
                       config: StepperConfig, dt: float
                       ) -> tuple[np.ndarray, np.ndarray]:
+    """1 + dt L per mode for the two equations: the IMEX damping of a
+    step of length dt, a constant of (basis, model, config, dt)."""
     params = model.params  # A, B and D do not depend on chemotaxis
     lam = basis.eigenvalues
     mbar = config.mbar if config.mbar is not None else model.mobility_m.upper
@@ -338,11 +353,12 @@ def _implicit_factors(basis: SpectralBasis, model: TumourModel,
 
 
 def _imex_update(state: SimState, tendency: tuple[np.ndarray, np.ndarray],
-                 model: TumourModel, config: StepperConfig,
+                 factors: tuple[np.ndarray, np.ndarray],
                  dt: float) -> SimState:
-    """state + dt * tendency, each mode damped by its implicit factor."""
+    """state + dt * tendency, each mode damped by its implicit factor
+    (_implicit_factors for the step length dt)."""
     dalpha, dgamma = tendency
-    denom_phi, denom_sigma = _implicit_factors(state.basis, model, config, dt)
+    denom_phi, denom_sigma = factors
     alpha = state.alpha.data + dt * dalpha / denom_phi
     gamma = state.gamma.data + dt * dgamma / denom_sigma
     return SimState(state.t + dt,
@@ -371,7 +387,8 @@ def _rk4_update(state: SimState, dt: float,
 
 
 def _source_free(eff: TumourModel) -> bool:
-    return (eff.sources.kind == "zero" and eff.params.b == 0.0
+    return (eff.sources.kind == "zero"
+            and not sp._any_member(eff.params.b != 0.0)
             and eff.gamma_v is None)
 
 
@@ -382,22 +399,26 @@ def _total_energy(state: SimState, eff: TumourModel, phi_g: GridField,
 
 
 def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
-              fields: StateFields | None = None) -> SimState:
+              fields: StateFields | None = None,
+              factors: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> SimState:
     """One stabilized IMEX step of length config.dt.
 
     The implicit operator damps each mode of the increment with the
     frozen worst-case linear symbol, so no linear solve is needed.  In
     source-free runs an optional energy guard re-takes the interval with
     halved substeps whenever the discrete energy rises beyond tol_E.
+    factors, the step's _implicit_factors, spares building them.
     """
     dt = config.dt
     try:
         if fields is None:
             fields = derive(state, model, config)
+        if factors is None:
+            factors = _implicit_factors(state.basis, model, config, dt)
         if not (config.energy_guard and _source_free(fields.model)):
             return _imex_update(
-                state, rhs(state, model, config, fields=fields),
-                model, config, dt)
+                state, rhs(state, model, config, fields=fields), factors, dt)
     except sp.SpectralError as exc:
         raise BlowUpError("IMEX step produced non-finite values",
                           t=state.t, state=state) from exc
@@ -409,12 +430,14 @@ def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
     for halving in range(config.max_halvings + 1):
         nsub = 2 ** halving
         sub = state
+        if halving:
+            factors = _implicit_factors(state.basis, model, config, dt / nsub)
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for k in range(nsub):
                     f = fields if k == 0 else derive(sub, model, config)
                     sub = _imex_update(sub, rhs(sub, model, config, fields=f),
-                                       model, config, dt / nsub)
+                                       factors, dt / nsub)
         except (sp.SpectralError, FloatingPointError):
             continue  # non-finite substep counts as a rejected interval
         E1 = _total_energy(sub, eff, sp.to_grid(sub.alpha, grid),
@@ -440,7 +463,7 @@ def step_rk4_explicit(state: SimState, config: StepperConfig,
     except sp.SpectralError as exc:
         raise BlowUpError("explicit step produced non-finite values",
                           t=state.t, state=state) from exc
-    if new.norm() > 1e3 * max(1.0, state.norm()):
+    if np.any(new.norm() > 1e3 * np.maximum(1.0, state.norm())):
         raise BlowUpError("explicit step blew up", t=state.t, state=state)
     return new
 
@@ -465,39 +488,73 @@ class Trajectory:
 Observer = Callable[[int, float, StateFields], None]
 
 
-def run(initial: SimState, config: StepperConfig, model: TumourModel,
-        T: float, observer: Observer | None = None,
-        cadence: int = 1, observe_initial: bool = True) -> Trajectory:
-    """Advance for a duration T, snapshotting every `cadence` steps.
-
-    Each state is evaluated once (derive) and that evaluation drives its
-    step, supplies the snapshot's velocity and is what the observer
-    receives.  kappa is resolved once for the run.  observe_initial=False
-    skips recording the starting state, which is what a resumed run
-    wants: its first snapshot was already written.
-    """
+def _step_count(T: float, dt: float) -> int:
     if T < 0:
         raise ValueError("T must be nonnegative")
-    stepper = step_imex if config.scheme == "imex1" else step_rk4_explicit
+    return int(round(T / dt))
+
+
+def _snapshot_due(i: int, n_steps: int, cadence: int,
+                  observe_initial: bool) -> bool:
+    return (i % cadence == 0 or i == n_steps) and (i > 0 or observe_initial)
+
+
+def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
+              T: float, cadence: int = 1, observe_initial: bool = True):
+    """Advance for a duration T, yielding the StateFields of every
+    `cadence`-th state and of the last one.
+
+    Each state is evaluated once (derive) and that evaluation drives its
+    step and is what is yielded.  kappa and the IMEX factors are
+    resolved once for the run.  observe_initial=False skips the starting
+    state, which is what a resumed run wants: its first snapshot was
+    already written.  Nothing is kept, so a consumer that reduces each
+    snapshot on arrival holds one state at a time.
+    """
+    n_steps = _step_count(T, config.dt)
     config = replace(config, kappa=config.resolved_kappa(model))
-    traj = Trajectory()
+    if config.scheme == "imex1":
+        stepper = partial(step_imex, factors=_implicit_factors(
+            initial.basis, model, config, config.dt))
+    else:
+        stepper = step_rk4_explicit
     state = initial
-    n_steps = int(round(T / config.dt))
     for i in range(n_steps + 1):
-        snapshot = (i % cadence == 0 or i == n_steps) and (
-            i > 0 or observe_initial)
-        if i == n_steps and not snapshot:
-            break  # a resumed run already at its horizon
+        due = _snapshot_due(i, n_steps, cadence, observe_initial)
+        if i == n_steps and not due:
+            return  # a resumed run already at its horizon
         try:
             fields = derive(state, model, config)
         except sp.SpectralError as exc:
             raise BlowUpError("state evaluation produced non-finite values",
                               t=state.t, state=state) from exc
-        if snapshot:
-            traj.append(state, fields.v)
-            if observer is not None:
-                observer(i, state.t, fields)
+        if due:
+            yield fields
         if i == n_steps:
-            break
+            return
         state = stepper(state, config, model, fields)
+
+
+def run(initial: SimState, config: StepperConfig, model: TumourModel,
+        T: float, observer: Observer | None = None,
+        cadence: int = 1, observe_initial: bool = True) -> Trajectory:
+    """Advance for a duration T, snapshotting every `cadence` steps.
+
+    The snapshots are those of `snapshots`: each state is evaluated once,
+    and that evaluation drives its step, supplies the snapshot's
+    velocity and is what the observer receives, with its step index.
+    """
+    n_steps = _step_count(T, config.dt)
+    steps = (i for i in range(n_steps + 1)
+             if _snapshot_due(i, n_steps, cadence, observe_initial))
+    traj = Trajectory()
+    for fields in snapshots(initial, config, model, T, cadence,
+                            observe_initial):
+        i = next(steps)
+        traj.append(fields.state, fields.v)
+        if observer is not None:
+            observer(i, fields.state.t, fields)
+        # drop the evaluation before the generator steps on, so that
+        # only what the trajectory keeps outlives it
+        del fields
     return traj

@@ -78,21 +78,29 @@ class SweepRow:
     failed: str | None = None
 
 
+def _snapshot_difference(a: FieldCoeffs, b: FieldCoeffs, comparison: str):
+    """Norm of a - b at one snapshot, one value per member of a."""
+    kind = "L2" if comparison == "Linf-L2" else "H1"
+    return sp.norm(FieldCoeffs(a.basis, a.data - b.data), kind)
+
+
+def _time_norm(diffs, times, comparison: str) -> float:
+    """Snapshot differences aggregated in time: max, or L2 by trapezoid."""
+    diffs = np.asarray(diffs)
+    if comparison == "Linf-L2":
+        return float(np.max(diffs))
+    return float(np.sqrt(dg.trapezoid(diffs ** 2, times)))
+
+
 def _difference_norm(a: Trajectory, b: Trajectory, field: str,
                      comparison: str) -> float:
     if len(a) != len(b):
         raise ValueError("trajectories must share the snapshot grid")
-    diffs = []
-    for sa, sb in zip(a.states, b.states):
-        ca = sa.alpha if field == "phi" else sa.gamma
-        cb = sb.alpha if field == "phi" else sb.gamma
-        d = FieldCoeffs(ca.basis, ca.data - cb.data)
-        kind = "L2" if comparison == "Linf-L2" else "H1"
-        diffs.append(sp.norm(d, kind))
-    diffs = np.asarray(diffs)
-    if comparison == "Linf-L2":
-        return float(np.max(diffs))
-    return float(np.sqrt(dg.trapezoid(diffs ** 2, a.times)))
+    name = "alpha" if field == "phi" else "gamma"
+    diffs = [_snapshot_difference(getattr(sa, name), getattr(sb, name),
+                                  comparison)
+             for sa, sb in zip(a.states, b.states)]
+    return _time_norm(diffs, a.times, comparison)
 
 
 def sweep_vanishing_permeability(spec: SweepSpec, model: TumourModel,
@@ -114,33 +122,74 @@ def sweep_vanishing_chemotaxis(spec: SweepSpec, model: TumourModel,
 def _sweep(spec: SweepSpec, parameter: str, model: TumourModel,
            initial: SimState, limit_model: TumourModel,
            **limit_config) -> list[SweepRow]:
-    """Members with parameter = b = value, each against the limit run."""
+    """Members with parameter = b = value, each against the limit run.
+
+    The limit run's trajectory is the reference.  The members then
+    advance together as one batched state, each snapshot reduced on
+    arrival, so no member trajectory is kept.  If the batch fails, each
+    member is re-run alone, and one that blows up gets its failed row
+    while the others go on.
+    """
     if spec.parameter != parameter:
         raise ValueError(f"spec.parameter must be {parameter!r}")
-    limit_traj = dyn.run(initial.copy(),
-                         StepperConfig(dt=spec.dt, **limit_config),
-                         limit_model, spec.T, cadence=spec.cadence)
+    limit = dyn.run(initial.copy(),
+                    StepperConfig(dt=spec.dt, **limit_config),
+                    limit_model, spec.T, cadence=spec.cadence)
+    values = np.array(spec.values)
+    members = model.with_params(
+        model.params.with_(**{parameter: values, "b": values}))
+    batch = SimState(initial.t, *(
+        FieldCoeffs(initial.basis, np.tile(c.data, (len(values), 1)))
+        for c in (initial.alpha, initial.gamma)))
+    try:
+        return _member_rows(spec, spec.values, members, batch, limit)
+    except dyn.StepFailureError:
+        pass
     rows = []
     for value in spec.values:
         member = model.with_params(
             model.params.with_(**{parameter: value, "b": value}))
         try:
-            traj = dyn.run(initial.copy(), StepperConfig(dt=spec.dt), member,
-                           spec.T, cadence=spec.cadence)
-            v_l2l2, v_scaled = dg.velocity_norms(traj.times, traj.velocities,
-                                                 member.params.K)
-            rows.append(SweepRow(
-                value=value,
-                v_l2l2=v_l2l2,
-                v_scaled=v_scaled,
-                diff_phi=_difference_norm(traj, limit_traj, "phi",
-                                          spec.comparison),
-                diff_sigma=_difference_norm(traj, limit_traj, "sigma",
-                                            spec.comparison),
-            ))
+            rows += _member_rows(spec, (value,), member, initial.copy(), limit)
         except dyn.StepFailureError as exc:
             rows.append(SweepRow(value, np.nan, np.nan, np.nan, np.nan,
                                  failed=str(exc)))
+    return rows
+
+
+def _member_rows(spec: SweepSpec, values: tuple[float, ...],
+                 members: TumourModel, initial: SimState,
+                 limit: Trajectory) -> list[SweepRow]:
+    """One row per value: the members' run (batched, or one member
+    alone), each snapshot reduced against the limit run's on arrival."""
+    times, diff_phi, diff_sigma, v_sq = [], [], [], []
+    refs = iter(limit.states)
+    for f in dyn.snapshots(initial, StepperConfig(dt=spec.dt), members,
+                           spec.T, cadence=spec.cadence):
+        ref = next(refs)
+        times.append(f.state.t)
+        diff_phi.append(_snapshot_difference(f.state.alpha, ref.alpha,
+                                             spec.comparison))
+        diff_sigma.append(_snapshot_difference(f.state.gamma, ref.gamma,
+                                               spec.comparison))
+        v_sq.append(f.grid.integrate_members(
+            sum(vi.values ** 2 for vi in f.v)))
+        del f  # not kept while the members step on
+    # one contiguous row of snapshot values per member
+    diff_phi, diff_sigma, v_sq = (
+        np.stack(x, axis=-1).reshape(len(values), -1)
+        for x in (diff_phi, diff_sigma, v_sq))
+    K = np.broadcast_to(members.params.K, len(values))
+    rows = []
+    for j, value in enumerate(values):
+        v_l2l2, v_scaled = dg.velocity_time_norms(times, v_sq[j], K[j])
+        rows.append(SweepRow(
+            value=value,
+            v_l2l2=v_l2l2,
+            v_scaled=v_scaled,
+            diff_phi=_time_norm(diff_phi[j], times, spec.comparison),
+            diff_sigma=_time_norm(diff_sigma[j], times, spec.comparison),
+        ))
     return rows
 
 
@@ -234,16 +283,16 @@ def _forcing(ms: ManufacturedSolution, basis: SpectralBasis, t: float,
 
 
 def _forced_step(state: SimState, model: TumourModel, config: StepperConfig,
-                 ms: ManufacturedSolution) -> SimState:
-    """One step of config.scheme with the forcing f added to the rhs."""
+                 ms: ManufacturedSolution, factors) -> SimState:
+    """One step of config.scheme with the forcing f added to the rhs;
+    factors are the IMEX step's dyn._implicit_factors."""
     def forced_rhs(s):
         da, dg_ = dyn.rhs(s, model, config)
         fa, fg = _forcing(ms, s.basis, s.t, model, config)
         return da + fa, dg_ + fg
 
     if config.scheme == "imex1":
-        return dyn._imex_update(state, forced_rhs(state), model, config,
-                                config.dt)
+        return dyn._imex_update(state, forced_rhs(state), factors, config.dt)
     return dyn._rk4_update(state, config.dt, forced_rhs, forced_rhs(state))
 
 
@@ -255,9 +304,10 @@ def run_manufactured(ms: ManufacturedSolution, basis: SpectralBasis,
     cp, cs = ms.coeffs(basis, 0.0)
     state = SimState(0.0, cp, cs)
     config = replace(config, kappa=config.resolved_kappa(model))
+    factors = dyn._implicit_factors(basis, model, config, config.dt)
     n = int(round(T / config.dt))
     for _ in range(n):
-        state = _forced_step(state, model, config, ms)
+        state = _forced_step(state, model, config, ms, factors)
     ep, es = ms.coeffs(basis, state.t)
     return float(np.sqrt(np.sum((state.alpha.data - ep.data) ** 2)
                          + np.sum((state.gamma.data - es.data) ** 2)))

@@ -138,6 +138,7 @@ def _read_payload(fh, path, domain: sp.Domain, modes: tuple[int, ...],
 
 
 def write_field_snapshot(state: SimState, path) -> None:
+    sp._single_member(state.alpha, "write_field_snapshot")
     path = Path(path)
     basis = state.basis
     payload = np.concatenate([state.alpha.data, state.gamma.data])
@@ -170,6 +171,7 @@ class Checkpoint:
 
 
 def write_checkpoint(ck: Checkpoint, path) -> None:
+    sp._single_member(ck.state.alpha, "write_checkpoint")
     path = Path(path)
     basis = ck.state.basis
     buf = _io.BytesIO()

@@ -20,6 +20,9 @@ from .spectral import FieldCoeffs, GridField, QuadratureGrid, SpectralBasis
 
 @dataclass(frozen=True)
 class ModelParams:
+    """Model constants.  K, chi and b may be arrays with one value per
+    member of a batched state (see spectral); the checks hold for each."""
+
     A: float
     B: float
     K: float
@@ -29,10 +32,10 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("A", "B", "D"):
-            if getattr(self, name) <= 0:
+            if sp._any_member(getattr(self, name) <= 0):
                 raise ValueError(f"parameter {name} must be positive")
         for name in ("K", "chi", "b"):
-            if getattr(self, name) < 0:
+            if sp._any_member(getattr(self, name) < 0):
                 raise ValueError(f"parameter {name} must be nonnegative")
 
     def with_(self, **kw) -> "ModelParams":
@@ -146,6 +149,7 @@ class SourceModel:
         mu-coefficient bounded below and lands the model in the
         superquadratic-potential regime.  With interpolated=True,
         f(phi) = f0 * h(phi) switches reactions off in the healthy phase.
+        A per-member chi scales each member's grid values.
         """
         D, chi = params.D, params.chi
         if interpolated:
@@ -154,9 +158,10 @@ class SourceModel:
         else:
             f = lambda phi: np.full_like(np.asarray(phi, dtype=float), f0)
             R5 = f0 if f0 > 0 else None
-        lam = lambda phi, sigma: f(phi) * (D * sigma + chi * (1.0 - phi))
+        lam = lambda phi, sigma: f(phi) * (
+            D * sigma + sp._per_member(chi, phi) * (1.0 - phi))
         theta = lambda phi, sigma: f(phi)
-        R0 = max(f0, f0 * max(D, 2.0 * chi, 1.0))
+        R0 = max(f0, f0 * max(D, 2.0 * float(np.max(chi)), 1.0))
         return SourceModel("hawkins", lam, theta, lam, theta, R0=R0, R5=R5,
                            f0=f0, interpolated=interpolated)
 
@@ -219,7 +224,7 @@ class TumourModel:
 
     def effective(self, no_chemotaxis: bool = False) -> "TumourModel":
         """Model with chemotaxis and active transport switched off."""
-        if not no_chemotaxis or self.params.chi == 0.0:
+        if not no_chemotaxis or not sp._any_member(self.params.chi != 0.0):
             return self
         return self.with_params(self.params.with_(chi=0.0))
 
@@ -245,7 +250,7 @@ def chemical_potential(phi: FieldCoeffs, sigma: FieldCoeffs,
     psi_prime = sp.to_coeffs(GridField(grid, potential.dpsi(phi_g.values)))
     data = (params.A * psi_prime.data
             + params.B * basis.eigenvalues * phi.data
-            - params.chi * sigma.data)
+            - sp._per_member(params.chi, sigma.data) * sigma.data)
     return FieldCoeffs(basis, data)
 
 
@@ -274,19 +279,21 @@ def solve_darcy(phi: FieldCoeffs, mu: FieldCoeffs, sigma: FieldCoeffs,
         sigma_g = sp.to_grid(sigma, grid)
     if any(f.grid is not grid for f in (*grad_phi, mu_g, sigma_g)):
         raise sp.BasisMismatchError("grid fields live on a different grid")
-    drive = mu_g.values + params.chi * sigma_g.values
+    chi = sp._per_member(params.chi, sigma_g.values)
+    drive = mu_g.values + chi * sigma_g.values
     forcing = tuple(GridField(grid, drive * comp.values) for comp in grad_phi)
     rhs = -sp.divergence_to_coeffs(forcing).data  # -<div F, w_j>
     if gamma_v is not None:
         scale = max(1.0, float(np.max(np.abs(gamma_v.data))))
         if abs(gamma_v.data[0]) > sp.MEAN_ZERO_TOL * scale:
             raise sp.ZeroMeanViolationError("gamma_v must have zero mean")
-        rhs = rhs + gamma_v.data / params.K
-    rhs[0] = 0.0
+        rhs = rhs + gamma_v.data / sp._per_member(params.K, rhs)
+    rhs[..., 0] = 0.0
     p = sp.inverse_neumann_laplacian(FieldCoeffs(basis, rhs))
     grad_p = sp.gradient_on_grid(p, grid)
+    K = sp._per_member(params.K, drive)
     v = tuple(
-        GridField(grid, -params.K * (gp.values - f.values))
+        GridField(grid, -K * (gp.values - f.values))
         for gp, f in zip(grad_p, forcing)
     )
     return p, v

@@ -6,6 +6,13 @@ with eigenvalue (m pi / L)^2.  Rectangles use the tensor product, with
 eigenvalues adding.  All quadrature is the uniform midpoint rule, which
 integrates products of resolved cosine modes exactly, so the transforms
 below are projections rather than approximations.
+
+Coefficient vectors and grid values may carry leading member axes:
+data of shape (..., n_modes) and values of shape (..., *npoints) hold
+one field per member, and every transform, product and reduction here
+acts on each member separately.  Products stay stacked (one matrix
+product per member), so a member of a batch is bit-for-bit the same
+field as that member computed alone.
 """
 
 from __future__ import annotations
@@ -190,19 +197,33 @@ class QuadratureGrid:
         return np.meshgrid(self.nodes[0], self.nodes[1], indexing="ij")
 
     def integrate(self, values: np.ndarray) -> float:
+        """Integral of one member's grid values."""
+        if np.shape(values) != self.npoints:
+            raise BasisMismatchError(
+                f"integrate takes one member's values of shape "
+                f"{self.npoints}, got {np.shape(values)}")
         return float(np.sum(self.W * values))
+
+    def integrate_members(self, values: np.ndarray) -> np.ndarray:
+        """Per-member integrals of values of shape (..., *npoints)."""
+        weighted = self.W * values
+        return np.sum(weighted.reshape(weighted.shape[:-self.dim] + (-1,)),
+                      axis=-1)
 
 
 @dataclass(eq=False)
 class FieldCoeffs:
-    """A scalar field as coefficients in a SpectralBasis, C-order flat."""
+    """A scalar field as coefficients in a SpectralBasis, C-order flat.
+
+    data has shape (..., n_modes): one coefficient vector per member.
+    """
 
     basis: SpectralBasis
     data: np.ndarray
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != (self.basis.n_modes,):
+        if self.data.shape[-1:] != (self.basis.n_modes,):
             raise BasisMismatchError(
                 f"coefficient vector of length {self.data.shape} does not match "
                 f"basis with {self.basis.n_modes} modes"
@@ -217,17 +238,20 @@ class FieldCoeffs:
         return float(self.data[0]) / np.sqrt(self.basis.domain.volume)
 
     def tensor(self) -> np.ndarray:
-        return self.data.reshape(self.basis.modes)
+        return self.data.reshape(self.data.shape[:-1] + self.basis.modes)
 
 
 @dataclass(eq=False)
 class GridField:
+    """Nodal values of shape (..., *npoints): one field per member."""
+
     grid: QuadratureGrid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.npoints:
+        npoints = self.grid.npoints
+        if self.values.shape[-len(npoints):] != npoints:
             raise BasisMismatchError(
                 f"grid values shape {self.values.shape} does not match grid "
                 f"{self.grid.npoints}"
@@ -237,6 +261,50 @@ class GridField:
 def _check_same_basis(a: FieldCoeffs, b: FieldCoeffs):
     if a.basis is not b.basis:
         raise BasisMismatchError("fields live on different bases")
+
+
+def _single_member(c: FieldCoeffs, consumer: str):
+    """Refuse a batch where consumer handles one field only."""
+    if c.data.ndim != 1:
+        raise BasisMismatchError(
+            f"{consumer} takes a single field, got members of shape "
+            f"{c.data.shape[:-1]}")
+
+
+def _per_member(value, like: np.ndarray):
+    """value, shared or one entry per member, broadcastable against like.
+
+    A per-member array gets a unit axis for each trailing field axis of
+    like, so it scales member by member; a scalar is returned as is.
+    """
+    if isinstance(value, float):  # numpy's float64 included
+        return value
+    value = np.asarray(value)
+    return value.reshape(value.shape + (1,) * (np.ndim(like) - value.ndim))
+
+
+def _any_member(flags) -> bool:
+    """Whether flags, one bool or one per member, has any set."""
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else bool(flags)
+
+
+def _along_first_axis(M: np.ndarray, x: np.ndarray, dim: int) -> np.ndarray:
+    """M applied along the first grid or mode axis of each member of x.
+
+    Stacked, so each member is multiplied exactly as it would be alone;
+    in 1D a member is a column vector.
+    """
+    if dim == 1:
+        return np.matmul(M, x[..., None])[..., 0]
+    return M @ x
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-member dot product along the last axis; each member's is the
+    dot product a @ b of its two vectors."""
+    if a.ndim == 1 and b.ndim == 1:
+        return a @ b
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def build_basis(domain: Domain, modes_per_dim) -> SpectralBasis:
@@ -265,10 +333,9 @@ def to_grid(c: FieldCoeffs, g: QuadratureGrid) -> GridField:
     if g.basis is not c.basis:
         raise BasisMismatchError("grid was built for a different basis")
     if c.basis.dim == 1:
-        vals = g.synth[0] @ c.data
+        vals = _along_first_axis(g.synth[0], c.data, 1)
     else:
-        C = c.tensor()
-        vals = g.synth[0] @ C @ g.synth[1].T
+        vals = g.synth[0] @ c.tensor() @ g.synth[1].T
     return GridField(g, vals)
 
 
@@ -289,19 +356,20 @@ def weak_form(source: GridField | None,
     for comp in flux:
         if comp.grid is not g:
             raise BasisMismatchError("vector components on mismatched grids")
-    S, D, W = g.synth, g.deriv, g.W
+    S, D, W, dim = g.synth, g.deriv, g.W, g.dim
     # source and x-flux are tested in x together, so on a rectangle they
     # share one y-transform
-    rows = S[0].T @ (W * source.values) if source is not None else None
+    rows = (_along_first_axis(S[0].T, W * source.values, dim)
+            if source is not None else None)
     if flux:
-        fx = D[0].T @ (W * flux[0].values)
+        fx = _along_first_axis(D[0].T, W * flux[0].values, dim)
         rows = -fx if rows is None else rows - fx
-    if g.dim == 1:
+    if dim == 1:
         return FieldCoeffs(g.basis, rows)
     data = rows @ S[1]
     if flux:
         data -= S[0].T @ (W * flux[1].values) @ D[1]
-    return FieldCoeffs(g.basis, data.ravel())
+    return FieldCoeffs(g.basis, data.reshape(data.shape[:-2] + (-1,)))
 
 
 def to_coeffs(f: GridField) -> FieldCoeffs:
@@ -316,7 +384,7 @@ def gradient_on_grid(c: FieldCoeffs, g: QuadratureGrid | None = None) -> tuple[G
     if g.basis is not c.basis:
         raise BasisMismatchError("grid was built for a different basis")
     if c.basis.dim == 1:
-        return (GridField(g, g.deriv[0] @ c.data),)
+        return (GridField(g, _along_first_axis(g.deriv[0], c.data, 1)),)
     C = c.tensor()
     gx = g.deriv[0] @ C @ g.synth[1].T
     gy = g.synth[0] @ C @ g.deriv[1].T
@@ -330,16 +398,15 @@ def divergence_to_coeffs(components: tuple[GridField, ...]) -> FieldCoeffs:
 
 def inverse_neumann_laplacian(c: FieldCoeffs) -> FieldCoeffs:
     """Diagonal inverse of -Laplacian on the mean-zero subspace."""
-    scale = max(1.0, float(np.max(np.abs(c.data))))
-    if abs(c.data[0]) > MEAN_ZERO_TOL * scale:
+    size = np.abs(c.data)
+    violated = size[..., 0] > MEAN_ZERO_TOL * size.max(axis=-1, initial=1.0)
+    if _any_member(violated):
         raise ZeroMeanViolationError(
-            f"constant-mode coefficient {c.data[0]:.3e} violates the "
-            "mean-zero precondition"
+            f"constant-mode coefficient {c.data[..., 0][violated].flat[0]:.3e}"
+            " violates the mean-zero precondition"
         )
-    out = np.zeros_like(c.data)
     lam = c.basis.eigenvalues
-    positive = lam > 0
-    out[positive] = c.data[positive] / lam[positive]
+    out = np.divide(c.data, lam, out=np.zeros_like(c.data), where=lam > 0)
     return FieldCoeffs(c.basis, out)
 
 
@@ -366,16 +433,20 @@ def boundary_mass_apply(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:
 
     Each 1D factor B = left left^T + right right^T has rank 2, and on a
     rectangle M = kron(Bx, I) + kron(I, By), so with G = c.reshape(kx, ky)
-    the product is Bx G + G By: O(n_modes) work and memory.
+    the product is Bx G + G By: O(n_modes) work and memory.  c may hold
+    one vector per member, shape (..., n_modes).
     """
     if basis.dim == 1:
         (left, right), = basis.traces_1d
-        return left * (left @ c) + right * (right @ c)
+        return (left * _dot(left, c)[..., None]
+                + right * _dot(right, c)[..., None])
     (lx, rx), (ly, ry) = basis.traces_1d
-    G = c.reshape(basis.modes)
-    out = (np.outer(lx, lx @ G) + np.outer(rx, rx @ G)
-           + np.outer(G @ ly, ly) + np.outer(G @ ry, ry))
-    return out.ravel()
+    G = c.reshape(c.shape[:-1] + basis.modes)
+    # outer products, written out so they stay per member
+    out = (lx[:, None] * (lx @ G)[..., None, :]
+           + rx[:, None] * (rx @ G)[..., None, :]
+           + (G @ ly)[..., :, None] * ly + (G @ ry)[..., :, None] * ry)
+    return out.reshape(c.shape)
 
 
 def boundary_integral_vector(basis: SpectralBasis) -> np.ndarray:
@@ -383,21 +454,26 @@ def boundary_integral_vector(basis: SpectralBasis) -> np.ndarray:
     return boundary_mass_apply(basis, constant_field(basis, 1.0).data)
 
 
-def inner_product(c1: FieldCoeffs, c2: FieldCoeffs, kind: str = "L2") -> float:
+def inner_product(c1: FieldCoeffs, c2: FieldCoeffs, kind: str = "L2"):
+    """A float for single fields, one value per member for a batch."""
     _check_same_basis(c1, c2)
     if kind == "L2":
-        return float(c1.data @ c2.data)
-    if kind == "H1-seminorm":
-        return float((c1.basis.eigenvalues * c1.data) @ c2.data)
-    raise ValueError(f"unknown inner product kind {kind!r}")
+        out = _dot(c1.data, c2.data)
+    elif kind == "H1-seminorm":
+        out = _dot(c1.basis.eigenvalues * c1.data, c2.data)
+    else:
+        raise ValueError(f"unknown inner product kind {kind!r}")
+    return float(out) if out.ndim == 0 else out
 
 
-def norm(c: FieldCoeffs, kind: str = "L2") -> float:
+def norm(c: FieldCoeffs, kind: str = "L2"):
+    """A float for a single field, one value per member for a batch."""
     if kind == "H1":
-        return float(
-            np.sqrt(inner_product(c, c, "L2") + inner_product(c, c, "H1-seminorm"))
-        )
-    return float(np.sqrt(inner_product(c, c, kind)))
+        out = np.sqrt(inner_product(c, c, "L2")
+                      + inner_product(c, c, "H1-seminorm"))
+    else:
+        out = np.sqrt(inner_product(c, c, kind))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def constant_field(basis: SpectralBasis, value: float) -> FieldCoeffs:

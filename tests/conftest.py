@@ -43,6 +43,12 @@ def random_state(basis, seed, scale=0.2, t=0.0) -> dyn.SimState:
     return dyn.SimState(t, alpha, gamma)
 
 
+def same_bits(a, b) -> bool:
+    """Same shape and the same bytes, so -0.0 and 0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def interval_basis():
     return sp.build_basis(sp.Domain("interval", (1.0,)), 10)

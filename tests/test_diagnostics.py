@@ -270,6 +270,26 @@ class TestTrapezoid:
         assert dg.trapezoid(list(y), list(x)) == trapezoid(y, x)
 
 
+class TestCumulative:
+    def test_matches_scipy_bit_for_bit(self):
+        from scipy.integrate import cumulative_simpson
+        rng = np.random.default_rng(5)
+        sizes = list(range(2, 130)) + [255, 256, 1001, 4096, 9999, 10000]
+        for n in sizes:
+            y = rng.standard_normal(n)
+            for x in (np.linspace(0.0, 2.0, n),
+                      np.cumsum(rng.random(n) + 1e-3)):
+                ours = dg._cumulative(y, x)
+                ref = cumulative_simpson(y, x=x, initial=0.0)
+                assert ours.shape == ref.shape, n
+                assert ours.tobytes() == ref.tobytes(), n
+
+    def test_runtime_dependencies_are_numpy_only(self):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        runtime = text.split("dependencies = [", 1)[1].split("]", 1)[0]
+        assert "scipy" not in runtime and "numpy" in runtime
+
+
 class TestNormSuite:
     def test_equilibrium_velocity_free(self, interval_basis):
         model = make_model(make_params(b=0.0), sources="zero")

@@ -8,7 +8,7 @@ from chdarcy import dynamics as dyn
 from chdarcy import model as md
 from chdarcy import spectral as sp
 
-from conftest import make_model, make_params, random_state
+from conftest import make_model, make_params, random_state, same_bits
 
 
 def linear_test_potential(kappa):
@@ -511,3 +511,130 @@ class TestRunFailures:
         with pytest.raises(dyn.BlowUpError) as info, np.errstate(all="ignore"):
             dyn.run(state, config, model, 5e-3, observer=collector.observe)
         assert info.value.t == state.t and info.value.state is state
+
+
+class TestMemberAxis:
+    """Members stacked on a leading axis, with K, chi and b per member,
+    advance exactly as each advances alone."""
+
+    K = np.array([1.0, 0.25, 0.0625])
+    chi = np.array([0.05, 0.02, 0.01])
+    b = np.array([0.1, 0.5, 0.02])
+
+    @pytest.fixture(params=["interval", "rectangle"])
+    def basis(self, request, interval_basis, rect_basis):
+        return interval_basis if request.param == "interval" else rect_basis
+
+    @pytest.fixture(params=[1, 3], ids=["1-member", "3-members"])
+    def members(self, request, basis):
+        n = request.param
+        states = [random_state(basis, 80 + i) for i in range(n)]
+        batch = dyn.SimState(0.0, *(
+            sp.FieldCoeffs(basis, np.stack([getattr(s, f).data
+                                            for s in states]))
+            for f in ("alpha", "gamma")))
+        model = make_model(make_params(K=self.K[:n], chi=self.chi[:n],
+                                       b=self.b[:n]))
+        alone = [make_model(make_params(K=self.K[i], chi=self.chi[i],
+                                        b=self.b[i])) for i in range(n)]
+        return batch, model, states, alone
+
+    def test_derive_rhs_and_step(self, members):
+        batch, model, states, alone = members
+        config = dyn.StepperConfig(dt=1e-3)
+        fb = dyn.derive(batch, model, config)
+        rb = dyn.rhs(batch, model, config, fields=fb)
+        sb = dyn.step_imex(batch, config, model, fields=fb)
+        for i, (state, member) in enumerate(zip(states, alone)):
+            f = dyn.derive(state, member, config)
+            for name in ("phi_g", "sigma_g", "mu_g", "gamma_phi", "S"):
+                assert same_bits(getattr(fb, name).values[i],
+                                 getattr(f, name).values), name
+            for name in ("grad_phi", "grad_sigma", "grad_mu", "v"):
+                assert all(same_bits(x.values[i], y.values) for x, y in
+                           zip(getattr(fb, name), getattr(f, name))), name
+            assert same_bits(fb.mu.data[i], f.mu.data)
+            assert same_bits(fb.p.data[i], f.p.data)
+            r = dyn.rhs(state, member, config, fields=f)
+            assert same_bits(rb[0][i], r[0]) and same_bits(rb[1][i], r[1])
+            s = dyn.step_imex(state, config, member, fields=f)
+            assert same_bits(sb.alpha.data[i], s.alpha.data)
+            assert same_bits(sb.gamma.data[i], s.gamma.data)
+            assert sb.norm()[i] == s.norm()
+
+    def test_snapshots_of_a_batch(self, members):
+        batch, model, states, alone = members
+        config = dyn.StepperConfig(dt=1e-3)
+        snaps = list(dyn.snapshots(batch, config, model, 4e-3, cadence=2))
+        assert [f.state.t for f in snaps] == pytest.approx([0, 2e-3, 4e-3])
+        for i, (state, member) in enumerate(zip(states, alone)):
+            traj = dyn.run(state, config, member, 4e-3, cadence=2)
+            for f, s, v in zip(snaps, traj.states, traj.velocities):
+                assert same_bits(f.state.alpha.data[i], s.alpha.data)
+                assert same_bits(f.state.gamma.data[i], s.gamma.data)
+                assert all(same_bits(x.values[i], y.values)
+                           for x, y in zip(f.v, v))
+
+    def test_no_flow_batch(self, members):
+        batch, model, states, alone = members
+        config = dyn.StepperConfig(dt=1e-3, no_flow=True)
+        fb = dyn.derive(batch, model, config)
+        assert fb.p.data.shape == batch.alpha.data.shape
+        step = dyn.step_imex(batch, config, model, fields=fb)
+        for i, (state, member) in enumerate(zip(states, alone)):
+            s = dyn.step_imex(state, config, member)
+            assert same_bits(step.alpha.data[i], s.alpha.data)
+            assert same_bits(step.gamma.data[i], s.gamma.data)
+
+    def test_single_member_consumers_refuse_a_batch(self, members):
+        batch, model, _, _ = members
+        config = dyn.StepperConfig(dt=1e-3)
+        fields = dyn.derive(batch, model, config)
+        with pytest.raises(sp.BasisMismatchError):
+            dg.energy(batch, model, config, fields=fields)
+        collector = dg.DiagnosticsCollector(model, config)
+        with pytest.raises(sp.BasisMismatchError):
+            collector.observe(0, batch.t, fields)
+        assert collector.records == []
+
+    def test_parameters_checked_for_every_member(self):
+        with pytest.raises(ValueError):
+            make_params(K=np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            make_params(b=np.array([0.1, 0.0, -0.1]))
+
+
+class TestSnapshots:
+    def test_run_is_a_loop_over_snapshots(self, rect_basis):
+        model = make_model()
+        config = dyn.StepperConfig(dt=1e-3)
+        seen = []
+        traj = dyn.run(random_state(rect_basis, 47), config, model, 5e-3,
+                       observer=lambda i, t, f: seen.append(i), cadence=2)
+        snaps = list(dyn.snapshots(random_state(rect_basis, 47), config,
+                                   model, 5e-3, cadence=2))
+        assert seen == [0, 2, 4, 5]
+        assert len(snaps) == len(traj)
+        for f, state in zip(snaps, traj.states):
+            assert f.state.t == state.t
+            assert same_bits(f.state.alpha.data, state.alpha.data)
+
+    def test_resumed_run_at_its_horizon_yields_nothing(self, interval_basis):
+        snaps = dyn.snapshots(random_state(interval_basis, 48),
+                              dyn.StepperConfig(dt=1e-3), make_model(), 0.0,
+                              observe_initial=False)
+        assert list(snaps) == []
+
+    def test_implicit_factors_built_once_per_step_length(self, interval_basis,
+                                                         monkeypatch):
+        lengths = []
+        real = dyn._implicit_factors
+
+        def counted(basis, model, config, dt):
+            lengths.append(dt)
+            return real(basis, model, config, dt)
+
+        monkeypatch.setattr(dyn, "_implicit_factors", counted)
+        dyn.run(random_state(interval_basis, 49), dyn.StepperConfig(dt=1e-3),
+                make_model(), 10e-3)
+        assert lengths == [1e-3]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chdarcy import diagnostics as dg
 from chdarcy import dynamics as dyn
 from chdarcy import experiments as ex
 from chdarcy import spectral as sp
@@ -100,6 +101,80 @@ class TestSweeps:
         spec = ex.SweepSpec("chi", (0.5,), dt=1e-3, T=0.01)
         with pytest.raises(ValueError):
             ex.sweep_vanishing_permeability(spec, model, initial)
+
+
+def table(rows):
+    """Rows as the sweep CSV writes them."""
+    return [(f"{r.value:.17g}", f"{r.v_l2l2:.17g}", f"{r.v_scaled:.17g}",
+             f"{r.diff_phi:.17g}", f"{r.diff_sigma:.17g}", r.failed or "")
+            for r in rows]
+
+
+def member_by_member(spec, model, initial):
+    """The sweep table from one whole run per member, each trajectory
+    compared with the limit run's afterwards."""
+    parameter = spec.parameter
+    if parameter == "K":
+        limit_model = model.with_params(model.params.with_(b=0.0))
+        limit_config = {"no_flow": True}
+    else:
+        limit_model = model.with_params(model.params.with_(chi=0.0, b=0.0))
+        limit_config = {}
+    limit = dyn.run(initial.copy(),
+                    dyn.StepperConfig(dt=spec.dt, **limit_config),
+                    limit_model, spec.T, cadence=spec.cadence)
+    rows = []
+    for value in spec.values:
+        member = model.with_params(
+            model.params.with_(**{parameter: value, "b": value}))
+        try:
+            traj = dyn.run(initial.copy(), dyn.StepperConfig(dt=spec.dt),
+                           member, spec.T, cadence=spec.cadence)
+        except dyn.StepFailureError as exc:
+            rows.append(ex.SweepRow(value, np.nan, np.nan, np.nan, np.nan,
+                                    failed=str(exc)))
+            continue
+        v_l2l2, v_scaled = dg.velocity_norms(traj.times, traj.velocities,
+                                             member.params.K)
+        rows.append(ex.SweepRow(
+            value, v_l2l2, v_scaled,
+            ex._difference_norm(traj, limit, "phi", spec.comparison),
+            ex._difference_norm(traj, limit, "sigma", spec.comparison)))
+    return rows
+
+
+class TestSweepTables:
+    """The sweep table equals the one built member by member from whole
+    trajectories, to the last digit the CSV writes."""
+
+    @pytest.mark.parametrize("comparison", ["Linf-L2", "L2-H1"])
+    @pytest.mark.parametrize("parameter,values", [
+        ("K", (1.0, 0.25, 0.0625, 0.015625)),
+        ("chi", (0.5, 0.25, 0.125)),
+    ])
+    def test_matches_member_by_member(self, setup, parameter, values,
+                                      comparison):
+        _, model, initial = setup
+        spec = ex.SweepSpec(parameter, values, dt=1e-3, T=0.01,
+                            comparison=comparison, cadence=3)
+        sweep = (ex.sweep_vanishing_permeability if parameter == "K"
+                 else ex.sweep_vanishing_chemotaxis)
+        assert table(sweep(spec, model, initial)) == table(
+            member_by_member(spec, model, initial))
+
+    @pytest.mark.parametrize("basis", [
+        sp.build_basis(sp.Domain("interval", (1.0,)), 8),
+        sp.build_basis(sp.Domain("rectangle", (1.0, 1.5)), (5, 4)),
+    ], ids=["interval", "rectangle"])
+    def test_member_that_blows_up(self, basis):
+        model = make_model()
+        initial = random_state(basis, 61, scale=0.15)
+        spec = ex.SweepSpec("K", (1e6, 1.0, 0.25), dt=1e-3, T=0.02)
+        with np.errstate(all="ignore"):
+            rows = ex.sweep_vanishing_permeability(spec, model, initial)
+            expected = member_by_member(spec, model, initial)
+        assert rows[0].failed and all(r.failed is None for r in rows[1:])
+        assert table(rows) == table(expected)
 
 
 class TestManufacturedSolution:

@@ -135,6 +135,27 @@ class TestSnapshots:
             cio.read_field_snapshot(path)
 
 
+class TestWritersRefuseBatches:
+    """A batch of members is not one field: the writers refuse it
+    instead of writing every member's coefficients as one."""
+
+    @pytest.fixture
+    def batch(self, interval_basis):
+        state = random_state(interval_basis, 9)
+        return dyn.SimState(0.0, *(
+            sp.FieldCoeffs(interval_basis, np.stack([c.data, c.data]))
+            for c in (state.alpha, state.gamma)))
+
+    def test_snapshot(self, batch, tmp_path):
+        with pytest.raises(sp.BasisMismatchError):
+            cio.write_field_snapshot(batch, tmp_path / "s.snap")
+
+    def test_checkpoint(self, batch, tmp_path):
+        with pytest.raises(sp.BasisMismatchError):
+            cio.write_checkpoint(cio.Checkpoint("0" * 16, batch, np.zeros(4)),
+                                 tmp_path / "c.ckpt")
+
+
 class TestCheckpoints:
     def test_round_trip(self, interval_basis, tmp_path):
         state = random_state(interval_basis, 8, t=0.125)
@@ -352,9 +373,14 @@ class TestConfigFaults:
         (("modes",), []),
         (("potential",), []),
         (("initial", "phi", "amplitude"), "x"),
+        (("scheme", "energy_guard"), "no"),
+        (("sources", "interpolated"), "yes"),
+        (("domain", "lengths"), ["1.5", True]),
     ], ids=["dt-nan", "dt-inf", "T-minus-inf", "K-nan", "lengths-object",
             "max-halvings-string", "max-halvings-negative", "seed-negative",
-            "modes-empty", "potential-list", "profile-amplitude-string"])
+            "modes-empty", "potential-list", "profile-amplitude-string",
+            "energy-guard-string", "interpolated-string",
+            "lengths-string-and-bool"])
     def test_rejected_with_path(self, path, value):
         spec = _reference_spec()
         _set(spec, path, value)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from chdarcy import spectral as sp
 
+from conftest import same_bits
+
 
 def dense_edge_quadrature_boundary_matrix(basis, n=4000):
     """Oracle: assemble the boundary mass matrix by sampling the edges."""
@@ -312,3 +314,92 @@ class TestGridOwnership:
         del basis
         gc.collect()
         assert ref() is None
+
+
+class TestMemberAxis:
+    """Leading member axes: each member of a batch is computed as it
+    would be alone, bit for bit, for batches of one and of three."""
+
+    @pytest.fixture(params=["interval", "rectangle"])
+    def basis(self, request, interval_basis, rect_basis):
+        return interval_basis if request.param == "interval" else rect_basis
+
+    @pytest.fixture(params=[1, 3], ids=["1-member", "3-members"])
+    def data(self, request, basis):
+        rng = np.random.default_rng(20 + request.param)
+        return rng.standard_normal((request.param, basis.n_modes))
+
+    def grid_batch(self, basis, seed, members):
+        g = sp.default_grid(basis)
+        rng = np.random.default_rng(seed)
+        return g, rng.standard_normal((members,) + g.npoints)
+
+    def test_to_grid(self, basis, data):
+        g = sp.default_grid(basis)
+        batch = sp.to_grid(sp.FieldCoeffs(basis, data), g).values
+        for row, member in zip(data, batch):
+            assert same_bits(member, sp.to_grid(sp.FieldCoeffs(basis, row),
+                                                g).values)
+
+    def test_gradient_on_grid(self, basis, data):
+        batch = sp.gradient_on_grid(sp.FieldCoeffs(basis, data))
+        for i, row in enumerate(data):
+            alone = sp.gradient_on_grid(sp.FieldCoeffs(basis, row))
+            assert all(same_bits(b.values[i], a.values)
+                       for b, a in zip(batch, alone))
+
+    def test_weak_form(self, basis, data):
+        g, source = self.grid_batch(basis, 21, len(data))
+        fluxes = [self.grid_batch(basis, 22 + d, len(data))[1]
+                  for d in range(basis.dim)]
+        batch = sp.weak_form(sp.GridField(g, source),
+                             tuple(sp.GridField(g, F) for F in fluxes)).data
+        for i in range(len(data)):
+            alone = sp.weak_form(sp.GridField(g, source[i]),
+                                 tuple(sp.GridField(g, F[i]) for F in fluxes))
+            assert same_bits(batch[i], alone.data)
+
+    def test_boundary_mass_apply(self, basis, data):
+        batch = sp.boundary_mass_apply(basis, data)
+        for row, member in zip(data, batch):
+            assert same_bits(member, sp.boundary_mass_apply(basis, row))
+
+    def test_inverse_neumann_laplacian(self, basis, data):
+        data = data.copy()
+        data[:, 0] = 0.0
+        batch = sp.inverse_neumann_laplacian(sp.FieldCoeffs(basis, data)).data
+        for row, member in zip(data, batch):
+            alone = sp.inverse_neumann_laplacian(sp.FieldCoeffs(basis, row))
+            assert same_bits(member, alone.data)
+
+    def test_inverse_laplacian_checks_every_member(self, basis, data):
+        data = data.copy()
+        data[:, 0] = 0.0
+        data[-1, 0] = 1e-3
+        with pytest.raises(sp.ZeroMeanViolationError):
+            sp.inverse_neumann_laplacian(sp.FieldCoeffs(basis, data))
+
+    def test_norms_per_member(self, basis, data):
+        c = sp.FieldCoeffs(basis, data)
+        for kind in ("L2", "H1", "H1-seminorm"):
+            batch = sp.norm(c, kind)
+            for row, member in zip(data, batch):
+                assert member == sp.norm(sp.FieldCoeffs(basis, row), kind)
+
+    def test_integrate_refuses_a_batch(self, basis, data):
+        g, values = self.grid_batch(basis, 23, len(data))
+        with pytest.raises(sp.BasisMismatchError):
+            g.integrate(values)
+        for member, total in zip(values, g.integrate_members(values)):
+            assert total == g.integrate(member)
+
+    def test_shape_and_finite_checks_per_member(self, basis, data):
+        with pytest.raises(sp.BasisMismatchError):
+            sp.FieldCoeffs(basis, data[:, 1:])
+        bad = data.copy()
+        bad[-1, -1] = np.nan
+        with pytest.raises(sp.SpectralError):
+            sp.FieldCoeffs(basis, bad)
+        g, values = self.grid_batch(basis, 24, len(data))
+        with pytest.raises(sp.BasisMismatchError):
+            sp.GridField(g, values[..., 1:])
