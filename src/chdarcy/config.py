@@ -24,6 +24,12 @@ from .model import ModelParams, TumourModel
 from .spectral import FieldCoeffs, SpectralBasis
 
 
+# Largest mode count per dimension a config may ask for.  A 512^2 basis
+# evaluates on a 1024^2 grid, about 8 MB per field; anything above is
+# refused before it is allocated.
+MAX_MODES = 512
+
+
 class ConfigError(Exception):
     def __init__(self, violations):
         self.violations = list(violations)
@@ -68,7 +74,9 @@ class RunConfig:
     def build_basis(self) -> SpectralBasis:
         return sp.build_basis(self.domain, self.modes)
 
-    def build_model(self, basis: SpectralBasis) -> TumourModel:
+    def _hypothesis_parts(self) -> dict:
+        """The model pieces the structural hypotheses speak about; none
+        depends on the basis."""
         potential = (md.Potential.quartic_double_well()
                      if self.potential_kind == "quartic-double-well"
                      else md.Potential.quadratic())
@@ -82,16 +90,17 @@ class RunConfig:
         else:
             sources = md.SourceModel.proliferation(
                 spec["lambda_p"], spec["lambda_a"], spec["lambda_c"])
-        gamma_v = self._build_gamma_v(basis)
+        return dict(params=self.params, potential=potential,
+                    mobility_m=md.Mobility.constant(self.mobility_m),
+                    mobility_n=md.Mobility.constant(self.mobility_n),
+                    sources=sources)
+
+    def build_model(self, basis: SpectralBasis) -> TumourModel:
         return TumourModel(
-            params=self.params,
-            potential=potential,
-            mobility_m=md.Mobility.constant(self.mobility_m),
-            mobility_n=md.Mobility.constant(self.mobility_n),
-            sources=sources,
+            **self._hypothesis_parts(),
             sigma_inf=md.BoundaryAndInitialData.constant_sigma_inf(
                 self.sigma_inf_value),
-            gamma_v=gamma_v,
+            gamma_v=self._build_gamma_v(basis),
         )
 
     def _build_gamma_v(self, basis: SpectralBasis):
@@ -100,13 +109,10 @@ class RunConfig:
             return None
         # cosine profile: zero-mean by construction (no constant mode)
         mode = tuple(spec["mode"])
-        amplitude = float(spec["amplitude"])
         data = np.zeros(basis.n_modes)
-        scale = amplitude
-        for L, m in zip(basis.domain.lengths, mode):
-            scale *= np.sqrt(L) if m == 0 else np.sqrt(L / 2.0)
         flat = int(np.ravel_multi_index(mode, basis.modes))
-        data[flat] = scale
+        data[flat] = _cosine_coefficient(float(spec["amplitude"]), mode,
+                                         basis.domain.lengths)
         coeffs = FieldCoeffs(basis, data)
         return lambda t: coeffs
 
@@ -127,6 +133,15 @@ class RunConfig:
         sigma0 = _profile_values(self.initial_sigma, basis, self.seed + 1)
         alpha, gamma = dyn.project_initial_data(phi0, sigma0, basis)
         return SimState(0.0, alpha, gamma)
+
+
+def _cosine_coefficient(amplitude: float, mode, lengths) -> float:
+    """Coefficient of the basis function w_mode in amplitude * prod_d
+    cos(m_d pi x_d / L_d); +-inf when it leaves the float range."""
+    scale = amplitude
+    for L, m in zip(lengths, mode):
+        scale *= math.sqrt(L) if m == 0 else math.sqrt(L / 2.0)
+    return scale
 
 
 def _profile_values(spec: dict, basis: SpectralBasis, seed: int):
@@ -198,6 +213,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _float(v) -> float:
+    """float(v), with a JSON integer beyond the float range as +-inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 class _Checker:
     def __init__(self, strict: bool):
         self.strict = strict
@@ -223,7 +246,7 @@ class _Checker:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.fail(f"{path}.{key}", "must be a number")
             return None
-        v = float(v)
+        v = _float(v)
         if not math.isfinite(v):
             self.fail(f"{path}.{key}", "must be finite")
             return None
@@ -286,9 +309,9 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
             for x in lengths)
         if kind and numbers:
             try:
-                domain = sp.Domain(kind, tuple(float(x) for x in lengths))
-            except sp.InvalidDomainError as exc:
-                ck.fail("$.domain", str(exc))
+                domain = sp.Domain(kind, tuple(_float(x) for x in lengths))
+            except sp.InvalidDomainError as exc:  # count, sign or range
+                ck.fail("$.domain.lengths", str(exc))
         elif kind and "lengths" in dom_spec:
             ck.fail("$.domain.lengths", "must be a list of numbers")
     else:
@@ -305,6 +328,8 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         modes = ()
     if modes and any(m < 1 for m in modes):
         ck.fail("$.modes", "mode counts must be >= 1")
+    if modes and any(m > MAX_MODES for m in modes):
+        ck.fail("$.modes", f"mode counts must be <= {MAX_MODES}")
     if domain and modes and len(modes) != domain.dim:
         ck.fail("$.modes", f"expected {domain.dim} entries")
 
@@ -387,7 +412,7 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         gk = ck.choice(gamma_v_spec, "kind", "$.gamma_v", {"zero", "cosine"})
         if gk == "cosine":
             ck.keys(gamma_v_spec, "$.gamma_v", {"kind", "amplitude", "mode"})
-            ck.number(gamma_v_spec, "amplitude", "$.gamma_v")
+            amplitude = ck.number(gamma_v_spec, "amplitude", "$.gamma_v")
             mode = gamma_v_spec.get("mode")
             if (not isinstance(mode, list) or not mode
                     or not all(isinstance(m, int) and m >= 0 for m in mode)
@@ -398,6 +423,9 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
             elif modes and (len(mode) != len(modes)
                             or any(m >= k for m, k in zip(mode, modes))):
                 ck.fail("$.gamma_v.mode", "outside the basis")
+            elif domain and amplitude is not None and not math.isfinite(
+                    _cosine_coefficient(amplitude, mode, domain.lengths)):
+                ck.fail("$.gamma_v.amplitude", "too large for the domain")
         else:
             ck.keys(gamma_v_spec, "$.gamma_v", {"kind"})
     else:
@@ -470,13 +498,10 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         limit_mode=limit_mode, cadence=cadence, seed=seed,
     )
 
-    # structural hypotheses on the assembled model pieces
-    basis = config.build_basis()
-    model = config.build_model(basis)
+    # structural hypotheses on the model pieces; no basis is built
     report = md.validate_assumptions(
-        model.params, model.potential, model.mobility_m, model.mobility_n,
-        model.sources,
-        gamma_v_zero=model.gamma_v is None,
+        **config._hypothesis_parts(),
+        gamma_v_zero=gamma_v_spec["kind"] == "zero",
         allow_limit_modes=limit_mode != "none",
     )
     config.validation = report

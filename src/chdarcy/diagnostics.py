@@ -17,7 +17,7 @@ from . import model as md
 from . import spectral as sp
 from .dynamics import SimState, StateFields, StepperConfig, Trajectory
 from .model import TumourModel
-from .spectral import GridField
+from .spectral import FieldCoeffs, GridField
 
 
 def _config(config: StepperConfig | None) -> StepperConfig:
@@ -74,52 +74,42 @@ def energy(state: SimState, model: TumourModel,
                                                      _config(config))
     eff = f.model
     params = eff.params
-    basis = state.basis
     grid = f.grid
-    W = grid.weight_array()
-
+    W = grid.W
     alpha, gamma = state.alpha, state.gamma
-    phi = f.phi_g.values
-    sigma = f.sigma_g.values
-    mu_g = f.mu_g.values
 
     psi_part, gradient_part, nutrient_part, chemotaxis_part = md.free_energy(
         alpha, gamma, f.phi_g, f.sigma_g, params, eff.potential)
     total = psi_part + gradient_part + nutrient_part + chemotaxis_part
 
-    m_vals = eff.mobility_m(phi)
-    n_vals = eff.mobility_n(phi)
-    diss_mu = float(np.sum(W * m_vals * sum(g.values ** 2 for g in f.grad_mu)))
-    grad_Ns = [params.D * gs.values - params.chi * gp.values
-               for gs, gp in zip(f.grad_sigma, f.grad_phi)]
-    diss_nutrient = float(np.sum(W * n_vals * sum(g ** 2 for g in grad_Ns)))
-    if f.no_flow or params.K == 0.0:
-        diss_darcy = 0.0
-    else:
-        diss_darcy = float(np.sum(W * sum(vi.values ** 2 for vi in f.v))
-                           / params.K)
-    M_gamma = sp.boundary_mass_apply(basis, gamma.data)
-    diss_boundary = params.D * params.b * float(gamma.data @ M_gamma)
+    diss_mu = float(np.sum(W * f.m_g.values
+                           * sum(g.values ** 2 for g in f.grad_mu)))
+    diss_nutrient = float(np.sum(W * f.n_g.values
+                                 * sum(g.values ** 2 for g in f.grad_N_sigma)))
+    diss_darcy = (0.0 if f.no_flow or params.K == 0.0 else
+                  grid.integrate(sum(vi.values ** 2 for vi in f.v)) / params.K)
+    diss_boundary = params.D * params.b * float(gamma.data @ f.M_gamma)
 
     _, N_sigma, _ = md.nutrient_free_energy_density(f.phi_g, f.sigma_g, params)
-    work_phi_source = grid.integrate(f.gamma_phi.values * mu_g)
+    work_phi_source = grid.integrate(f.gamma_phi.values * f.mu_g.values)
     work_nutrient_source = -grid.integrate(f.S.values * N_sigma.values)
 
     work_volume_source = 0.0
     if eff.gamma_v is not None and not f.no_flow:
         gv = sp.to_grid(eff.gamma_v(state.t), grid).values
         p_g = sp.to_grid(f.p, grid).values
-        lam_v = p_g - mu_g * phi - 0.5 * params.D * sigma ** 2
+        lam_v = (p_g - f.mu_g.values * f.phi_g.values
+                 - 0.5 * params.D * f.sigma_g.values ** 2)
         work_volume_source = grid.integrate(gv * lam_v)
 
     # boundary work, exact in the truncated basis: traces of the series
-    bvec = sp.boundary_integral_vector(basis)
-    bdry_measure = basis.domain.boundary_measure
+    bvec = state.basis.boundary_vector
+    bdry_measure = state.basis.domain.boundary_measure
     sigma_inf = eff.sigma_inf(state.t)
     int_N_sigma = (params.D * float(gamma.data @ bvec)
                    + params.chi * (bdry_measure - float(alpha.data @ bvec)))
     int_sigma_one_minus_phi = float(gamma.data @ bvec) \
-        - float(M_gamma @ alpha.data)
+        - float(f.M_gamma @ alpha.data)
     work_boundary = params.b * (sigma_inf * int_N_sigma
                                 - params.chi * int_sigma_one_minus_phi)
 
@@ -150,26 +140,38 @@ class ResidualSeries:
         return float(np.sum(np.abs(self.residuals)))
 
 
-def energy_identity_residual(traj: Trajectory, model: TumourModel,
-                             config: StepperConfig | None = None,
-                             breakdowns: list[EnergyBreakdown] | None = None
-                             ) -> ResidualSeries:
-    """Per-interval defect of the energy balance.
+def _energy_defect(dt: float, e0: EnergyBreakdown,
+                   e1: EnergyBreakdown) -> float:
+    """Defect of the energy balance over an interval of length dt:
+    E_1 - E_0 - dt * (power_1 + power_0) / 2, the power evaluated from
+    the endpoint ledgers."""
+    return (e1.total - e0.total) - dt * 0.5 * (e1.power + e0.power)
 
-    r_n = E(t_{n+1}) - E(t_n) - dt * (power_n + power_{n+1}) / 2, with
-    the power evaluated from the endpoint snapshots.  First order in dt
-    for the IMEX scheme, zero at equilibria.
+
+def _mass_defect(dt: float, c0: FieldCoeffs, c1: FieldCoeffs,
+                 rate: float) -> float:
+    """Defect of a mass law over an interval of length dt: the change of
+    the total mass (the constant mode) minus dt times the rate at the
+    interval's start."""
+    vol_root = np.sqrt(c1.basis.domain.volume)
+    return (c1.data[0] - c0.data[0]) * vol_root - dt * rate
+
+
+def energy_identity_residual(traj: Trajectory, model: TumourModel,
+                             config: StepperConfig | None = None
+                             ) -> ResidualSeries:
+    """Per-interval defect of the energy balance (_energy_defect).
+
+    First order in dt for the IMEX scheme, zero at equilibria.
     """
     if len(traj) < 2:
         raise ValueError("need at least two snapshots")
-    if breakdowns is None:
-        breakdowns = [energy(s, model, config) for s in traj.states]
+    breakdowns = [energy(s, model, config) for s in traj.states]
     times = np.asarray(traj.times)
     res = np.empty(len(traj) - 1)
     for n in range(len(res)):
-        dt = times[n + 1] - times[n]
-        e0, e1 = breakdowns[n], breakdowns[n + 1]
-        res[n] = (e1.total - e0.total) - dt * 0.5 * (e0.power + e1.power)
+        res[n] = _energy_defect(times[n + 1] - times[n], breakdowns[n],
+                                breakdowns[n + 1])
     mid = 0.5 * (times[:-1] + times[1:])
     return ResidualSeries(mid, res)
 
@@ -179,7 +181,6 @@ class MassBalance:
     times: np.ndarray
     phi_residuals: np.ndarray
     sigma_residuals: np.ndarray
-    gamma_v_means: np.ndarray
     scale_phi: float
     scale_sigma: float
 
@@ -196,17 +197,17 @@ def _mass_rates(f: StateFields) -> tuple[float, float]:
     """Exact rates of the total masses, by the constant test function."""
     state, params = f.state, f.model.params
     rate_phi = f.grid.integrate(f.gamma_phi.values)
-    bvec = sp.boundary_integral_vector(state.basis)
     rate_sigma = -f.grid.integrate(f.S.values) + params.b * (
         f.model.sigma_inf(state.t) * state.basis.domain.boundary_measure
-        - float(state.gamma.data @ bvec)
+        - float(state.gamma.data @ state.basis.boundary_vector)
     )
     return rate_phi, rate_sigma
 
 
 def mass_balance_residuals(traj: Trajectory, model: TumourModel,
                            config: StepperConfig | None = None) -> MassBalance:
-    """Defects of the two mass laws over each recorded interval.
+    """Defects of the two mass laws over each recorded interval
+    (_mass_defect).
 
     Exact (to roundoff) for the IMEX stepper when snapshots are taken
     every step, because the constant mode sees no implicit damping.
@@ -214,29 +215,18 @@ def mass_balance_residuals(traj: Trajectory, model: TumourModel,
     config = _config(config)
     if len(traj) < 2:
         raise ValueError("need at least two snapshots")
-    eff = model.effective(no_chemotaxis=config.no_chemotaxis)
-    vol_root = np.sqrt(traj.states[0].basis.domain.volume)
-    times = np.asarray(traj.times)
-    n = len(traj) - 1
-    r_phi = np.empty(n)
-    r_sigma = np.empty(n)
-    gv_means = np.zeros(len(traj))
-    masses_phi, masses_sigma = [], []
-    for i, s in enumerate(traj.states):
-        masses_phi.append(s.alpha.data[0] * vol_root)
-        masses_sigma.append(s.gamma.data[0] * vol_root)
-        if eff.gamma_v is not None:
-            gv_means[i] = eff.gamma_v(s.t).mean()
-    for i in range(n):
+    states, times = traj.states, np.asarray(traj.times)
+    r_phi, r_sigma = np.empty(len(traj) - 1), np.empty(len(traj) - 1)
+    for i, (s0, s1) in enumerate(zip(states, states[1:])):
         dt = times[i + 1] - times[i]
-        rate_phi, rate_sigma = _mass_rates(
-            dyn.derive(traj.states[i], model, config))
-        r_phi[i] = (masses_phi[i + 1] - masses_phi[i]) - dt * rate_phi
-        r_sigma[i] = (masses_sigma[i + 1] - masses_sigma[i]) - dt * rate_sigma
-    scale_phi = max(1.0, float(np.max(np.abs(masses_phi))))
-    scale_sigma = max(1.0, float(np.max(np.abs(masses_sigma))))
+        rate_phi, rate_sigma = _mass_rates(dyn.derive(s0, model, config))
+        r_phi[i] = _mass_defect(dt, s0.alpha, s1.alpha, rate_phi)
+        r_sigma[i] = _mass_defect(dt, s0.gamma, s1.gamma, rate_sigma)
+    masses = np.array([(s.alpha.data[0], s.gamma.data[0]) for s in states]) \
+        * np.sqrt(states[0].basis.domain.volume)
+    scale_phi, scale_sigma = np.maximum(1.0, np.max(np.abs(masses), axis=0))
     return MassBalance(0.5 * (times[:-1] + times[1:]), r_phi, r_sigma,
-                       gv_means, scale_phi, scale_sigma)
+                       float(scale_phi), float(scale_sigma))
 
 
 @dataclass
@@ -616,8 +606,7 @@ class DiagnosticsCollector:
         vol_root = np.sqrt(basis.domain.volume)
         v_L2 = float(np.sqrt(fields.grid.integrate(
             sum(vi.values ** 2 for vi in fields.v))))
-        sigma_bdry_sq = float(state.gamma.data @ sp.boundary_mass_apply(
-            basis, state.gamma.data))
+        sigma_bdry_sq = float(state.gamma.data @ fields.M_gamma)
 
         res_phi = res_sigma = res_energy = 0.0
         if self._prev is not None:
@@ -628,12 +617,9 @@ class DiagnosticsCollector:
             prev_diss = np.array([prev_bd.diss_mu, prev_bd.diss_nutrient,
                                   prev_bd.diss_darcy, prev_bd.diss_boundary])
             self._acc += 0.5 * dt * (diss + prev_diss)
-            res_phi = (state.alpha.data[0] - prev.alpha.data[0]) * vol_root \
-                - dt * rate_phi
-            res_sigma = (state.gamma.data[0] - prev.gamma.data[0]) * vol_root \
-                - dt * rate_sigma
-            res_energy = (bd.total - prev_bd.total) \
-                - dt * 0.5 * (bd.power + prev_bd.power)
+            res_phi = _mass_defect(dt, prev.alpha, state.alpha, rate_phi)
+            res_sigma = _mass_defect(dt, prev.gamma, state.gamma, rate_sigma)
+            res_energy = _energy_defect(dt, prev_bd, bd)
 
         record = DiagnosticsRecord(
             time=t,

@@ -122,8 +122,8 @@ class StateFields:
     Only phi and sigma evolve; mu, p, v and the sources follow from them
     at each instant.  Built by derive and never stored on the state; a
     function taking `fields` uses it in place of derive(state, model,
-    config), so one evaluation serves the step, the energy ledger and
-    the mass rates.
+    config), so one evaluation serves the step, the energy ledger, the
+    mass rates and the observer, and none of them rebuilds what it holds.
     """
 
     state: SimState
@@ -141,11 +141,16 @@ class StateFields:
     v: tuple[GridField, ...]
     gamma_phi: GridField  # Gamma_phi on the grid
     S: GridField          # nutrient consumption on the grid
+    m_g: GridField        # mobility m(phi) on the grid
+    n_g: GridField        # mobility n(phi) on the grid
+    grad_N_sigma: tuple[GridField, ...]  # D grad(sigma) - chi grad(phi)
+    M_gamma: np.ndarray   # int_bdry sigma w_j, the boundary mass times gamma
 
 
 def derive(state: SimState, model: TumourModel,
            config: StepperConfig) -> StateFields:
-    """Evaluate the state: grid values, mu, p, v and the sources.
+    """Evaluate the state: grid values, mu, p, v, the sources, the
+    mobilities, the nutrient flux gradient and the boundary product.
 
     phi, sigma and mu are each synthesized and differentiated once; mu
     and the Darcy solve take those grid fields instead of redoing them.
@@ -172,13 +177,20 @@ def derive(state: SimState, model: TumourModel,
                               eff.params, grid, grad_phi=grad_phi,
                               mu_g=mu_g, sigma_g=sigma_g)
     gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, eff.sources)
+    grad_sigma = sp.gradient_on_grid(state.gamma, grid)
+    chi = sp._per_member(eff.params.chi, phi_g.values)
     return StateFields(
         state=state, model=eff, no_flow=config.no_flow, grid=grid,
         phi_g=phi_g, sigma_g=sigma_g, mu_g=mu_g,
-        grad_phi=grad_phi,
-        grad_sigma=sp.gradient_on_grid(state.gamma, grid),
+        grad_phi=grad_phi, grad_sigma=grad_sigma,
         grad_mu=sp.gradient_on_grid(mu, grid),
         mu=mu, p=p, v=v, gamma_phi=gamma_phi, S=S,
+        m_g=GridField(grid, eff.mobility_m(phi_g.values)),
+        n_g=GridField(grid, eff.mobility_n(phi_g.values)),
+        grad_N_sigma=tuple(
+            GridField(grid, eff.params.D * gs.values - chi * gp.values)
+            for gs, gp in zip(grad_sigma, grad_phi)),
+        M_gamma=sp.boundary_mass_apply(basis, state.gamma.data),
     )
 
 
@@ -192,19 +204,14 @@ def rhs(state: SimState, model: TumourModel, config: StepperConfig,
     f = fields if fields is not None else derive(state, model, config)
     eff = f.model
     params = eff.params
-    basis = state.basis
     grid = f.grid
-    m_vals = eff.mobility_m(f.phi_g.values)
-    n_vals = eff.mobility_n(f.phi_g.values)
 
     # d/dt alpha_j = int Gamma_phi w_j - int (m grad(mu) - phi v).grad(w_j)
-    flux_phi = [m_vals * g.values for g in f.grad_mu]
+    flux_phi = [f.m_g.values * g.values for g in f.grad_mu]
     # d/dt gamma_j = -int S w_j
     #               - int (n (D grad(sigma) - chi grad(phi)) - sigma v).grad(w_j)
     #               + b int_bdry (sigma_inf - sigma) w_j
-    chi = sp._per_member(params.chi, f.phi_g.values)
-    flux_sigma = [n_vals * (params.D * gs.values - chi * gp.values)
-                  for gs, gp in zip(f.grad_sigma, f.grad_phi)]
+    flux_sigma = [f.n_g.values * g.values for g in f.grad_N_sigma]
     if not f.no_flow:
         for d, vi in enumerate(f.v):
             flux_phi[d] -= f.phi_g.values * vi.values
@@ -215,12 +222,10 @@ def rhs(state: SimState, model: TumourModel, config: StepperConfig,
         GridField(grid, -f.S.values),
         tuple(GridField(grid, F) for F in flux_sigma)).data
     # in a batch, a member with b = 0 next to members with b != 0 gets
-    # 0 * M(...) added: its rates are unchanged up to the sign of a zero
+    # 0 * (...) added: its rates are unchanged up to the sign of a zero
     if sp._any_member(params.b != 0.0):
-        deficit = (sp.constant_field(basis, eff.sigma_inf(state.t)).data
-                   - state.gamma.data)
-        dgamma += (sp._per_member(params.b, deficit)
-                   * sp.boundary_mass_apply(basis, deficit))
+        dgamma += sp._per_member(params.b, f.M_gamma) * (
+            eff.sigma_inf(state.t) * state.basis.boundary_vector - f.M_gamma)
 
     return dalpha, dgamma
 

@@ -133,6 +133,14 @@ class SpectralBasis:
         """The shared dealiased grid, built on first use."""
         return self.quadrature_grid()
 
+    @cached_property
+    def boundary_vector(self) -> np.ndarray:
+        """b_j = int_{boundary} w_j, built on first use; read-only, as
+        every caller shares it."""
+        bvec = boundary_mass_apply(self, constant_field(self, 1.0).data)
+        bvec.flags.writeable = False
+        return bvec
+
     def quadrature_grid(self, oversample: float = 2.0) -> "QuadratureGrid":
         """Midpoint grid with at least ceil(3k/2)+1 points per dimension.
 
@@ -450,8 +458,8 @@ def boundary_mass_apply(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:
 
 
 def boundary_integral_vector(basis: SpectralBasis) -> np.ndarray:
-    """b_j = int_{boundary} w_j; equals M_boundary applied to the constant field."""
-    return boundary_mass_apply(basis, constant_field(basis, 1.0).data)
+    """b_j = int_{boundary} w_j, kept by the basis (boundary_vector)."""
+    return basis.boundary_vector
 
 
 def inner_product(c1: FieldCoeffs, c2: FieldCoeffs, kind: str = "L2"):

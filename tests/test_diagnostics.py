@@ -9,7 +9,7 @@ from chdarcy import dynamics as dyn
 from chdarcy import model as md
 from chdarcy import spectral as sp
 
-from conftest import make_model, make_params, random_state
+from conftest import make_model, make_params, random_state, same_bits
 
 
 def constant_state(basis, phi_val, sigma_val, t=0.0):
@@ -376,3 +376,46 @@ class TestPureEvaluation:
         second = dg.energy(state, model_K001)
         assert second == dg.energy(fresh, model_K001)
         assert second.diss_darcy != dg.energy(fresh, model_K1).diss_darcy
+
+
+class TestOneLedger:
+    """Each shared quantity is built once per evaluated state, and each
+    balance identity is written once."""
+
+    def test_diagnosed_run_makes_one_boundary_product_per_state(
+            self, monkeypatch):
+        calls = []
+        real = sp.boundary_mass_apply
+
+        def counted(basis, c):
+            calls.append(np.shape(c))
+            return real(basis, c)
+
+        monkeypatch.setattr(sp, "boundary_mass_apply", counted)
+        # a fresh basis, whose boundary vector is not built yet
+        basis = sp.build_basis(sp.Domain("rectangle", (1.0, 1.0)), (8, 8))
+        model = make_model()  # b = 0.1, Hawkins sources
+        config = dyn.StepperConfig(dt=1e-3)
+        collector = dg.DiagnosticsCollector(model, config)
+        n = 20
+        dyn.run(random_state(basis, 7, scale=0.1), config, model,
+                n * config.dt, observer=collector.observe)
+        assert len(collector.records) == n + 1
+        # one per evaluated state, plus the basis's boundary vector
+        assert len(calls) == (n + 1) + 1
+
+    def test_trajectory_residuals_equal_the_collector_columns(self):
+        basis = sp.build_basis(sp.Domain("rectangle", (1.5, 0.8)), (8, 6))
+        model = make_model(make_params(b=0.3))  # Hawkins sources
+        config = dyn.StepperConfig(dt=1e-3)
+        collector = dg.DiagnosticsCollector(model, config)
+        traj = dyn.run(random_state(basis, 21, scale=0.1), config, model,
+                       0.02, observer=collector.observe)
+        rows = collector.records[1:]
+        mb = dg.mass_balance_residuals(traj, model, config)
+        ei = dg.energy_identity_residual(traj, model, config)
+        assert same_bits(mb.phi_residuals, [r.res_mass_phi for r in rows])
+        assert same_bits(mb.sigma_residuals,
+                         [r.res_mass_sigma for r in rows])
+        assert same_bits(ei.residuals,
+                         [r.res_energy_identity for r in rows])

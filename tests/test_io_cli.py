@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -346,7 +347,7 @@ class TestParseConfig:
 
 def _reference_spec(**overrides):
     spec = json.loads(REFERENCE.read_text())
-    spec["modes"] = [6, 6]  # small: parse_config builds the basis
+    spec["modes"] = [6, 6]  # small, so tests that build the run stay quick
     spec.update(overrides)
     return spec
 
@@ -376,11 +377,14 @@ class TestConfigFaults:
         (("scheme", "energy_guard"), "no"),
         (("sources", "interpolated"), "yes"),
         (("domain", "lengths"), ["1.5", True]),
+        (("dt",), 10 ** 400),
+        (("domain", "lengths"), [10 ** 400, 1.0]),
     ], ids=["dt-nan", "dt-inf", "T-minus-inf", "K-nan", "lengths-object",
             "max-halvings-string", "max-halvings-negative", "seed-negative",
             "modes-empty", "potential-list", "profile-amplitude-string",
             "energy-guard-string", "interpolated-string",
-            "lengths-string-and-bool"])
+            "lengths-string-and-bool", "dt-beyond-float-range",
+            "lengths-beyond-float-range"])
     def test_rejected_with_path(self, path, value):
         spec = _reference_spec()
         _set(spec, path, value)
@@ -404,6 +408,55 @@ class TestConfigFaults:
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
         assert "$." + ".".join(path) in capsys.readouterr().err
+
+    def test_modes_above_the_cap_are_rejected(self):
+        for modes in ([cf.MAX_MODES + 1, 4], cf.MAX_MODES + 1, [2 ** 70, 4]):
+            with pytest.raises(cf.ConfigError) as err:
+                cf.parse_config(json.dumps(_reference_spec(modes=modes)))
+            assert any(v.startswith("$.modes:")
+                       for v in err.value.violations), modes
+
+    def test_cap_admits_the_shipped_sizes(self):
+        for modes in ([128, 128], [cf.MAX_MODES, cf.MAX_MODES]):
+            assert cf.parse_config(json.dumps(
+                _reference_spec(modes=modes))).modes == tuple(modes)
+        spec = _reference_spec(modes=[128])
+        spec["domain"] = {"kind": "interval", "lengths": [1.0]}
+        spec["initial"]["phi"]["mode"] = [1]
+        spec["initial"]["sigma"]["mode"] = [1]
+        assert cf.parse_config(json.dumps(spec)).modes == (128,)
+
+    def test_validate_refuses_huge_modes_before_allocating(self, tmp_path):
+        # 10^5 x 10^5 modes would need a 74.5 GiB eigenvalue array; the
+        # address-space limit turns any such allocation into a failure
+        spec = _reference_spec(modes=[100000, 100000])
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(spec))
+        limit = 3 * 2 ** 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(_src_env(), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "chdarcy.cli", "validate", "--config",
+             str(cfg)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_address_space)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert "$.modes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_volume_source_beyond_the_float_range(self):
+        # its one coefficient, amplitude * (L/2) here, overflows to inf
+        spec = _reference_spec()
+        spec["domain"]["lengths"] = [4.0, 4.0]
+        spec["gamma_v"] = {"kind": "cosine", "amplitude": 1e308,
+                           "mode": [1, 1]}
+        with pytest.raises(cf.ConfigError) as err:
+            cf.parse_config(json.dumps(spec))
+        assert any(v.startswith("$.gamma_v.amplitude:")
+                   for v in err.value.violations)
 
     def test_huge_chemotaxis_fails_the_smallness_check(self):
         spec = _reference_spec()
