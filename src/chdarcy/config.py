@@ -9,7 +9,6 @@ construction.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -67,7 +66,7 @@ class RunConfig:
         body = {k: v for k, v in self.raw.items()
                 if k not in ("T", "cadence", "output_dir")}
         text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return _sha256_hex(text.encode())[:16]
 
     # ---- assembly -------------------------------------------------------
 
@@ -131,8 +130,29 @@ class RunConfig:
     def build_initial_state(self, basis: SpectralBasis) -> SimState:
         phi0 = _profile_values(self.initial_phi, basis, self.seed)
         sigma0 = _profile_values(self.initial_sigma, basis, self.seed + 1)
-        alpha, gamma = dyn.project_initial_data(phi0, sigma0, basis)
+        # an overflow is reported as the ConfigError below, not a warning
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                alpha, gamma = dyn.project_initial_data(phi0, sigma0, basis)
+        except dyn.NonFiniteInitialData as exc:
+            raise ConfigError([f"$.initial.{exc.field}: not finite on the "
+                               f"grid or in the basis"])
         return SimState(0.0, alpha, gamma)
+
+
+def _sha256_hex(data: bytes) -> str:
+    """SHA-256 from CPython's builtin module, the fallback order of the
+    stdlib's random.py: hashlib would map OpenSSL (about 3 MiB) into the
+    process for the same digest.  Imported on first use, as only run and
+    resume hash."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 def _cosine_coefficient(amplitude: float, mode, lengths) -> float:
@@ -455,9 +475,9 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
             if pk:
                 req, opt = _PROFILE_KEYS[pk]
                 ck.keys(prof, path, req, opt)
-                for key in sorted((req | opt) - {"kind", "mode", "cutoff",
-                                                 "seed"}):
-                    ck.number(prof, key, path, positive=key == "width")
+                nums = {key: ck.number(prof, key, path, positive=key == "width")
+                        for key in sorted((req | opt) - {"kind", "mode",
+                                                         "cutoff", "seed"})}
                 if pk == "random":
                     ck.integer(prof, "cutoff", path, 4, minimum=1)
                     ck.integer(prof, "seed", path, 0, minimum=0)
@@ -469,6 +489,11 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
                     elif modes and (len(mode) != len(modes)
                                     or any(m >= k for m, k in zip(mode, modes))):
                         ck.fail(f"{path}.mode", "outside the basis")
+                    # the profile is bounded by |mean| + |amplitude|
+                    if not math.isfinite(abs(nums["mean"] or 0.0)
+                                         + abs(nums["amplitude"] or 0.0)):
+                        ck.fail(path, "|mean| + |amplitude| leaves the "
+                                      "float range")
                 if name == "phi":
                     initial_phi = prof
                 else:

@@ -85,6 +85,15 @@ class StepperConfig:
         return float(np.max(np.abs(model.potential.d2psi(t))))
 
 
+class NonFiniteInitialData(ValueError):
+    """Initial data that is not finite on the grid or whose projection
+    leaves the float range; `field` is "phi" or "sigma"."""
+
+    def __init__(self, field: str):
+        self.field = field
+        super().__init__(f"non-finite initial data ({field})")
+
+
 def project_initial_data(phi0, sigma0, basis: SpectralBasis
                          ) -> tuple[FieldCoeffs, FieldCoeffs]:
     """L2 projection of initial fields onto the truncated basis.
@@ -94,7 +103,7 @@ def project_initial_data(phi0, sigma0, basis: SpectralBasis
     """
     grid = sp.default_grid(basis)
 
-    def project(f):
+    def project(f, name):
         if isinstance(f, FieldCoeffs):
             if f.basis is not basis:
                 raise sp.BasisMismatchError("initial data on a different basis")
@@ -105,10 +114,13 @@ def project_initial_data(phi0, sigma0, basis: SpectralBasis
             vals = np.asarray(f(*grid.meshgrid()), dtype=float)
             vals = np.broadcast_to(vals, grid.npoints).copy()
         if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite initial data")
-        return sp.to_coeffs(GridField(grid, vals))
+            raise NonFiniteInitialData(name)
+        try:
+            return sp.to_coeffs(GridField(grid, vals))
+        except sp.SpectralError:  # finite values, overflowing coefficients
+            raise NonFiniteInitialData(name) from None
 
-    return project(phi0), project(sigma0)
+    return project(phi0, "phi"), project(sigma0, "sigma")
 
 
 def _effective(model: TumourModel, config: StepperConfig) -> TumourModel:
@@ -134,13 +146,12 @@ class StateFields:
     sigma_g: GridField
     mu_g: GridField
     grad_phi: tuple[GridField, ...]
-    grad_sigma: tuple[GridField, ...]
     grad_mu: tuple[GridField, ...]
     mu: FieldCoeffs
     p: FieldCoeffs
     v: tuple[GridField, ...]
     gamma_phi: GridField  # Gamma_phi on the grid
-    S: GridField          # nutrient consumption on the grid
+    S: GridField          # nutrient consumption; gamma_phi itself when equal
     m_g: GridField        # mobility m(phi) on the grid
     n_g: GridField        # mobility n(phi) on the grid
     grad_N_sigma: tuple[GridField, ...]  # D grad(sigma) - chi grad(phi)
@@ -177,19 +188,19 @@ def derive(state: SimState, model: TumourModel,
                               eff.params, grid, grad_phi=grad_phi,
                               mu_g=mu_g, sigma_g=sigma_g)
     gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, eff.sources)
-    grad_sigma = sp.gradient_on_grid(state.gamma, grid)
     chi = sp._per_member(eff.params.chi, phi_g.values)
     return StateFields(
         state=state, model=eff, no_flow=config.no_flow, grid=grid,
         phi_g=phi_g, sigma_g=sigma_g, mu_g=mu_g,
-        grad_phi=grad_phi, grad_sigma=grad_sigma,
+        grad_phi=grad_phi,
         grad_mu=sp.gradient_on_grid(mu, grid),
         mu=mu, p=p, v=v, gamma_phi=gamma_phi, S=S,
         m_g=GridField(grid, eff.mobility_m(phi_g.values)),
         n_g=GridField(grid, eff.mobility_n(phi_g.values)),
         grad_N_sigma=tuple(
             GridField(grid, eff.params.D * gs.values - chi * gp.values)
-            for gs, gp in zip(grad_sigma, grad_phi)),
+            for gs, gp in zip(sp.gradient_on_grid(state.gamma, grid),
+                              grad_phi)),
         M_gamma=sp.boundary_mass_apply(basis, state.gamma.data),
     )
 

@@ -302,16 +302,24 @@ def solve_darcy(phi: FieldCoeffs, mu: FieldCoeffs, sigma: FieldCoeffs,
 def evaluate_sources(phi_g: GridField, mu_g: GridField, sigma_g: GridField,
                      sources: SourceModel, debug: bool = False
                      ) -> tuple[GridField, GridField]:
-    """Pointwise reaction terms on a shared grid."""
+    """Pointwise reaction terms on a shared grid.
+
+    When S has the same reaction law as Gamma_phi (the Hawkins closure),
+    it is evaluated once and the one GridField is returned for both.
+    """
     phi, mu, sigma = phi_g.values, mu_g.values, sigma_g.values
-    gamma_phi = sources.gamma_phi(phi, mu, sigma)
-    S = sources.S(phi, mu, sigma)
+    gamma_phi = GridField(phi_g.grid, sources.gamma_phi(phi, mu, sigma))
+    if (sources.lambda_S is sources.lambda_phi
+            and sources.theta_S is sources.theta_phi):
+        S = gamma_phi
+    else:
+        S = GridField(phi_g.grid, sources.S(phi, mu, sigma))
     if debug:
         bound = sources.R0 * (1.0 + np.abs(phi) + np.abs(mu) + np.abs(sigma))
-        excess = np.abs(gamma_phi) + np.abs(S) - bound
+        excess = np.abs(gamma_phi.values) + np.abs(S.values) - bound
         if np.any(excess > 1e-12 * (1.0 + bound)):
             raise ValueError("source growth bound violated on the grid")
-    return GridField(phi_g.grid, gamma_phi), GridField(phi_g.grid, S)
+    return gamma_phi, S
 
 
 def nutrient_free_energy_density(phi_g: GridField, sigma_g: GridField,

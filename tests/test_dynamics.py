@@ -547,12 +547,14 @@ class TestMemberAxis:
         sb = dyn.step_imex(batch, config, model, fields=fb)
         for i, (state, member) in enumerate(zip(states, alone)):
             f = dyn.derive(state, member, config)
-            for name in ("phi_g", "sigma_g", "mu_g", "gamma_phi", "S"):
+            for name in ("phi_g", "sigma_g", "mu_g", "gamma_phi", "S",
+                         "m_g", "n_g"):
                 assert same_bits(getattr(fb, name).values[i],
                                  getattr(f, name).values), name
-            for name in ("grad_phi", "grad_sigma", "grad_mu", "v"):
+            for name in ("grad_phi", "grad_N_sigma", "grad_mu", "v"):
                 assert all(same_bits(x.values[i], y.values) for x, y in
                            zip(getattr(fb, name), getattr(f, name))), name
+            assert same_bits(fb.M_gamma[i], f.M_gamma)
             assert same_bits(fb.mu.data[i], f.mu.data)
             assert same_bits(fb.p.data[i], f.p.data)
             r = dyn.rhs(state, member, config, fields=f)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -465,6 +466,49 @@ class TestConfigFaults:
             cf.parse_config(json.dumps(spec))
         assert any("smallness" in v for v in err.value.violations)
 
+    @pytest.fixture
+    def overflowing_cosine(self, tmp_path):
+        # each of mean and amplitude is finite, their sum is not
+        spec = _reference_spec(modes=[8, 8])
+        spec["initial"]["phi"] = {"kind": "cosine", "mean": 1e308,
+                                  "amplitude": 1e308, "mode": [1, 1]}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(spec))
+        return cfg
+
+    def test_overflowing_cosine_profile_is_refused_by_validate(
+            self, overflowing_cosine, capsys):
+        assert cli.main(["validate", "--config", str(overflowing_cosine)]
+                        ) == cli.EXIT_CONFIG
+        assert "$.initial.phi:" in capsys.readouterr().err
+
+    def test_overflowing_cosine_profile_run_exits_cleanly(
+            self, overflowing_cosine, tmp_path):
+        cfg = overflowing_cosine
+        proc = subprocess.run(
+            [sys.executable, "-m", "chdarcy.cli", "run", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            env=_src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert "$.initial.phi:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "sweep-k", "sweep-chi"])
+    def test_overflowing_projection_is_config_error(self, tmp_path, capsys,
+                                                    command):
+        # |mean| is finite, but its coefficient, mean * sqrt(L), is not
+        spec = small_config()
+        spec["domain"]["lengths"] = [4.0]
+        spec["initial"]["sigma"] = {"kind": "constant", "value": 1e308}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(spec))
+        assert cli.main(["validate", "--config", str(cfg)]) == cli.EXIT_OK
+        code = cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "$.initial.sigma:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", ["--seed", "--cadence"])
     def test_negative_override_is_config_error(self, tmp_path, flag):
         spec = small_config()
@@ -640,14 +684,55 @@ REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
 
 def test_cli_import_leaves_scipy_out():
-    src = str(Path(chdarcy.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     code = "import sys, chdarcy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_reference_run_leaves_openssl_out(tmp_path):
+    # the checkpoint id is hashed without hashlib, so a run whose initial
+    # data needs no numpy.random never maps OpenSSL
+    spec = json.loads(REFERENCE.read_text())
+    spec["T"] = 3 * spec["dt"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(spec))
+    code = (
+        "import sys\n"
+        "from chdarcy import cli\n"
+        f"code = cli.main(['run', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted({'_hashlib', 'ssl'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == f"{cli.EXIT_OK} []"
+    assert (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+
+class TestContentHash:
+    """The checkpoint id is the first 16 hex digits of SHA-256, so
+    checkpoints written with hashlib's digest still resume."""
+
+    def test_reference_hash_is_pinned(self):
+        config = cf.parse_config(REFERENCE.read_text())
+        assert config.content_hash() == "9d5ba3f43150d0f5"
+
+    @pytest.mark.parametrize("path,value", [
+        (("dt",), 5e-4),
+        (("modes",), [16, 16]),
+        (("params", "chi"), 0.02),
+        (("initial", "phi"), {"kind": "random", "amplitude": 0.05}),
+        (("seed",), 7),
+    ], ids=["dt", "modes", "chi", "random-phi", "seed"])
+    def test_matches_hashlib(self, path, value):
+        spec = json.loads(REFERENCE.read_text())
+        _set(spec, path, value)
+        body = {k: v for k, v in spec.items()
+                if k not in ("T", "cadence", "output_dir")}
+        text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        expect = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert cf.parse_config(json.dumps(spec)).content_hash() == expect
 
 
 def _src_env():

@@ -4,7 +4,7 @@ import pytest
 from chdarcy import model as md
 from chdarcy import spectral as sp
 
-from conftest import make_model, make_params
+from conftest import make_model, make_params, same_bits
 
 
 class TestParams:
@@ -68,6 +68,32 @@ class TestSources:
         assert abs(s.gamma_phi(1.0, 0.0, 1.0) - 1.5) < 1e-15
         assert abs(s.S(1.0, 0.0, 1.0) - 2.0) < 1e-15
         assert s.gamma_phi(-1.0, 0.0, 1.0) == 0.0
+
+    def _grid_fields(self, basis):
+        grid = sp.default_grid(basis)
+        x = grid.meshgrid()[0]
+        return (sp.GridField(grid, np.cos(np.pi * x)),
+                sp.GridField(grid, 0.3 * x - 0.1),
+                sp.GridField(grid, 0.5 + 0.2 * x ** 2))
+
+    def test_hawkins_sources_are_one_field(self, interval_basis):
+        phi_g, mu_g, sigma_g = self._grid_fields(interval_basis)
+        for interpolated in (False, True):
+            s = md.SourceModel.hawkins(0.1, make_params(),
+                                       interpolated=interpolated)
+            gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, s)
+            assert S is gamma_phi
+            assert same_bits(S.values, s.S(phi_g.values, mu_g.values,
+                                           sigma_g.values))
+
+    def test_proliferation_sources_are_two_fields(self, interval_basis):
+        phi_g, mu_g, sigma_g = self._grid_fields(interval_basis)
+        s = md.SourceModel.proliferation(2.0, 0.5, 2.0)
+        gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, s)
+        assert S is not gamma_phi
+        args = (phi_g.values, mu_g.values, sigma_g.values)
+        assert same_bits(gamma_phi.values, s.gamma_phi(*args))
+        assert same_bits(S.values, s.S(*args))
 
     def test_growth_bound_enforced_in_debug(self, interval_basis):
         grid = sp.default_grid(interval_basis)
