@@ -110,51 +110,52 @@ def _write_outputs(out: Path, collector, state, config, config_hash):
 
 
 def _cmd_run(args) -> int:
+    """run from the initial data, or resume from a checkpoint: only the
+    start state, the collector's history and observing the start differ."""
     config = _load_config(args)
     basis = config.build_basis()
-    model = config.build_model(basis)
-    stepper = config.build_stepper()
-    initial = config.build_initial_state(basis)
-    collector = dg.DiagnosticsCollector(model, stepper)
-    traj = dyn.run(initial, stepper, model, config.T,
-                   observer=collector.observe, cadence=config.cadence)
-    _write_outputs(Path(args.out), collector, traj.states[-1], config,
-                   config.content_hash())
-    print(f"wrote {len(collector.records)} diagnostics rows to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_resume(args) -> int:
-    config = _load_config(args)
-    basis = config.build_basis()
-    try:
-        ck = cio.read_checkpoint(args.checkpoint, basis)
-    except (OSError, cio.SnapshotFormatError) as exc:
-        raise _IOFailure(str(exc))
-    if ck.config_hash != config.content_hash():
-        raise cf.ConfigError(
-            ["$.checkpoint: checkpoint was produced by a different config"])
+    resume = args.command == "resume"
+    if resume:
+        try:
+            ck = cio.read_checkpoint(args.checkpoint, basis)
+        except (OSError, cio.SnapshotFormatError) as exc:
+            raise _IOFailure(str(exc))
+        if ck.config_hash != config.content_hash():
+            raise cf.ConfigError(
+                ["$.checkpoint: checkpoint was produced by a different config"])
     model = config.build_model(basis)
     stepper = config.build_stepper()
     collector = dg.DiagnosticsCollector(model, stepper)
-    collector.restore(ck.accumulators, ck.state)
-    remaining = config.T - ck.state.t
-    if remaining < -1e-12:
-        raise cf.ConfigError(["$.T: checkpoint is already past T"])
-    traj = dyn.run(ck.state, stepper, model, max(remaining, 0.0),
+    if resume:
+        start = ck.state
+        collector.restore(ck.accumulators, start)
+        if config.T - start.t < -1e-12:
+            raise cf.ConfigError(["$.T: checkpoint is already past T"])
+    else:
+        start = config.build_initial_state(basis)
+    traj = dyn.run(start, stepper, model, max(config.T - start.t, 0.0),
                    observer=collector.observe, cadence=config.cadence,
-                   observe_initial=False)
-    final = traj.states[-1] if len(traj) else ck.state
+                   observe_initial=not resume)
+    final = traj.states[-1] if len(traj) else start
     _write_outputs(Path(args.out), collector, final, config,
                    config.content_hash())
-    print(f"resumed at t={ck.state.t:g}, wrote {len(collector.records)} rows")
+    n = len(collector.records)
+    print(f"resumed at t={start.t:g}, wrote {n} rows" if resume
+          else f"wrote {n} diagnostics rows to {args.out}")
     return EXIT_OK
 
 
-def _parse_values(text, default):
-    if text is None:
-        return default
-    return tuple(float(v) for v in text.split(","))
+def _sweep_spec(args, config: cf.RunConfig, parameter: str) -> ex.SweepSpec:
+    """The sweep of --values, or of the defaults; values that are not
+    numbers, or that SweepSpec refuses, are a config error."""
+    values = K_SWEEP_DEFAULT if parameter == "K" else CHI_SWEEP_DEFAULT
+    try:
+        if args.values is not None:
+            values = tuple(float(v) for v in args.values.split(","))
+        return ex.SweepSpec(parameter, values, dt=config.dt, T=config.T,
+                            cadence=config.cadence)
+    except ValueError as exc:
+        raise cf.ConfigError([f"--values: {exc}"])
 
 
 def _write_sweep_csv(rows, path):
@@ -175,12 +176,13 @@ def _write_sweep_csv(rows, path):
 
 def _cmd_sweep(args, parameter: str) -> int:
     config = _load_config(args)
+    spec = _sweep_spec(args, config, parameter)
+    if parameter == "K" and config.gamma_v_spec["kind"] != "zero":
+        raise cf.ConfigError(
+            ["$.gamma_v: the permeability sweep needs a zero volume source"])
     basis = config.build_basis()
     model = config.build_model(basis)
     initial = config.build_initial_state(basis)
-    default = K_SWEEP_DEFAULT if parameter == "K" else CHI_SWEEP_DEFAULT
-    spec = ex.SweepSpec(parameter, _parse_values(args.values, default),
-                        dt=config.dt, T=config.T, cadence=config.cadence)
     if parameter == "K":
         rows = ex.sweep_vanishing_permeability(spec, model, initial)
         name = "sweep_k.csv"
@@ -200,8 +202,10 @@ def _cmd_sweep(args, parameter: str) -> int:
 def _cmd_mms(args) -> int:
     config = _load_config(args)
     # the study runs on its own 1D interval bases, so only the model
-    # pieces of the config are used: the volume source is dropped
-    model = replace(config.build_model(config.build_basis()), gamma_v=None)
+    # pieces of the config are used: the volume source is dropped, and
+    # the configured constants are studied, chi under "no-chemotaxis" too
+    model = config.build_model(config.build_basis())
+    model = replace(model.with_params(config.params), gamma_v=None)
     result = ex.manufactured_solution_study(
         orders=(1, 2, 3, 5),
         dts=(1e-2, 5e-3, 2.5e-3, 1.25e-3),
@@ -221,7 +225,7 @@ def main(argv=None) -> int:
     handlers = {
         "validate": _cmd_validate,
         "run": _cmd_run,
-        "resume": _cmd_resume,
+        "resume": _cmd_run,
         "sweep-k": lambda a: _cmd_sweep(a, "K"),
         "sweep-chi": lambda a: _cmd_sweep(a, "chi"),
         "mms": _cmd_mms,

@@ -95,12 +95,14 @@ class RunConfig:
                     sources=sources)
 
     def build_model(self, basis: SpectralBasis) -> TumourModel:
+        """The model the run integrates: under limit_mode "no-chemotaxis"
+        the chi = 0 model, as the paper obtains it from the full system."""
         return TumourModel(
             **self._hypothesis_parts(),
             sigma_inf=md.BoundaryAndInitialData.constant_sigma_inf(
                 self.sigma_inf_value),
             gamma_v=self._build_gamma_v(basis),
-        )
+        ).effective(no_chemotaxis=self.limit_mode == "no-chemotaxis")
 
     def _build_gamma_v(self, basis: SpectralBasis):
         spec = self.gamma_v_spec
@@ -124,7 +126,6 @@ class RunConfig:
             tol_E=self.tol_E,
             max_halvings=self.max_halvings,
             no_flow=self.limit_mode == "no-flow",
-            no_chemotaxis=self.limit_mode == "no-chemotaxis",
         )
 
     def build_initial_state(self, basis: SpectralBasis) -> SimState:

@@ -493,7 +493,6 @@ def norm_suite(traj: Trajectory, model: TumourModel,
                velocity_gradient: bool = False) -> NormSuite:
     """Time-aggregated norms of the solution quintuple over a window."""
     config = _config(config)
-    params = model.effective(no_chemotaxis=config.no_chemotaxis).params
     times = np.asarray(traj.times)
     acc = {name: ([], []) for name in ("phi", "sigma", "mu", "p")}
     velocities = []
@@ -511,7 +510,7 @@ def norm_suite(traj: Trajectory, model: TumourModel,
                 ci = sp.to_coeffs(vi)
                 total += sp.inner_product(ci, ci, "H1-seminorm")
             dv.append(np.sqrt(total))
-    v_l2l2, scaled = velocity_norms(times, velocities, params.K)
+    v_l2l2, scaled = velocity_norms(times, velocities, model.params.K)
     return NormSuite(
         phi=_field_norms(times, *acc["phi"]),
         sigma=_field_norms(times, *acc["sigma"]),

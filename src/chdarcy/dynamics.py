@@ -64,13 +64,10 @@ class StepperConfig:
     dt: float
     scheme: str = "imex1"  # "imex1" | "rk4-explicit"
     kappa: float | None = None  # None: sup |psi''| on [-1.2, 1.2]
-    mbar: float | None = None   # None: upper mobility bound m1
-    nbar: float | None = None
     energy_guard: bool = False
     tol_E: float = 0.0          # absolute slack allowed per guarded step
     max_halvings: int = 8
     no_flow: bool = False
-    no_chemotaxis: bool = False
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -123,10 +120,6 @@ def project_initial_data(phi0, sigma0, basis: SpectralBasis
     return project(phi0, "phi"), project(sigma0, "sigma")
 
 
-def _effective(model: TumourModel, config: StepperConfig) -> TumourModel:
-    return model.effective(no_chemotaxis=config.no_chemotaxis)
-
-
 @dataclass(frozen=True, eq=False)
 class StateFields:
     """Everything a (model, config) pair fixes algebraically at one state.
@@ -139,7 +132,7 @@ class StateFields:
     """
 
     state: SimState
-    model: TumourModel   # effective model: chemotaxis off under no_chemotaxis
+    model: TumourModel
     no_flow: bool        # p and v are identically zero
     grid: QuadratureGrid
     phi_g: GridField
@@ -166,14 +159,13 @@ def derive(state: SimState, model: TumourModel,
     phi, sigma and mu are each synthesized and differentiated once; mu
     and the Darcy solve take those grid fields instead of redoing them.
     """
-    eff = _effective(model, config)
     basis = state.basis
     grid = sp.default_grid(basis)
     phi_g = sp.to_grid(state.alpha, grid)
     sigma_g = sp.to_grid(state.gamma, grid)
     grad_phi = sp.gradient_on_grid(state.alpha, grid)
-    mu = md.chemical_potential(state.alpha, state.gamma, eff.params,
-                               eff.potential, grid, phi_g=phi_g)
+    mu = md.chemical_potential(state.alpha, state.gamma, model.params,
+                               model.potential, grid, phi_g=phi_g)
     mu_g = sp.to_grid(mu, grid)
     if config.no_flow:
         members = state.alpha.data.shape[:-1]
@@ -181,24 +173,24 @@ def derive(state: SimState, model: TumourModel,
         v = tuple(GridField(grid, np.zeros(members + grid.npoints))
                   for _ in range(basis.dim))
     else:
-        if sp._any_member(eff.params.K <= 0):
+        if sp._any_member(model.params.K <= 0):
             raise ValueError("K = 0 requires no-flow mode")
-        gv = eff.gamma_v(state.t) if eff.gamma_v is not None else None
+        gv = model.gamma_v(state.t) if model.gamma_v is not None else None
         p, v = md.solve_darcy(state.alpha, mu, state.gamma, gv,
-                              eff.params, grid, grad_phi=grad_phi,
+                              model.params, grid, grad_phi=grad_phi,
                               mu_g=mu_g, sigma_g=sigma_g)
-    gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, eff.sources)
-    chi = sp._per_member(eff.params.chi, phi_g.values)
+    gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, model.sources)
+    chi = sp._per_member(model.params.chi, phi_g.values)
     return StateFields(
-        state=state, model=eff, no_flow=config.no_flow, grid=grid,
+        state=state, model=model, no_flow=config.no_flow, grid=grid,
         phi_g=phi_g, sigma_g=sigma_g, mu_g=mu_g,
         grad_phi=grad_phi,
         grad_mu=sp.gradient_on_grid(mu, grid),
         mu=mu, p=p, v=v, gamma_phi=gamma_phi, S=S,
-        m_g=GridField(grid, eff.mobility_m(phi_g.values)),
-        n_g=GridField(grid, eff.mobility_n(phi_g.values)),
+        m_g=GridField(grid, model.mobility_m(phi_g.values)),
+        n_g=GridField(grid, model.mobility_n(phi_g.values)),
         grad_N_sigma=tuple(
-            GridField(grid, eff.params.D * gs.values - chi * gp.values)
+            GridField(grid, model.params.D * gs.values - chi * gp.values)
             for gs, gp in zip(sp.gradient_on_grid(state.gamma, grid),
                               grad_phi)),
         M_gamma=sp.boundary_mass_apply(basis, state.gamma.data),
@@ -213,8 +205,7 @@ def rhs(state: SimState, model: TumourModel, config: StepperConfig,
     on the grid and projected together with its source by sp.weak_form.
     """
     f = fields if fields is not None else derive(state, model, config)
-    eff = f.model
-    params = eff.params
+    params = f.model.params
     grid = f.grid
 
     # d/dt alpha_j = int Gamma_phi w_j - int (m grad(mu) - phi v).grad(w_j)
@@ -235,8 +226,9 @@ def rhs(state: SimState, model: TumourModel, config: StepperConfig,
     # in a batch, a member with b = 0 next to members with b != 0 gets
     # 0 * (...) added: its rates are unchanged up to the sign of a zero
     if sp._any_member(params.b != 0.0):
+        sigma_inf = f.model.sigma_inf(state.t)
         dgamma += sp._per_member(params.b, f.M_gamma) * (
-            eff.sigma_inf(state.t) * state.basis.boundary_vector - f.M_gamma)
+            sigma_inf * state.basis.boundary_vector - f.M_gamma)
 
     return dalpha, dgamma
 
@@ -263,8 +255,7 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
                              config: StepperConfig,
                              oversample: float = 4.0) -> DenseGalerkinOperators:
     """Assemble every operator on an oversampled grid; the rhs oracle."""
-    eff = _effective(model, config)
-    params = eff.params
+    params = model.params
     basis = state.basis
     grid = basis.quadrature_grid(oversample=oversample)
     W = grid.weight_array()
@@ -272,8 +263,8 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
     phi_g = sp.to_grid(state.alpha, grid).values
     sigma_g = sp.to_grid(state.gamma, grid).values
     grad_phi = [g.values for g in sp.gradient_on_grid(state.alpha, grid)]
-    m_vals = eff.mobility_m(phi_g)
-    n_vals = eff.mobility_n(phi_g)
+    m_vals = model.mobility_m(phi_g)
+    n_vals = model.mobility_n(phi_g)
 
     k = basis.n_modes
     nflat = int(np.prod(grid.npoints))
@@ -297,7 +288,7 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
     S_m = stiffness(m_vals)
     S_n = stiffness(n_vals)
 
-    psi_vec = basis_vals @ (Wf * eff.potential.dpsi(phi_g).reshape(nflat))
+    psi_vec = basis_vals @ (Wf * model.potential.dpsi(phi_g).reshape(nflat))
     beta = params.A * psi_vec + params.B * basis.eigenvalues * state.alpha.data \
         - params.chi * state.gamma.data
     mu_g = (basis_vals.T @ beta).reshape(grid.npoints)
@@ -310,8 +301,8 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
         drive = (mu_g + params.chi * sigma_g).reshape(nflat)
         forcing = [drive * g.reshape(nflat) for g in grad_phi]
         rhs_p = sum(gb @ (Wf * f) for gb, f in zip(basis_grads, forcing))
-        if eff.gamma_v is not None:
-            rhs_p = rhs_p + eff.gamma_v(state.t).data / params.K
+        if model.gamma_v is not None:
+            rhs_p = rhs_p + model.gamma_v(state.t).data / params.K
         rhs_p[0] = 0.0
         p = sp.inverse_neumann_laplacian(FieldCoeffs(basis, rhs_p))
         grad_p = [gb.T @ p.data for gb in basis_grads]
@@ -323,13 +314,13 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
         for gb, vv in zip(basis_grads, v_vals)
     ) if not config.no_flow else np.zeros((k, k))
 
-    gamma_phi_g = eff.sources.gamma_phi(phi_g, mu_g, sigma_g)
-    S_vals = eff.sources.S(phi_g, mu_g, sigma_g)
+    gamma_phi_g = model.sources.gamma_phi(phi_g, mu_g, sigma_g)
+    S_vals = model.sources.S(phi_g, mu_g, sigma_g)
     R_phi = basis_vals @ (Wf * gamma_phi_g.reshape(nflat))
     R_S = basis_vals @ (Wf * S_vals.reshape(nflat))
 
     M_bdry = sp.boundary_mass_matrix(basis)
-    Sigma_vec = eff.sigma_inf(state.t) * sp.boundary_integral_vector(basis)
+    Sigma_vec = model.sigma_inf(state.t) * sp.boundary_integral_vector(basis)
 
     return DenseGalerkinOperators(
         S=S, S_m=S_m, S_n=S_n, C=C, M_bdry=M_bdry, R_phi=R_phi, R_S=R_S,
@@ -343,7 +334,7 @@ def dense_rhs(state: SimState, model: TumourModel, config: StepperConfig,
     """Right-hand side assembled from the dense operators."""
     if ops is None:
         ops = dense_galerkin_operators(state, model, config)
-    params = _effective(model, config).params
+    params = model.params
     dalpha = -ops.S_m @ ops.beta + ops.R_phi + ops.C @ state.alpha.data
     dgamma = (-ops.S_n @ (params.D * state.gamma.data
                           - params.chi * state.alpha.data)
@@ -358,13 +349,12 @@ def _implicit_factors(basis: SpectralBasis, model: TumourModel,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """1 + dt L per mode for the two equations: the IMEX damping of a
     step of length dt, a constant of (basis, model, config, dt)."""
-    params = model.params  # A, B and D do not depend on chemotaxis
+    params = model.params
     lam = basis.eigenvalues
-    mbar = config.mbar if config.mbar is not None else model.mobility_m.upper
-    nbar = config.nbar if config.nbar is not None else model.mobility_n.upper
     kappa = config.resolved_kappa(model)
-    L_phi = mbar * (params.B * lam ** 2 + params.A * kappa * lam)
-    L_sigma = nbar * params.D * lam
+    m1, n1 = model.mobility_m.upper, model.mobility_n.upper
+    L_phi = m1 * (params.B * lam ** 2 + params.A * kappa * lam)
+    L_sigma = n1 * params.D * lam
     return 1.0 + dt * L_phi, 1.0 + dt * L_sigma
 
 
@@ -402,16 +392,16 @@ def _rk4_update(state: SimState, dt: float,
                     FieldCoeffs(basis, g1))
 
 
-def _source_free(eff: TumourModel) -> bool:
-    return (eff.sources.kind == "zero"
-            and not sp._any_member(eff.params.b != 0.0)
-            and eff.gamma_v is None)
+def _source_free(model: TumourModel) -> bool:
+    return (model.sources.kind == "zero"
+            and not sp._any_member(model.params.b != 0.0)
+            and model.gamma_v is None)
 
 
-def _total_energy(state: SimState, eff: TumourModel, phi_g: GridField,
+def _total_energy(state: SimState, model: TumourModel, phi_g: GridField,
                   sigma_g: GridField) -> float:
     return sum(md.free_energy(state.alpha, state.gamma, phi_g, sigma_g,
-                              eff.params, eff.potential))
+                              model.params, model.potential))
 
 
 def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
@@ -432,7 +422,7 @@ def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
             fields = derive(state, model, config)
         if factors is None:
             factors = _implicit_factors(state.basis, model, config, dt)
-        if not (config.energy_guard and _source_free(fields.model)):
+        if not (config.energy_guard and _source_free(model)):
             return _imex_update(
                 state, rhs(state, model, config, fields=fields), factors, dt)
     except sp.SpectralError as exc:
@@ -441,8 +431,8 @@ def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
 
     # the guard compares E alone, which needs phi and sigma on the grid
     # but nothing derived, so no accepted state is evaluated here
-    eff, grid = fields.model, fields.grid
-    E0 = _total_energy(state, eff, fields.phi_g, fields.sigma_g)
+    grid = fields.grid
+    E0 = _total_energy(state, model, fields.phi_g, fields.sigma_g)
     for halving in range(config.max_halvings + 1):
         nsub = 2 ** halving
         sub = state
@@ -456,7 +446,7 @@ def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
                                        factors, dt / nsub)
         except (sp.SpectralError, FloatingPointError):
             continue  # non-finite substep counts as a rejected interval
-        E1 = _total_energy(sub, eff, sp.to_grid(sub.alpha, grid),
+        E1 = _total_energy(sub, model, sp.to_grid(sub.alpha, grid),
                            sp.to_grid(sub.gamma, grid))
         if E1 <= E0 + config.tol_E:
             return sub
@@ -486,16 +476,14 @@ def step_rk4_explicit(state: SimState, config: StepperConfig,
 
 @dataclass
 class Trajectory:
-    times: list[float] = field(default_factory=list)
     states: list[SimState] = field(default_factory=list)
-    # Darcy velocity on the grid at each snapshot, None when not evaluated
-    velocities: list[tuple[GridField, ...] | None] = field(default_factory=list)
 
-    def append(self, state: SimState,
-               velocity: tuple[GridField, ...] | None = None):
-        self.times.append(state.t)
+    @property
+    def times(self) -> list[float]:
+        return [s.t for s in self.states]
+
+    def append(self, state: SimState):
         self.states.append(state)
-        self.velocities.append(velocity)
 
     def __len__(self):
         return len(self.states)
@@ -557,8 +545,8 @@ def run(initial: SimState, config: StepperConfig, model: TumourModel,
     """Advance for a duration T, snapshotting every `cadence` steps.
 
     The snapshots are those of `snapshots`: each state is evaluated once,
-    and that evaluation drives its step, supplies the snapshot's
-    velocity and is what the observer receives, with its step index.
+    and that evaluation drives its step and is what the observer
+    receives, with its step index.
     """
     n_steps = _step_count(T, config.dt)
     steps = (i for i in range(n_steps + 1)
@@ -567,7 +555,7 @@ def run(initial: SimState, config: StepperConfig, model: TumourModel,
     for fields in snapshots(initial, config, model, T, cadence,
                             observe_initial):
         i = next(steps)
-        traj.append(fields.state, fields.v)
+        traj.append(fields.state)
         if observer is not None:
             observer(i, fields.state.t, fields)
         # drop the evaluation before the generator steps on, so that

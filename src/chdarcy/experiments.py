@@ -49,7 +49,7 @@ def fit_rate(x, y) -> RateFit:
 @dataclass
 class SweepSpec:
     parameter: str              # "K" | "chi"
-    values: tuple[float, ...]   # strictly decreasing, positive
+    values: tuple[float, ...]   # strictly decreasing, positive, finite
     dt: float
     T: float
     comparison: str = "Linf-L2"  # | "L2-H1"
@@ -59,6 +59,8 @@ class SweepSpec:
         if self.parameter not in ("K", "chi"):
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         vals = tuple(float(v) for v in self.values)
+        if not all(np.isfinite(vals)):
+            raise ValueError("sweep values must be finite")
         if any(v <= 0 for v in vals):
             raise ValueError("sweep values must be positive")
         if any(nxt >= prev for prev, nxt in zip(vals[:-1], vals[1:])):

@@ -347,6 +347,12 @@ def free_energy(phi: FieldCoeffs, sigma: FieldCoeffs, phi_g: GridField,
     )
 
 
+# validate_assumptions samples phi and sigma (and mu, for the sign
+# condition) on this range, at this many points per axis
+SAMPLE_RANGE = (-3.0, 3.0)
+N_SAMPLES = 121
+
+
 @dataclass
 class AssumptionCheck:
     name: str
@@ -386,8 +392,6 @@ class ValidationReport:
 def validate_assumptions(params: ModelParams, potential: Potential,
                          mobility_m: Mobility, mobility_n: Mobility,
                          sources: SourceModel,
-                         sample_range: tuple[float, float] = (-3.0, 3.0),
-                         n_samples: int = 121,
                          gamma_v_zero: bool = True,
                          check_sign_condition: bool = False,
                          allow_limit_modes: bool = False) -> ValidationReport:
@@ -399,7 +403,7 @@ def validate_assumptions(params: ModelParams, potential: Potential,
     when the volume source vanishes).
     """
     rep = ValidationReport()
-    t = np.linspace(sample_range[0], sample_range[1], n_samples)
+    t = np.linspace(*SAMPLE_RANGE, N_SAMPLES)
     P, S_ = np.meshgrid(t, t, indexing="ij")
 
     strict = {"A": params.A, "B": params.B, "D": params.D}
@@ -474,7 +478,7 @@ def validate_assumptions(params: ModelParams, potential: Potential,
             detail=f"A = {lhs}, 2 chi^2/(D R1) = {rhs:.6g}")
 
     if check_sign_condition and gamma_v_zero:
-        mu_t = np.linspace(sample_range[0], sample_range[1], 41)
+        mu_t = np.linspace(*SAMPLE_RANGE, 41)
         ok = True
         witness = None
         for mu in mu_t:

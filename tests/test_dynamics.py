@@ -1,8 +1,10 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chdarcy import config as cf
 from chdarcy import diagnostics as dg
 from chdarcy import dynamics as dyn
 from chdarcy import model as md
@@ -174,15 +176,26 @@ class TestRhs:
             dyn.derive(state, model, config)
 
     def test_no_chemotaxis_equals_chi_zero_model(self, interval_basis):
-        model = make_model(make_params(chi=0.3))
+        spec = {
+            "domain": {"kind": "interval", "lengths": [1.0]},
+            "modes": [interval_basis.n_modes], "dt": 1e-3, "T": 0.01,
+            "params": {"A": 1.0, "B": 0.01, "K": 1.0, "D": 1.0,
+                       "chi": 0.2, "b": 0.1},
+            "potential": "quartic-double-well",
+            "sources": {"kind": "hawkins", "f0": 0.1},
+            "sigma_inf": {"kind": "constant", "value": 1.0},
+            "initial": {"phi": {"kind": "constant", "value": 0.0},
+                        "sigma": {"kind": "constant", "value": 0.5}},
+        }
+        model = cf.parse_config(json.dumps(spec)).build_model(interval_basis)
         chi0 = model.with_params(model.params.with_(chi=0.0))
+        spec["limit_mode"] = "no-chemotaxis"
+        limit = cf.parse_config(json.dumps(spec)).build_model(interval_basis)
         state = random_state(interval_basis, 8)
-        cfg_limit = dyn.StepperConfig(dt=1e-3, no_chemotaxis=True)
-        cfg_plain = dyn.StepperConfig(dt=1e-3)
-        da1, dg1 = dyn.rhs(state, model, cfg_limit)
-        da2, dg2 = dyn.rhs(state.copy(), chi0, cfg_plain)
-        assert np.max(np.abs(da1 - da2)) < 1e-14
-        assert np.max(np.abs(dg1 - dg2)) < 1e-14
+        config = dyn.StepperConfig(dt=1e-3)
+        da1, dg1 = dyn.rhs(state, limit, config)
+        da2, dg2 = dyn.rhs(state.copy(), chi0, config)
+        assert same_bits(da1, da2) and same_bits(dg1, dg2)
 
 
 class TestDenseOperators:
@@ -363,7 +376,7 @@ class TestPureEvaluation:
         state = random_state(interval_basis, 8)
         fresh = state.copy()
         plain = dyn.StepperConfig(dt=1e-3)
-        limit = dyn.StepperConfig(dt=1e-3, no_chemotaxis=True)
+        limit = dyn.StepperConfig(dt=1e-3, no_flow=True)
         dyn.rhs(state, model, plain)
         da, dgm = dyn.rhs(state, model, limit)
         da_fresh, dg_fresh = dyn.rhs(fresh, model, limit)
@@ -436,10 +449,14 @@ class TestEvaluationBudget:
         traj = dyn.run(random_state(rect_basis, 45), config, model, 6e-3,
                        observer=lambda i, t, f: seen.append((t, f)),
                        cadence=2)
-        assert len(seen) == len(traj) == 4
-        for (t, f), state, v in zip(seen, traj.states, traj.velocities):
+        snaps = list(dyn.snapshots(random_state(rect_basis, 45), config,
+                                   model, 6e-3, cadence=2))
+        assert len(seen) == len(traj) == len(snaps) == 4
+        for (t, f), state, g in zip(seen, traj.states, snaps):
             assert isinstance(f, dyn.StateFields)
-            assert f.state is state and f.v is v and t == state.t
+            assert f.state is state and t == state.t
+            assert all(same_bits(a.values, b.values)
+                       for a, b in zip(f.v, g.v))
 
     def test_run_resolves_kappa_once(self, interval_basis):
         calls = []
@@ -491,13 +508,13 @@ class TestEvaluationBudget:
     def test_snapshots_carry_the_velocity_of_their_state(self, rect_basis):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        traj = dyn.run(random_state(rect_basis, 43), config, model, 5e-3,
-                       cadence=2)
-        assert len(traj.velocities) == len(traj) == 4
-        for state, v in zip(traj.states, traj.velocities):
-            expect = dyn.derive(state.copy(), model, config).v
+        snaps = list(dyn.snapshots(random_state(rect_basis, 43), config,
+                                   model, 5e-3, cadence=2))
+        assert len(snaps) == 4
+        for f in snaps:
+            expect = dyn.derive(f.state.copy(), model, config).v
             assert all(np.array_equal(a.values, b.values)
-                       for a, b in zip(v, expect))
+                       for a, b in zip(f.v, expect))
 
 
 class TestRunFailures:
@@ -570,12 +587,14 @@ class TestMemberAxis:
         snaps = list(dyn.snapshots(batch, config, model, 4e-3, cadence=2))
         assert [f.state.t for f in snaps] == pytest.approx([0, 2e-3, 4e-3])
         for i, (state, member) in enumerate(zip(states, alone)):
-            traj = dyn.run(state, config, member, 4e-3, cadence=2)
-            for f, s, v in zip(snaps, traj.states, traj.velocities):
-                assert same_bits(f.state.alpha.data[i], s.alpha.data)
-                assert same_bits(f.state.gamma.data[i], s.gamma.data)
+            alone_snaps = list(dyn.snapshots(state, config, member, 4e-3,
+                                             cadence=2))
+            assert len(alone_snaps) == len(snaps)
+            for f, g in zip(snaps, alone_snaps):
+                assert same_bits(f.state.alpha.data[i], g.state.alpha.data)
+                assert same_bits(f.state.gamma.data[i], g.state.gamma.data)
                 assert all(same_bits(x.values[i], y.values)
-                           for x, y in zip(f.v, v))
+                           for x, y in zip(f.v, g.v))
 
     def test_no_flow_batch(self, members):
         batch, model, states, alone = members

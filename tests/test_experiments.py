@@ -127,14 +127,16 @@ def member_by_member(spec, model, initial):
     for value in spec.values:
         member = model.with_params(
             model.params.with_(**{parameter: value, "b": value}))
+        config = dyn.StepperConfig(dt=spec.dt)
         try:
-            traj = dyn.run(initial.copy(), dyn.StepperConfig(dt=spec.dt),
-                           member, spec.T, cadence=spec.cadence)
+            traj = dyn.run(initial.copy(), config, member, spec.T,
+                           cadence=spec.cadence)
         except dyn.StepFailureError as exc:
             rows.append(ex.SweepRow(value, np.nan, np.nan, np.nan, np.nan,
                                     failed=str(exc)))
             continue
-        v_l2l2, v_scaled = dg.velocity_norms(traj.times, traj.velocities,
+        velocities = [dyn.derive(s, member, config).v for s in traj.states]
+        v_l2l2, v_scaled = dg.velocity_norms(traj.times, velocities,
                                              member.params.K)
         rows.append(ex.SweepRow(
             value, v_l2l2, v_scaled,

@@ -520,6 +520,33 @@ class TestConfigFaults:
         assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("values,gamma_v", [
+    ("1,2", None),
+    ("abc", None),
+    ("1,-1", None),
+    ("", None),
+    ("0.5,nan", None),
+    ("inf,1", None),
+    (None, {"kind": "cosine", "amplitude": 0.3, "mode": [1, 0]}),
+], ids=["increasing", "not-a-number", "negative", "empty", "nan", "inf",
+        "volume-source"])
+def test_sweep_input_fault_is_config_error(tmp_path, capsys, values, gamma_v):
+    spec = _reference_spec()
+    if gamma_v is not None:
+        spec["gamma_v"] = gamma_v
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    argv = ["sweep-k", "--config", str(cfg), "--out", str(out)]
+    if values is not None:
+        argv += ["--values", values]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("--values:" if gamma_v is None else "$.gamma_v:") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def _nodes(obj, path=()):
     """Every value's path below obj, and whether it is a dict key."""
     items = (obj.items() if isinstance(obj, dict)
@@ -529,7 +556,8 @@ def _nodes(obj, path=()):
         yield from _nodes(value, path + (key,))
 
 
-_REPLACEMENTS = [math.nan, math.inf, -1, 0, "", [], {}, True]
+_REPLACEMENTS = [math.nan, math.inf, -1, 0, "", [], {}, True, False, "1.5",
+                 "no", 10 ** 400]
 
 
 @settings(max_examples=50, deadline=None)
