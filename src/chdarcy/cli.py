@@ -125,7 +125,7 @@ def _cmd_run(args) -> int:
                 ["$.checkpoint: checkpoint was produced by a different config"])
     model = config.build_model(basis)
     stepper = config.build_stepper()
-    collector = dg.DiagnosticsCollector(model, stepper)
+    collector = dg.DiagnosticsCollector(model)
     if resume:
         start = ck.state
         collector.restore(ck.accumulators, start)
@@ -203,7 +203,7 @@ def _cmd_mms(args) -> int:
     config = _load_config(args)
     # the study runs on its own 1D interval bases, so only the model
     # pieces of the config are used: the volume source is dropped, and
-    # the configured constants are studied, chi under "no-chemotaxis" too
+    # the configured constants are studied, chi and K in a limit mode too
     model = config.build_model(config.build_basis())
     model = replace(model.with_params(config.params), gamma_v=None)
     result = ex.manufactured_solution_study(

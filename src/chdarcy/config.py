@@ -96,13 +96,14 @@ class RunConfig:
 
     def build_model(self, basis: SpectralBasis) -> TumourModel:
         """The model the run integrates: under limit_mode "no-chemotaxis"
-        the chi = 0 model, as the paper obtains it from the full system."""
+        the chi = 0 model and under "no-flow" the K = 0 model, as the
+        paper obtains them from the full system."""
         return TumourModel(
             **self._hypothesis_parts(),
             sigma_inf=md.BoundaryAndInitialData.constant_sigma_inf(
                 self.sigma_inf_value),
             gamma_v=self._build_gamma_v(basis),
-        ).effective(no_chemotaxis=self.limit_mode == "no-chemotaxis")
+        ).effective(self.limit_mode)
 
     def _build_gamma_v(self, basis: SpectralBasis):
         spec = self.gamma_v_spec
@@ -125,7 +126,6 @@ class RunConfig:
             energy_guard=self.energy_guard,
             tol_E=self.tol_E,
             max_halvings=self.max_halvings,
-            no_flow=self.limit_mode == "no-flow",
         )
 
     def build_initial_state(self, basis: SpectralBasis) -> SimState:
@@ -374,7 +374,7 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         ck.fail("$.scheme", "must be an object")
 
     limit_mode = ck.choice(raw, "limit_mode", "$",
-                           {"none", "no-flow", "no-chemotaxis"}) or "none"
+                           md.LIMIT_PARAMETER) or "none"
 
     params_spec = raw.get("params", {})
     params = None

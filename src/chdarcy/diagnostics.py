@@ -15,13 +15,9 @@ import numpy as np
 from . import dynamics as dyn
 from . import model as md
 from . import spectral as sp
-from .dynamics import SimState, StateFields, StepperConfig, Trajectory
+from .dynamics import SimState, StateFields, Trajectory
 from .model import TumourModel
 from .spectral import FieldCoeffs, GridField
-
-
-def _config(config: StepperConfig | None) -> StepperConfig:
-    return config if config is not None else StepperConfig(dt=1.0)
 
 
 @dataclass(frozen=True)
@@ -66,12 +62,10 @@ class EnergyBreakdown:
 
 
 def energy(state: SimState, model: TumourModel,
-           config: StepperConfig | None = None,
            fields: StateFields | None = None) -> EnergyBreakdown:
     """Energy ledger at the state (fields: see dynamics.StateFields)."""
     sp._single_member(state.alpha, "energy")
-    f = fields if fields is not None else dyn.derive(state, model,
-                                                     _config(config))
+    f = fields if fields is not None else dyn.derive(state, model)
     eff = f.model
     params = eff.params
     grid = f.grid
@@ -86,7 +80,7 @@ def energy(state: SimState, model: TumourModel,
                            * sum(g.values ** 2 for g in f.grad_mu)))
     diss_nutrient = float(np.sum(W * f.n_g.values
                                  * sum(g.values ** 2 for g in f.grad_N_sigma)))
-    diss_darcy = (0.0 if f.no_flow or params.K == 0.0 else
+    diss_darcy = (0.0 if f.no_flow else
                   grid.integrate(sum(vi.values ** 2 for vi in f.v)) / params.K)
     diss_boundary = params.D * params.b * float(gamma.data @ f.M_gamma)
 
@@ -157,8 +151,7 @@ def _mass_defect(dt: float, c0: FieldCoeffs, c1: FieldCoeffs,
     return (c1.data[0] - c0.data[0]) * vol_root - dt * rate
 
 
-def energy_identity_residual(traj: Trajectory, model: TumourModel,
-                             config: StepperConfig | None = None
+def energy_identity_residual(traj: Trajectory, model: TumourModel
                              ) -> ResidualSeries:
     """Per-interval defect of the energy balance (_energy_defect).
 
@@ -166,7 +159,7 @@ def energy_identity_residual(traj: Trajectory, model: TumourModel,
     """
     if len(traj) < 2:
         raise ValueError("need at least two snapshots")
-    breakdowns = [energy(s, model, config) for s in traj.states]
+    breakdowns = [energy(s, model) for s in traj.states]
     times = np.asarray(traj.times)
     res = np.empty(len(traj) - 1)
     for n in range(len(res)):
@@ -204,22 +197,21 @@ def _mass_rates(f: StateFields) -> tuple[float, float]:
     return rate_phi, rate_sigma
 
 
-def mass_balance_residuals(traj: Trajectory, model: TumourModel,
-                           config: StepperConfig | None = None) -> MassBalance:
+def mass_balance_residuals(traj: Trajectory, model: TumourModel
+                           ) -> MassBalance:
     """Defects of the two mass laws over each recorded interval
     (_mass_defect).
 
     Exact (to roundoff) for the IMEX stepper when snapshots are taken
     every step, because the constant mode sees no implicit damping.
     """
-    config = _config(config)
     if len(traj) < 2:
         raise ValueError("need at least two snapshots")
     states, times = traj.states, np.asarray(traj.times)
     r_phi, r_sigma = np.empty(len(traj) - 1), np.empty(len(traj) - 1)
     for i, (s0, s1) in enumerate(zip(states, states[1:])):
         dt = times[i + 1] - times[i]
-        rate_phi, rate_sigma = _mass_rates(dyn.derive(s0, model, config))
+        rate_phi, rate_sigma = _mass_rates(dyn.derive(s0, model))
         r_phi[i] = _mass_defect(dt, s0.alpha, s1.alpha, rate_phi)
         r_sigma[i] = _mass_defect(dt, s0.gamma, s1.gamma, rate_sigma)
     masses = np.array([(s.alpha.data[0], s.gamma.data[0]) for s in states]) \
@@ -238,8 +230,7 @@ class WeakResidual:
 
 
 def weak_residual(traj: Trajectory, j: int, equation: str,
-                  model: TumourModel,
-                  config: StepperConfig | None = None) -> WeakResidual:
+                  model: TumourModel) -> WeakResidual:
     """Residual of one weak-form equation against test function j.
 
     Evolution equations (phi, sigma) difference the stored coefficients
@@ -247,7 +238,6 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
     velocity) are re-evaluated on a 4x oversampled grid and should hold
     to roundoff at every snapshot.
     """
-    config = _config(config)
     basis = traj.states[0].basis
     if not (0 <= j < basis.n_modes):
         raise IndexError(f"test index {j} outside 0..{basis.n_modes - 1}")
@@ -259,7 +249,7 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
         res = np.empty(len(traj) - 1)
         for n in range(len(res)):
             dt = times[n + 1] - times[n]
-            da, dg = dyn.rhs(traj.states[n], model, config)
+            da, dg = dyn.rhs(traj.states[n], model)
             rate = da[j] if equation == "phi" else dg[j]
             left = traj.states[n].alpha if equation == "phi" else traj.states[n].gamma
             right = traj.states[n + 1].alpha if equation == "phi" else traj.states[n + 1].gamma
@@ -271,7 +261,7 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
     max_abs = 0.0
     grid4 = basis.quadrature_grid(oversample=4.0)
     for state in traj.states:
-        der = dyn.derive(state, model, config)
+        der = dyn.derive(state, model)
         eff = der.model
         params = eff.params
         phi4 = sp.to_grid(state.alpha, grid4)
@@ -282,7 +272,7 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
                       - params.chi * state.gamma.data[j])
             r = der.mu.data[j] - expect
         elif equation == "pressure":
-            if config.no_flow:
+            if der.no_flow:  # K = 0: no Gamma_v / K to form
                 r = der.p.data[j]
             else:
                 grad_phi4 = sp.gradient_on_grid(state.alpha, grid4)
@@ -296,7 +286,7 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
                     rhs_j = 0.0
                 r = basis.eigenvalues[j] * der.p.data[j] - rhs_j
         else:  # velocity, pointwise on the grid where v lives
-            if config.no_flow:
+            if der.no_flow:
                 r = max(float(np.max(np.abs(vi.values))) for vi in der.v)
             else:
                 grad_p = sp.gradient_on_grid(der.p, der.grid)
@@ -320,15 +310,14 @@ class PressureReformulations:
     max_spread: float
 
 
-def pressure_reformulations(state: SimState, model: TumourModel,
-                            config: StepperConfig | None = None
+def pressure_reformulations(state: SimState, model: TumourModel
                             ) -> PressureReformulations:
     """The three rescaled pressures and the Darcy work density.
 
     lambda_v = p - mu phi - (D/2) sigma^2 is evaluated through each of
     the rescaled pressures; all three routes must agree pointwise.
     """
-    f = dyn.derive(state, model, _config(config))
+    f = dyn.derive(state, model)
     eff, params, grid = f.model, f.model.params, f.grid
     phi = f.phi_g.values
     sigma = f.sigma_g.values
@@ -489,16 +478,14 @@ def velocity_time_norms(times, v_sq, K: float) -> tuple[float, float]:
 
 
 def norm_suite(traj: Trajectory, model: TumourModel,
-               config: StepperConfig | None = None,
                velocity_gradient: bool = False) -> NormSuite:
     """Time-aggregated norms of the solution quintuple over a window."""
-    config = _config(config)
     times = np.asarray(traj.times)
     acc = {name: ([], []) for name in ("phi", "sigma", "mu", "p")}
     velocities = []
     dv = [] if velocity_gradient else None
     for state in traj.states:
-        der = dyn.derive(state, model, config)
+        der = dyn.derive(state, model)
         for name, coeffs in (("phi", state.alpha), ("sigma", state.gamma),
                              ("mu", der.mu), ("p", der.p)):
             acc[name][0].append(sp.norm(coeffs))
@@ -581,9 +568,8 @@ class DiagnosticsCollector:
     laws and the energy identity, so its state can be checkpointed.
     """
 
-    def __init__(self, model: TumourModel, config: StepperConfig):
+    def __init__(self, model: TumourModel):
         self.model = model
-        self.config = config
         self.records: list[DiagnosticsRecord] = []
         self._prev = None  # last snapshot: state, energy ledger, mass rates
         self._acc = np.zeros(4)
@@ -593,7 +579,7 @@ class DiagnosticsCollector:
 
     def restore(self, acc: np.ndarray, last_state: SimState):
         self._acc = np.asarray(acc, dtype=float).copy()
-        f = dyn.derive(last_state, self.model, self.config)
+        f = dyn.derive(last_state, self.model)
         self._prev = (last_state, energy(last_state, self.model, fields=f),
                       _mass_rates(f))
 
@@ -630,8 +616,8 @@ class DiagnosticsCollector:
             norm_mu_H1=sp.norm(fields.mu, "H1"),
             norm_grad_sigma=sp.norm(state.gamma, "H1-seminorm"),
             norm_v_L2=v_L2,
-            norm_v_scaled=(float(v_L2 / np.sqrt(params.K))
-                           if params.K > 0 and not fields.no_flow else 0.0),
+            norm_v_scaled=(0.0 if fields.no_flow
+                           else float(v_L2 / np.sqrt(params.K))),
             norm_p_H1=sp.norm(fields.p, "H1"),
             norm_sigma_boundary=float(np.sqrt(max(0.0, sigma_bdry_sq))),
             acc_diss=tuple(self._acc),

@@ -67,7 +67,6 @@ class StepperConfig:
     energy_guard: bool = False
     tol_E: float = 0.0          # absolute slack allowed per guarded step
     max_halvings: int = 8
-    no_flow: bool = False
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -122,18 +121,18 @@ def project_initial_data(phi0, sigma0, basis: SpectralBasis
 
 @dataclass(frozen=True, eq=False)
 class StateFields:
-    """Everything a (model, config) pair fixes algebraically at one state.
+    """Everything a model fixes algebraically at one state.
 
     Only phi and sigma evolve; mu, p, v and the sources follow from them
     at each instant.  Built by derive and never stored on the state; a
-    function taking `fields` uses it in place of derive(state, model,
-    config), so one evaluation serves the step, the energy ledger, the
-    mass rates and the observer, and none of them rebuilds what it holds.
+    function taking `fields` uses it in place of derive(state, model),
+    so one evaluation serves the step, the energy ledger, the mass rates
+    and the observer, and none of them rebuilds what it holds.
     """
 
     state: SimState
     model: TumourModel
-    no_flow: bool        # p and v are identically zero
+    no_flow: bool        # K = 0: p and v are identically zero
     grid: QuadratureGrid
     phi_g: GridField
     sigma_g: GridField
@@ -151,13 +150,22 @@ class StateFields:
     M_gamma: np.ndarray   # int_bdry sigma w_j, the boundary mass times gamma
 
 
-def derive(state: SimState, model: TumourModel,
-           config: StepperConfig) -> StateFields:
+def _no_flow(model: TumourModel) -> bool:
+    """Whether K = 0 for every member, the zero-velocity limit; a batch
+    mixing K = 0 and K > 0 is refused."""
+    zero = np.asarray(model.params.K) == 0.0
+    if zero.any() and not zero.all():
+        raise ValueError("a batch mixes K = 0 and K > 0")
+    return bool(zero.all())
+
+
+def derive(state: SimState, model: TumourModel) -> StateFields:
     """Evaluate the state: grid values, mu, p, v, the sources, the
     mobilities, the nutrient flux gradient and the boundary product.
 
     phi, sigma and mu are each synthesized and differentiated once; mu
     and the Darcy solve take those grid fields instead of redoing them.
+    At K = 0 p and v are exact zeros and no Darcy system is solved.
     """
     basis = state.basis
     grid = sp.default_grid(basis)
@@ -167,14 +175,13 @@ def derive(state: SimState, model: TumourModel,
     mu = md.chemical_potential(state.alpha, state.gamma, model.params,
                                model.potential, grid, phi_g=phi_g)
     mu_g = sp.to_grid(mu, grid)
-    if config.no_flow:
+    no_flow = _no_flow(model)
+    if no_flow:
         members = state.alpha.data.shape[:-1]
         p = FieldCoeffs(basis, np.zeros(members + (basis.n_modes,)))
         v = tuple(GridField(grid, np.zeros(members + grid.npoints))
                   for _ in range(basis.dim))
     else:
-        if sp._any_member(model.params.K <= 0):
-            raise ValueError("K = 0 requires no-flow mode")
         gv = model.gamma_v(state.t) if model.gamma_v is not None else None
         p, v = md.solve_darcy(state.alpha, mu, state.gamma, gv,
                               model.params, grid, grad_phi=grad_phi,
@@ -182,7 +189,7 @@ def derive(state: SimState, model: TumourModel,
     gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, model.sources)
     chi = sp._per_member(model.params.chi, phi_g.values)
     return StateFields(
-        state=state, model=model, no_flow=config.no_flow, grid=grid,
+        state=state, model=model, no_flow=no_flow, grid=grid,
         phi_g=phi_g, sigma_g=sigma_g, mu_g=mu_g,
         grad_phi=grad_phi,
         grad_mu=sp.gradient_on_grid(mu, grid),
@@ -197,14 +204,14 @@ def derive(state: SimState, model: TumourModel,
     )
 
 
-def rhs(state: SimState, model: TumourModel, config: StepperConfig,
+def rhs(state: SimState, model: TumourModel,
         fields: StateFields | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Matrix-free right-hand side of the coefficient ODE system.
 
     Each equation is tested against every w_j once: its fluxes are added
     on the grid and projected together with its source by sp.weak_form.
     """
-    f = fields if fields is not None else derive(state, model, config)
+    f = fields if fields is not None else derive(state, model)
     params = f.model.params
     grid = f.grid
 
@@ -252,7 +259,6 @@ class DenseGalerkinOperators:
 
 
 def dense_galerkin_operators(state: SimState, model: TumourModel,
-                             config: StepperConfig,
                              oversample: float = 4.0) -> DenseGalerkinOperators:
     """Assemble every operator on an oversampled grid; the rhs oracle."""
     params = model.params
@@ -293,8 +299,8 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
         - params.chi * state.gamma.data
     mu_g = (basis_vals.T @ beta).reshape(grid.npoints)
 
-    # Darcy on the dense grid
-    if config.no_flow:
+    # Darcy on the dense grid; at K = 0 nothing to solve (no Gamma_v / K)
+    if _no_flow(model):
         p = FieldCoeffs(basis, np.zeros(k))
         v_vals = [np.zeros(nflat) for _ in range(basis.dim)]
     else:
@@ -312,7 +318,7 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
     C = sum(
         (gb * (Wf * vv)) @ basis_vals.T
         for gb, vv in zip(basis_grads, v_vals)
-    ) if not config.no_flow else np.zeros((k, k))
+    )
 
     gamma_phi_g = model.sources.gamma_phi(phi_g, mu_g, sigma_g)
     S_vals = model.sources.S(phi_g, mu_g, sigma_g)
@@ -328,12 +334,12 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
     )
 
 
-def dense_rhs(state: SimState, model: TumourModel, config: StepperConfig,
+def dense_rhs(state: SimState, model: TumourModel,
               ops: DenseGalerkinOperators | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side assembled from the dense operators."""
     if ops is None:
-        ops = dense_galerkin_operators(state, model, config)
+        ops = dense_galerkin_operators(state, model)
     params = model.params
     dalpha = -ops.S_m @ ops.beta + ops.R_phi + ops.C @ state.alpha.data
     dgamma = (-ops.S_n @ (params.D * state.gamma.data
@@ -419,12 +425,12 @@ def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
     dt = config.dt
     try:
         if fields is None:
-            fields = derive(state, model, config)
+            fields = derive(state, model)
         if factors is None:
             factors = _implicit_factors(state.basis, model, config, dt)
         if not (config.energy_guard and _source_free(model)):
             return _imex_update(
-                state, rhs(state, model, config, fields=fields), factors, dt)
+                state, rhs(state, model, fields=fields), factors, dt)
     except sp.SpectralError as exc:
         raise BlowUpError("IMEX step produced non-finite values",
                           t=state.t, state=state) from exc
@@ -441,8 +447,8 @@ def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for k in range(nsub):
-                    f = fields if k == 0 else derive(sub, model, config)
-                    sub = _imex_update(sub, rhs(sub, model, config, fields=f),
+                    f = fields if k == 0 else derive(sub, model)
+                    sub = _imex_update(sub, rhs(sub, model, fields=f),
                                        factors, dt / nsub)
         except (sp.SpectralError, FloatingPointError):
             continue  # non-finite substep counts as a rejected interval
@@ -461,10 +467,10 @@ def step_rk4_explicit(state: SimState, config: StepperConfig,
                       fields: StateFields | None = None) -> SimState:
     """Classical RK4 step; oracle integrator for small dt."""
     def tendency(s):
-        return rhs(s, model, config)
+        return rhs(s, model)
 
     try:
-        k1 = rhs(state, model, config, fields=fields)
+        k1 = rhs(state, model, fields=fields)
         new = _rk4_update(state, config.dt, tendency, k1)
     except sp.SpectralError as exc:
         raise BlowUpError("explicit step produced non-finite values",
@@ -528,7 +534,7 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
         if i == n_steps and not due:
             return  # a resumed run already at its horizon
         try:
-            fields = derive(state, model, config)
+            fields = derive(state, model)
         except sp.SpectralError as exc:
             raise BlowUpError("state evaluation produced non-finite values",
                               t=state.t, state=state) from exc

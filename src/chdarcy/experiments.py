@@ -107,24 +107,22 @@ def _difference_norm(a: Trajectory, b: Trajectory, field: str,
 
 def sweep_vanishing_permeability(spec: SweepSpec, model: TumourModel,
                                  initial: SimState) -> list[SweepRow]:
-    """Member runs at decreasing K with b = K, against the no-flow limit."""
+    """Member runs at decreasing K with b = K, against the K = 0 run."""
     if model.gamma_v is not None:
         raise ValueError("permeability sweep requires a zero volume source")
-    limit = model.with_params(model.params.with_(b=0.0))
-    return _sweep(spec, "K", model, initial, limit, no_flow=True)
+    return _sweep(spec, "K", model, initial)
 
 
 def sweep_vanishing_chemotaxis(spec: SweepSpec, model: TumourModel,
                                initial: SimState) -> list[SweepRow]:
     """Member runs at decreasing chi with b = chi, against the chi = 0 run."""
-    limit = model.with_params(model.params.with_(chi=0.0, b=0.0))
-    return _sweep(spec, "chi", model, initial, limit)
+    return _sweep(spec, "chi", model, initial)
 
 
 def _sweep(spec: SweepSpec, parameter: str, model: TumourModel,
-           initial: SimState, limit_model: TumourModel,
-           **limit_config) -> list[SweepRow]:
-    """Members with parameter = b = value, each against the limit run.
+           initial: SimState) -> list[SweepRow]:
+    """Members with parameter = b = value, each against the limit run,
+    the model at parameter = b = 0.
 
     The limit run's trajectory is the reference.  The members then
     advance together as one batched state, each snapshot reduced on
@@ -134,12 +132,15 @@ def _sweep(spec: SweepSpec, parameter: str, model: TumourModel,
     """
     if spec.parameter != parameter:
         raise ValueError(f"spec.parameter must be {parameter!r}")
-    limit = dyn.run(initial.copy(),
-                    StepperConfig(dt=spec.dt, **limit_config),
-                    limit_model, spec.T, cadence=spec.cadence)
+
+    def at(value):
+        return model.with_params(
+            model.params.with_(**{parameter: value, "b": value}))
+
+    limit = dyn.run(initial.copy(), StepperConfig(dt=spec.dt), at(0.0),
+                    spec.T, cadence=spec.cadence)
     values = np.array(spec.values)
-    members = model.with_params(
-        model.params.with_(**{parameter: values, "b": values}))
+    members = at(values)
     batch = SimState(initial.t, *(
         FieldCoeffs(initial.basis, np.tile(c.data, (len(values), 1)))
         for c in (initial.alpha, initial.gamma)))
@@ -149,10 +150,9 @@ def _sweep(spec: SweepSpec, parameter: str, model: TumourModel,
         pass
     rows = []
     for value in spec.values:
-        member = model.with_params(
-            model.params.with_(**{parameter: value, "b": value}))
         try:
-            rows += _member_rows(spec, (value,), member, initial.copy(), limit)
+            rows += _member_rows(spec, (value,), at(value), initial.copy(),
+                                 limit)
         except dyn.StepFailureError as exc:
             rows.append(SweepRow(value, np.nan, np.nan, np.nan, np.nan,
                                  failed=str(exc)))
@@ -275,12 +275,11 @@ class ManufacturedSolution:
 
 
 def _forcing(ms: ManufacturedSolution, basis: SpectralBasis, t: float,
-             model: TumourModel, config: StepperConfig
-             ) -> tuple[np.ndarray, np.ndarray]:
+             model: TumourModel) -> tuple[np.ndarray, np.ndarray]:
     """f(t) = d/dt c*(t) - rhs(c*(t)): makes c* an exact ODE solution."""
     cp, cs = ms.coeffs(basis, t)
     rp, rs = ms.rate_coeffs(basis, t)
-    da, dg_ = dyn.rhs(SimState(t, cp, cs), model, config)
+    da, dg_ = dyn.rhs(SimState(t, cp, cs), model)
     return rp - da, rs - dg_
 
 
@@ -289,8 +288,8 @@ def _forced_step(state: SimState, model: TumourModel, config: StepperConfig,
     """One step of config.scheme with the forcing f added to the rhs;
     factors are the IMEX step's dyn._implicit_factors."""
     def forced_rhs(s):
-        da, dg_ = dyn.rhs(s, model, config)
-        fa, fg = _forcing(ms, s.basis, s.t, model, config)
+        da, dg_ = dyn.rhs(s, model)
+        fa, fg = _forcing(ms, s.basis, s.t, model)
         return da + fa, dg_ + fg
 
     if config.scheme == "imex1":

@@ -193,6 +193,10 @@ class BoundaryAndInitialData:
         return lambda t: value
 
 
+# the constant each limit_mode sends to zero
+LIMIT_PARAMETER = {"none": None, "no-chemotaxis": "chi", "no-flow": "K"}
+
+
 @dataclass
 class TumourModel:
     """Everything the dynamics needs: constants, closures, and data."""
@@ -222,11 +226,14 @@ class TumourModel:
             gamma_v=self.gamma_v,
         )
 
-    def effective(self, no_chemotaxis: bool = False) -> "TumourModel":
-        """Model with chemotaxis and active transport switched off."""
-        if not no_chemotaxis or not sp._any_member(self.params.chi != 0.0):
+    def effective(self, limit_mode: str) -> "TumourModel":
+        """The model a limit_mode integrates.  The paper's limit systems
+        are the full system at chi = 0 ("no-chemotaxis": no chemotaxis or
+        active transport) and at K = 0 ("no-flow": zero velocity)."""
+        name = LIMIT_PARAMETER[limit_mode]
+        if name is None or not sp._any_member(getattr(self.params, name) != 0):
             return self
-        return self.with_params(self.params.with_(chi=0.0))
+        return self.with_params(self.params.with_(**{name: 0.0}))
 
 
 def chemical_potential(phi: FieldCoeffs, sigma: FieldCoeffs,

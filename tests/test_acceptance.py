@@ -43,7 +43,7 @@ def build_run(spec):
 def reference_run():
     """In-process reference run with full per-step diagnostics."""
     config, basis, model, stepper, initial = build_run(load_reference_spec())
-    collector = dg.DiagnosticsCollector(model, stepper)
+    collector = dg.DiagnosticsCollector(model)
     traj = dyn.run(initial, stepper, model, config.T,
                    observer=collector.observe, cadence=1)
     return config, basis, model, stepper, traj, collector.records
@@ -61,7 +61,7 @@ def lyapunov_records():
     out = {}
     for dt in (1e-3, 5e-4):
         stepper = dyn.StepperConfig(dt=dt, energy_guard=True, tol_E=1e-10)
-        collector = dg.DiagnosticsCollector(model, stepper)
+        collector = dg.DiagnosticsCollector(model)
         dyn.run(initial.copy(), stepper, model, config.T,
                 observer=collector.observe, cadence=1)
         out[dt] = collector.records
@@ -108,7 +108,7 @@ def test_reference_128_steps_within_memory():
 
     config, basis, model, stepper, initial = build_run(
         load_reference_spec(modes=[128, 128], T=2 * 0.001))
-    collector = dg.DiagnosticsCollector(model, stepper)
+    collector = dg.DiagnosticsCollector(model)
     tracemalloc.start()
     try:
         traj = dyn.run(initial, stepper, model, config.T,
@@ -124,12 +124,11 @@ def test_oracle_equivalence_dense_vs_matrix_free():
     # 2D, 6 modes per dimension, 10 seeded states, relative mismatch 1e-8
     basis = sp.build_basis(sp.Domain("rectangle", (1.0, 1.0)), (6, 6))
     model = make_model()
-    config = dyn.StepperConfig(dt=1e-3)
     worst = 0.0
     for seed in range(10):
         state = random_state(basis, seed, scale=0.25)
-        da, dgm = dyn.rhs(state, model, config)
-        da2, dg2 = dyn.dense_rhs(state, model, config)
+        da, dgm = dyn.rhs(state, model)
+        da2, dg2 = dyn.dense_rhs(state, model)
         scale = max(1.0, np.max(np.abs(da2)), np.max(np.abs(dg2)))
         worst = max(worst,
                     np.max(np.abs(da - da2)) / scale,
@@ -169,7 +168,7 @@ def test_weak_formulation_residuals(reference_run):
         sub.append(traj.states[i])
     for equation in ("mu", "pressure", "velocity"):
         for j in (0, 3):
-            r = dg.weak_residual(sub, j, equation, model, stepper)
+            r = dg.weak_residual(sub, j, equation, model)
             assert r.max_abs < 1e-10, (equation, j, r.max_abs)
 
     # evolution residuals halve with dt within 25%; the window starts
@@ -180,7 +179,7 @@ def test_weak_formulation_residuals(reference_run):
         cfg = dyn.StepperConfig(dt=dt)
         window = dyn.run(initial.copy(), cfg, model, 0.02)
         vals[dt] = {
-            eq: dg.weak_residual(window, 3, eq, model, cfg).integrated
+            eq: dg.weak_residual(window, 3, eq, model).integrated
             for eq in ("phi", "sigma")
         }
     for eq in ("phi", "sigma"):

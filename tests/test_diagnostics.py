@@ -80,7 +80,7 @@ class TestSingleModeOracle:
             dpsi=lambda t: kappa * t,
             d2psi=lambda t: np.full_like(np.asarray(t, float), kappa),
             R1=0.125, R2=1.0)
-        params = make_params(chi=0.0, b=0.0)
+        params = make_params(K=0.0, chi=0.0, b=0.0)
         model = make_model(params, sources="zero", potential=pot)
         return params, model, kappa
 
@@ -89,14 +89,13 @@ class TestSingleModeOracle:
         # dissipation channel is |grad mu|^2 = lam (A kappa + B lam)^2 alpha^2
         params, model, kappa = self.setup_linear()
         basis = sp.build_basis(sp.Domain("interval", (1.0,)), 6)
-        config = dyn.StepperConfig(dt=1e-3, no_flow=True)
         data = np.zeros(basis.n_modes)
         data[2] = 0.4
         state = dyn.SimState(0.0, sp.FieldCoeffs(basis, data),
                              sp.constant_field(basis, 0.0))
         lam = basis.eigenvalues[2]
         coef = params.A * kappa + params.B * lam
-        bd = dg.energy(state, model, config)
+        bd = dg.energy(state, model)
         assert abs(bd.total - 0.5 * coef * 0.4 ** 2) < 1e-12
         assert abs(bd.diss_mu - lam * coef ** 2 * 0.4 ** 2) < 1e-10
         assert abs(bd.power + bd.dissipation) < 1e-12  # no work terms
@@ -108,7 +107,7 @@ class TestEnergyIdentity:
         config = dyn.StepperConfig(dt=1e-3)
         traj = dyn.run(constant_state(interval_basis, 1.0, 0.0),
                        config, model, 0.01)
-        res = dg.energy_identity_residual(traj, model, config)
+        res = dg.energy_identity_residual(traj, model)
         assert res.max_abs < 1e-13
 
     def test_first_order_in_dt(self, interval_basis):
@@ -119,7 +118,7 @@ class TestEnergyIdentity:
         def integral(dt):
             config = dyn.StepperConfig(dt=dt)
             traj = dyn.run(state.copy(), config, model, T)
-            return dg.energy_identity_residual(traj, model, config).integral_abs
+            return dg.energy_identity_residual(traj, model).integral_abs
 
         ratio = integral(1e-3) / integral(5e-4)
         assert 1.5 < ratio < 2.7
@@ -140,7 +139,7 @@ class TestMassBalance:
         config = dyn.StepperConfig(dt=1e-3)
         traj = dyn.run(constant_state(interval_basis, 1.0, 0.2),
                        config, model, 0.05)
-        mb = dg.mass_balance_residuals(traj, model, config)
+        mb = dg.mass_balance_residuals(traj, model)
         assert mb.max_rel_phi < 1e-13
         assert mb.max_rel_sigma < 1e-13
         masses = [s.gamma.data[0] for s in traj.states]
@@ -155,7 +154,7 @@ class TestMassBalance:
         traj.states[-1] = dyn.SimState(traj.states[-1].t,
                                        sp.FieldCoeffs(interval_basis, bad),
                                        traj.states[-1].gamma)
-        mb = dg.mass_balance_residuals(traj, model, config)
+        mb = dg.mass_balance_residuals(traj, model)
         assert mb.max_rel_phi > 1e-4
 
 
@@ -175,18 +174,17 @@ class TestWeakResiduals:
     @pytest.mark.parametrize("equation", ["mu", "pressure", "velocity"])
     def test_algebraic_relations_hold_to_roundoff(self, traj_pair, equation):
         model, out = traj_pair
-        traj, config = out[1e-3]
+        traj, _ = out[1e-3]
         for j in (0, 3):
-            r = dg.weak_residual(traj, j, equation, model, config)
+            r = dg.weak_residual(traj, j, equation, model)
             assert r.max_abs < 1e-9
 
     @pytest.mark.parametrize("equation", ["phi", "sigma"])
     def test_evolution_residual_first_order(self, traj_pair, equation):
         model, out = traj_pair
         vals = {}
-        for dt, (traj, config) in out.items():
-            vals[dt] = dg.weak_residual(traj, 3, equation, model,
-                                        config).integrated
+        for dt, (traj, _) in out.items():
+            vals[dt] = dg.weak_residual(traj, 3, equation, model).integrated
         ratio = vals[1e-3] / vals[5e-4]
         assert 1.5 < ratio < 2.7
 
@@ -195,9 +193,9 @@ class TestWeakResiduals:
         config = dyn.StepperConfig(dt=1e-3)
         traj = dyn.run(random_state(interval_basis, 1), config, model, 0.002)
         with pytest.raises(IndexError):
-            dg.weak_residual(traj, 99, "phi", model, config)
+            dg.weak_residual(traj, 99, "phi", model)
         with pytest.raises(ValueError):
-            dg.weak_residual(traj, 0, "vorticity", model, config)
+            dg.weak_residual(traj, 0, "vorticity", model)
 
 
 class TestPressureReformulations:
@@ -296,7 +294,7 @@ class TestNormSuite:
         config = dyn.StepperConfig(dt=1e-3)
         traj = dyn.run(constant_state(interval_basis, 1.0, 0.0),
                        config, model, 0.01)
-        ns = dg.norm_suite(traj, model, config)
+        ns = dg.norm_suite(traj, model)
         assert ns.v_l2l2 < 1e-13
         assert abs(ns.phi.linf_l2 - 1.0) < 1e-13
 
@@ -305,15 +303,15 @@ class TestNormSuite:
         model = make_model(params)
         config = dyn.StepperConfig(dt=1e-3)
         traj = dyn.run(random_state(rect_basis, 33), config, model, 0.005)
-        ns = dg.norm_suite(traj, model, config)
+        ns = dg.norm_suite(traj, model)
         assert abs(ns.v_l2l2_scaled - ns.v_l2l2 / np.sqrt(0.25)) < 1e-13
 
     def test_velocity_gradient_optional(self, interval_basis):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
         traj = dyn.run(random_state(interval_basis, 34), config, model, 0.005)
-        assert dg.norm_suite(traj, model, config).dv_l2 is None
-        ns = dg.norm_suite(traj, model, config, velocity_gradient=True)
+        assert dg.norm_suite(traj, model).dv_l2 is None
+        ns = dg.norm_suite(traj, model, velocity_gradient=True)
         assert ns.dv_l2 is not None and len(ns.dv_l2) == len(traj)
 
 
@@ -321,7 +319,7 @@ class TestCollector:
     def test_accumulators_nondecreasing_and_rows_consistent(self, interval_basis):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model, config)
+        collector = dg.DiagnosticsCollector(model)
         seen = []
 
         def observer(step, t, state):
@@ -343,14 +341,14 @@ class TestCollector:
         config = dyn.StepperConfig(dt=1e-3)
         initial = random_state(interval_basis, 12, scale=0.1)
 
-        full = dg.DiagnosticsCollector(model, config)
+        full = dg.DiagnosticsCollector(model)
         dyn.run(initial.copy(), config, model, 0.01,
                 observer=full.observe)
 
-        first = dg.DiagnosticsCollector(model, config)
+        first = dg.DiagnosticsCollector(model)
         traj = dyn.run(initial.copy(), config, model, 0.005,
                        observer=first.observe)
-        second = dg.DiagnosticsCollector(model, config)
+        second = dg.DiagnosticsCollector(model)
         second.restore(first.accumulators(), traj.states[-1])
         dyn.run(traj.states[-1], config, model, 0.005,
                 observer=second.observe, observe_initial=False)
@@ -396,7 +394,7 @@ class TestOneLedger:
         basis = sp.build_basis(sp.Domain("rectangle", (1.0, 1.0)), (8, 8))
         model = make_model()  # b = 0.1, Hawkins sources
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model, config)
+        collector = dg.DiagnosticsCollector(model)
         n = 20
         dyn.run(random_state(basis, 7, scale=0.1), config, model,
                 n * config.dt, observer=collector.observe)
@@ -408,12 +406,12 @@ class TestOneLedger:
         basis = sp.build_basis(sp.Domain("rectangle", (1.5, 0.8)), (8, 6))
         model = make_model(make_params(b=0.3))  # Hawkins sources
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model, config)
+        collector = dg.DiagnosticsCollector(model)
         traj = dyn.run(random_state(basis, 21, scale=0.1), config, model,
                        0.02, observer=collector.observe)
         rows = collector.records[1:]
-        mb = dg.mass_balance_residuals(traj, model, config)
-        ei = dg.energy_identity_residual(traj, model, config)
+        mb = dg.mass_balance_residuals(traj, model)
+        ei = dg.energy_identity_residual(traj, model)
         assert same_bits(mb.phi_residuals, [r.res_mass_phi for r in rows])
         assert same_bits(mb.sigma_residuals,
                          [r.res_mass_sigma for r in rows])

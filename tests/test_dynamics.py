@@ -84,43 +84,55 @@ class TestProjection:
 class TestRhs:
     def test_double_well_equilibrium(self, interval_basis):
         model = make_model(make_params(b=0.1), sources="zero", sigma_inf=0.0)
-        config = dyn.StepperConfig(dt=1e-3)
         state = dyn.SimState(0.0, sp.constant_field(interval_basis, 1.0),
                              sp.constant_field(interval_basis, 0.0))
-        da, dgm = dyn.rhs(state, model, config)
+        da, dgm = dyn.rhs(state, model)
         assert np.max(np.abs(da)) < 1e-13
         assert np.max(np.abs(dgm)) < 1e-13
 
     def test_constant_mode_conserved_without_sources(self, rect_basis):
         model = make_model(make_params(b=0.0), sources="zero")
-        config = dyn.StepperConfig(dt=1e-3)
         state = random_state(rect_basis, 17)
-        da, dgm = dyn.rhs(state, model, config)
+        da, dgm = dyn.rhs(state, model)
         assert abs(da[0]) < 1e-13
         assert abs(dgm[0]) < 1e-13
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_dense_oracle_1d(self, seed):
+    @pytest.mark.parametrize("seed, K", [
+        *(pytest.param(seed, 1.0, id=f"{seed}") for seed in range(5)),
+        *(pytest.param(seed, 0.0, id=f"{seed}-K0") for seed in range(5)),
+    ])
+    def test_matches_dense_oracle_1d(self, seed, K):
         basis = sp.build_basis(sp.Domain("interval", (1.0,)), 8)
-        model = make_model()
-        config = dyn.StepperConfig(dt=1e-3)
+        if K == 0.0:
+            # a zero-mean volume source, which K = 0 must never divide by K
+            data = np.zeros(basis.n_modes)
+            data[2] = 0.7
+            gv = sp.FieldCoeffs(basis, data)
+            model = make_model(make_params(K=0.0), gamma_v=lambda t: gv)
+        else:
+            model = make_model()
         state = random_state(basis, seed, scale=0.3)
-        da, dgm = dyn.rhs(state, model, config)
-        da2, dg2 = dyn.dense_rhs(state, model, config)
+        da, dgm = dyn.rhs(state, model)
+        ops = dyn.dense_galerkin_operators(state, model)
+        da2, dg2 = dyn.dense_rhs(state, model, ops)
         scale = max(1.0, np.max(np.abs(da2)), np.max(np.abs(dg2)))
         assert np.max(np.abs(da - da2)) / scale < 1e-8
         assert np.max(np.abs(dgm - dg2)) / scale < 1e-8
+        if K == 0.0:
+            f = dyn.derive(state, model)
+            for p, v in ((f.p, f.v), (ops.p, ops.v)):
+                assert np.all(p.data == 0.0)
+                assert all(np.all(vi.values == 0.0) for vi in v)
 
     def test_robin_term_tracks_length_across_recycled_bases(self):
         # Bases are built and dropped in turn, so their ids get reused;
         # each one's boundary term must still follow its own length L.
         model = make_model(make_params(b=0.5))
-        config = dyn.StepperConfig(dt=1e-3)
         for i in range(300):
             basis = sp.build_basis(sp.Domain("interval", (0.5 + i / 200,)), 8)
             state = random_state(basis, i, scale=0.3)
-            da, dgm = dyn.rhs(state, model, config)
-            da2, dg2 = dyn.dense_rhs(state, model, config)
+            da, dgm = dyn.rhs(state, model)
+            da2, dg2 = dyn.dense_rhs(state, model)
             scale = max(1.0, np.max(np.abs(da2)), np.max(np.abs(dg2)))
             assert np.max(np.abs(da - da2)) / scale < 1e-8, f"basis {i}"
             assert np.max(np.abs(dgm - dg2)) / scale < 1e-8, f"basis {i}"
@@ -133,7 +145,7 @@ class TestRhs:
         monkeypatch.setattr(sp, "boundary_mass_matrix", refuse)
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model, config)
+        collector = dg.DiagnosticsCollector(model)
         dyn.run(random_state(rect_basis, 23), config, model, 3e-3,
                 observer=collector.observe)
         assert len(collector.records) == 4
@@ -146,9 +158,8 @@ class TestRhs:
     def test_darcy_weak_divergence_matches_volume_source(self, rect_basis):
         # weak divergence of the Darcy velocity reproduces Gamma_v / nothing
         model = make_model()
-        config = dyn.StepperConfig(dt=1e-3)
         state = random_state(rect_basis, 23)
-        der = dyn.derive(state, model, config)
+        der = dyn.derive(state, model)
         div_v = sp.divergence_to_coeffs(der.v)
         assert np.max(np.abs(div_v.data)) < 1e-11
 
@@ -157,23 +168,26 @@ class TestRhs:
         gv = sp.FieldCoeffs(rect_basis, data)
         model_gv = make_model(gamma_v=lambda t: gv)
         state2 = random_state(rect_basis, 24)
-        der2 = dyn.derive(state2, model_gv, config)
+        der2 = dyn.derive(state2, model_gv)
         div_v2 = sp.divergence_to_coeffs(der2.v)
         assert np.max(np.abs(div_v2.data - gv.data)) < 1e-11
 
     def test_no_flow_skips_darcy(self, interval_basis):
         model = make_model(make_params(K=0.0))
-        config = dyn.StepperConfig(dt=1e-3, no_flow=True)
         state = random_state(interval_basis, 3)
-        der = dyn.derive(state, model, config)
+        der = dyn.derive(state, model)
         assert all(np.all(vi.values == 0.0) for vi in der.v)
 
-    def test_k_zero_with_darcy_active_is_an_error(self, interval_basis):
-        model = make_model(make_params(K=0.0))
-        config = dyn.StepperConfig(dt=1e-3)
-        state = random_state(interval_basis, 3)
+    def test_batch_mixing_k_zero_and_k_positive_is_an_error(
+            self, interval_basis):
+        model = make_model(make_params(K=np.array([1.0, 0.0])))
+        states = [random_state(interval_basis, i) for i in (3, 4)]
+        batch = dyn.SimState(0.0, *(
+            sp.FieldCoeffs(interval_basis,
+                           np.stack([getattr(s, f).data for s in states]))
+            for f in ("alpha", "gamma")))
         with pytest.raises(ValueError):
-            dyn.derive(state, model, config)
+            dyn.derive(batch, model)
 
     def test_no_chemotaxis_equals_chi_zero_model(self, interval_basis):
         spec = {
@@ -192,42 +206,37 @@ class TestRhs:
         spec["limit_mode"] = "no-chemotaxis"
         limit = cf.parse_config(json.dumps(spec)).build_model(interval_basis)
         state = random_state(interval_basis, 8)
-        config = dyn.StepperConfig(dt=1e-3)
-        da1, dg1 = dyn.rhs(state, limit, config)
-        da2, dg2 = dyn.rhs(state.copy(), chi0, config)
+        da1, dg1 = dyn.rhs(state, limit)
+        da2, dg2 = dyn.rhs(state.copy(), chi0)
         assert same_bits(da1, da2) and same_bits(dg1, dg2)
 
 
 class TestDenseOperators:
     def test_constant_mobility_stiffness_is_diagonal(self, interval_basis):
         model = make_model(m=0.7)
-        config = dyn.StepperConfig(dt=1e-3)
         state = random_state(interval_basis, 4)
-        ops = dyn.dense_galerkin_operators(state, model, config)
+        ops = dyn.dense_galerkin_operators(state, model)
         assert np.max(np.abs(ops.S_m - 0.7 * np.diag(interval_basis.eigenvalues))) < 1e-10
 
     def test_stiffness_symmetric_psd(self, rect_basis):
         model = make_model()
-        config = dyn.StepperConfig(dt=1e-3)
         state = random_state(rect_basis, 6)
-        ops = dyn.dense_galerkin_operators(state, model, config)
+        ops = dyn.dense_galerkin_operators(state, model)
         for M in (ops.S_m, ops.S_n, ops.M_bdry):
             assert np.max(np.abs(M - M.T)) < 1e-10
             assert np.min(np.linalg.eigvalsh(M)) > -1e-10
 
     def test_psi_vector_vanishes_at_zero(self, interval_basis):
         model = make_model()
-        config = dyn.StepperConfig(dt=1e-3)
         state = dyn.SimState(0.0, sp.constant_field(interval_basis, 0.0),
                              sp.constant_field(interval_basis, 0.0))
-        ops = dyn.dense_galerkin_operators(state, model, config)
+        ops = dyn.dense_galerkin_operators(state, model)
         assert np.max(np.abs(ops.psi_vec)) < 1e-14
 
     def test_convection_zero_in_no_flow(self, interval_basis):
-        model = make_model()
-        config = dyn.StepperConfig(dt=1e-3, no_flow=True)
+        model = make_model(make_params(K=0.0))
         state = random_state(interval_basis, 5)
-        ops = dyn.dense_galerkin_operators(state, model, config)
+        ops = dyn.dense_galerkin_operators(state, model)
         assert np.all(ops.C == 0.0)
 
 
@@ -244,10 +253,10 @@ class TestImex:
     def test_linear_mode_is_backward_euler(self):
         kappa = 2.0
         basis = sp.build_basis(sp.Domain("interval", (1.0,)), 6)
-        params = make_params(chi=0.0, b=0.0)
+        params = make_params(K=0.0, chi=0.0, b=0.0)
         model = make_model(params, sources="zero",
                            potential=linear_test_potential(kappa))
-        config = dyn.StepperConfig(dt=1e-2, kappa=kappa, no_flow=True)
+        config = dyn.StepperConfig(dt=1e-2, kappa=kappa)
         data = np.zeros(basis.n_modes)
         data[2] = 1.0
         state = dyn.SimState(0.0, sp.FieldCoeffs(basis, data),
@@ -285,9 +294,9 @@ class TestImex:
         state = random_state(interval_basis, 30, scale=0.2)
         config = dyn.StepperConfig(dt=1e-3, energy_guard=True, tol_E=0.0,
                                    max_halvings=6)
-        e0 = dg.energy(state, model, config).total
+        e0 = dg.energy(state, model).total
         new = dyn.step_imex(state, config, model)
-        assert dg.energy(new, model, config).total <= e0 + 1e-12
+        assert dg.energy(new, model).total <= e0 + 1e-12
 
 
     def test_nonfinite_step_is_blowup(self, interval_basis):
@@ -303,11 +312,11 @@ class TestRk4:
     def test_linear_mode_matches_exponential(self):
         kappa = 2.0
         basis = sp.build_basis(sp.Domain("interval", (1.0,)), 6)
-        params = make_params(chi=0.0, b=0.0)
+        params = make_params(K=0.0, chi=0.0, b=0.0)
         model = make_model(params, sources="zero",
                            potential=linear_test_potential(kappa))
         dt = 1e-3
-        config = dyn.StepperConfig(dt=dt, scheme="rk4-explicit", no_flow=True)
+        config = dyn.StepperConfig(dt=dt, scheme="rk4-explicit")
         data = np.zeros(basis.n_modes)
         data[1] = 1.0
         state = dyn.SimState(0.0, sp.FieldCoeffs(basis, data),
@@ -364,29 +373,28 @@ class TestRun:
         config = dyn.StepperConfig(dt=1e-3)
         state = random_state(rect_basis, 19)
         traj = dyn.run(state, config, model, 0.01)
-        mb = dg.mass_balance_residuals(traj, model, config)
+        mb = dg.mass_balance_residuals(traj, model)
         norm = 1.0 + state.norm()
         assert np.max(np.abs(mb.phi_residuals)) < 1e-12 * norm
         assert np.max(np.abs(mb.sigma_residuals)) < 1e-12 * norm
 
 
 class TestPureEvaluation:
-    def test_rhs_follows_the_config_it_is_given(self, interval_basis):
+    def test_rhs_follows_the_model_it_is_given(self, interval_basis):
         model = make_model(make_params(chi=0.3))
+        limit = make_model(make_params(K=0.0, chi=0.3))
         state = random_state(interval_basis, 8)
         fresh = state.copy()
-        plain = dyn.StepperConfig(dt=1e-3)
-        limit = dyn.StepperConfig(dt=1e-3, no_flow=True)
-        dyn.rhs(state, model, plain)
-        da, dgm = dyn.rhs(state, model, limit)
-        da_fresh, dg_fresh = dyn.rhs(fresh, model, limit)
+        dyn.rhs(state, model)
+        da, dgm = dyn.rhs(state, limit)
+        da_fresh, dg_fresh = dyn.rhs(fresh, limit)
         assert np.array_equal(da, da_fresh)
         assert np.array_equal(dgm, dg_fresh)
 
     def test_derive_stores_nothing_on_the_state(self, interval_basis):
         state = random_state(interval_basis, 8)
         before = dict(vars(state))
-        dyn.derive(state, make_model(), dyn.StepperConfig(dt=1e-3))
+        dyn.derive(state, make_model())
         assert vars(state) == before
 
 
@@ -425,7 +433,7 @@ class TestEvaluationBudget:
             self, rect_basis, source_calls):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model, config)
+        collector = dg.DiagnosticsCollector(model)
         dyn.run(random_state(rect_basis, 42), config, model,
                 self.n * config.dt, observer=collector.observe)
         assert len(collector.records) == self.n + 1
@@ -435,7 +443,7 @@ class TestEvaluationBudget:
                                                     source_calls):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model, config)
+        collector = dg.DiagnosticsCollector(model)
         dyn.run(random_state(rect_basis, 42), config, model,
                 self.n * config.dt, observer=collector.observe)
         assert len(collector.records) == self.n + 1
@@ -495,9 +503,8 @@ class TestEvaluationBudget:
             if hasattr(sp, name):
                 monkeypatch.setattr(sp, name, counting(name, getattr(sp, name)))
         model = make_model()
-        config = dyn.StepperConfig(dt=1e-3)
         state = random_state(rect_basis, 46)
-        dyn.rhs(state, model, config, fields=dyn.derive(state, model, config))
+        dyn.rhs(state, model, fields=dyn.derive(state, model))
         # phi, sigma and mu synthesized and differentiated once each, the
         # psi' projection, the Darcy divergence and grad p, then one
         # projection per equation
@@ -512,7 +519,7 @@ class TestEvaluationBudget:
                                    model, 5e-3, cadence=2))
         assert len(snaps) == 4
         for f in snaps:
-            expect = dyn.derive(f.state.copy(), model, config).v
+            expect = dyn.derive(f.state.copy(), model).v
             assert all(np.array_equal(a.values, b.values)
                        for a, b in zip(f.v, expect))
 
@@ -522,7 +529,7 @@ class TestRunFailures:
     def test_overflowing_state_is_blowup(self, interval_basis, guarded):
         model = make_model(make_params(b=0.0), sources="zero")
         config = dyn.StepperConfig(dt=1e-3, energy_guard=guarded)
-        collector = dg.DiagnosticsCollector(model, config)
+        collector = dg.DiagnosticsCollector(model)
         state = random_state(interval_basis, 3)
         state.alpha.data *= 1e120
         with pytest.raises(dyn.BlowUpError) as info, np.errstate(all="ignore"):
@@ -559,11 +566,11 @@ class TestMemberAxis:
     def test_derive_rhs_and_step(self, members):
         batch, model, states, alone = members
         config = dyn.StepperConfig(dt=1e-3)
-        fb = dyn.derive(batch, model, config)
-        rb = dyn.rhs(batch, model, config, fields=fb)
+        fb = dyn.derive(batch, model)
+        rb = dyn.rhs(batch, model, fields=fb)
         sb = dyn.step_imex(batch, config, model, fields=fb)
         for i, (state, member) in enumerate(zip(states, alone)):
-            f = dyn.derive(state, member, config)
+            f = dyn.derive(state, member)
             for name in ("phi_g", "sigma_g", "mu_g", "gamma_phi", "S",
                          "m_g", "n_g"):
                 assert same_bits(getattr(fb, name).values[i],
@@ -574,7 +581,7 @@ class TestMemberAxis:
             assert same_bits(fb.M_gamma[i], f.M_gamma)
             assert same_bits(fb.mu.data[i], f.mu.data)
             assert same_bits(fb.p.data[i], f.p.data)
-            r = dyn.rhs(state, member, config, fields=f)
+            r = dyn.rhs(state, member, fields=f)
             assert same_bits(rb[0][i], r[0]) and same_bits(rb[1][i], r[1])
             s = dyn.step_imex(state, config, member, fields=f)
             assert same_bits(sb.alpha.data[i], s.alpha.data)
@@ -597,9 +604,14 @@ class TestMemberAxis:
                            for x, y in zip(f.v, g.v))
 
     def test_no_flow_batch(self, members):
-        batch, model, states, alone = members
-        config = dyn.StepperConfig(dt=1e-3, no_flow=True)
-        fb = dyn.derive(batch, model, config)
+        batch, _, states, _ = members
+        n = len(states)
+        model = make_model(make_params(K=np.zeros(n), chi=self.chi[:n],
+                                       b=self.b[:n]))
+        alone = [make_model(make_params(K=0.0, chi=self.chi[i], b=self.b[i]))
+                 for i in range(n)]
+        config = dyn.StepperConfig(dt=1e-3)
+        fb = dyn.derive(batch, model)
         assert fb.p.data.shape == batch.alpha.data.shape
         step = dyn.step_imex(batch, config, model, fields=fb)
         for i, (state, member) in enumerate(zip(states, alone)):
@@ -609,11 +621,10 @@ class TestMemberAxis:
 
     def test_single_member_consumers_refuse_a_batch(self, members):
         batch, model, _, _ = members
-        config = dyn.StepperConfig(dt=1e-3)
-        fields = dyn.derive(batch, model, config)
+        fields = dyn.derive(batch, model)
         with pytest.raises(sp.BasisMismatchError):
-            dg.energy(batch, model, config, fields=fields)
-        collector = dg.DiagnosticsCollector(model, config)
+            dg.energy(batch, model, fields=fields)
+        collector = dg.DiagnosticsCollector(model)
         with pytest.raises(sp.BasisMismatchError):
             collector.observe(0, batch.t, fields)
         assert collector.records == []

@@ -114,14 +114,9 @@ def member_by_member(spec, model, initial):
     """The sweep table from one whole run per member, each trajectory
     compared with the limit run's afterwards."""
     parameter = spec.parameter
-    if parameter == "K":
-        limit_model = model.with_params(model.params.with_(b=0.0))
-        limit_config = {"no_flow": True}
-    else:
-        limit_model = model.with_params(model.params.with_(chi=0.0, b=0.0))
-        limit_config = {}
-    limit = dyn.run(initial.copy(),
-                    dyn.StepperConfig(dt=spec.dt, **limit_config),
+    limit_model = model.with_params(
+        model.params.with_(**{parameter: 0.0, "b": 0.0}))
+    limit = dyn.run(initial.copy(), dyn.StepperConfig(dt=spec.dt),
                     limit_model, spec.T, cadence=spec.cadence)
     rows = []
     for value in spec.values:
@@ -135,7 +130,7 @@ def member_by_member(spec, model, initial):
             rows.append(ex.SweepRow(value, np.nan, np.nan, np.nan, np.nan,
                                     failed=str(exc)))
             continue
-        velocities = [dyn.derive(s, member, config).v for s in traj.states]
+        velocities = [dyn.derive(s, member).v for s in traj.states]
         v_l2l2, v_scaled = dg.velocity_norms(traj.times, velocities,
                                              member.params.K)
         rows.append(ex.SweepRow(
@@ -243,7 +238,6 @@ class TestManufacturedStudy:
         # equilibrium point
         basis = sp.build_basis(sp.Domain("interval", (1.0,)), 4)
         ms = ex.ManufacturedSolution.equilibrium(1.0)
-        config = dyn.StepperConfig(dt=1e-3)
-        fa, fg = ex._forcing(ms, basis, 0.0, model, config)
+        fa, fg = ex._forcing(ms, basis, 0.0, model)
         assert np.max(np.abs(fa)) < 1e-13
         assert np.max(np.abs(fg)) < 1e-13

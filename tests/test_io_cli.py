@@ -1,3 +1,4 @@
+import csv
 import gc
 import hashlib
 import json
@@ -50,7 +51,7 @@ class TestDiagnosticsCsv:
     def collect(self, basis, n_steps=5):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model, config)
+        collector = dg.DiagnosticsCollector(model)
         dyn.run(random_state(basis, 5, scale=0.1), config, model,
                 n_steps * config.dt, observer=collector.observe)
         return collector.records
@@ -306,8 +307,10 @@ class TestParseConfig:
             cf.parse_config(json.dumps(spec))
         assert any("no-flow" in v for v in err.value.violations)
         spec["limit_mode"] = "no-flow"
-        config = cf.parse_config(json.dumps(spec))
-        assert config.build_stepper().no_flow
+        for K in (0.0, 1.0):
+            spec["params"]["K"] = K
+            config = cf.parse_config(json.dumps(spec))
+            assert config.build_model(config.build_basis()).params.K == 0.0
 
     def test_unknown_key_strict_vs_lenient(self):
         spec = small_config(extra_knob=1)
@@ -819,3 +822,77 @@ def test_mms_ignores_the_volume_source(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert "temporal slope" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+# Every command under every limit mode: the limit systems are the full
+# system at chi = 0 and at K = 0, so each command runs each of them.
+LIMIT_CELLS = [("none", 1.0), ("no-chemotaxis", 1.0), ("no-flow", 1.0),
+               ("no-flow", 0.0)]
+
+
+def _limit_config(limit_mode, K, gamma_v=False, T=0.004):
+    spec = small_config(modes=[12], T=T, limit_mode=limit_mode)
+    spec["params"]["K"] = K
+    if gamma_v:
+        spec["gamma_v"] = {"kind": "cosine", "amplitude": 0.3, "mode": [1]}
+    return spec
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "resume", "sweep-k",
+                                     "sweep-chi", "mms"])
+@pytest.mark.parametrize("gamma_v", [False, True],
+                         ids=["no-source", "cosine-source"])
+@pytest.mark.parametrize("limit_mode,K", LIMIT_CELLS,
+                         ids=[f"{m}-K{K:g}" for m, K in LIMIT_CELLS])
+def test_every_command_runs_every_limit_mode(tmp_path, capsys, limit_mode, K,
+                                             gamma_v, command):
+    spec = _limit_config(limit_mode, K, gamma_v)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(spec))
+    argv = [command, "--config", str(cfg)]
+    if command not in ("validate", "mms"):
+        argv += ["--out", str(tmp_path / "out")]
+    if command.startswith("sweep"):
+        argv += ["--values", "1,0.5"]
+    if command == "resume":
+        half = tmp_path / "half.json"
+        half.write_text(json.dumps(dict(spec, T=0.002)))
+        assert cli.main(["run", "--config", str(half),
+                         "--out", str(tmp_path / "half")]) == cli.EXIT_OK
+        argv += ["--checkpoint", str(tmp_path / "half" / "checkpoint.ckpt")]
+    # the permeability sweep compares against a limit with no volume source
+    refused = command == "sweep-k" and gamma_v
+    assert cli.main(argv) == (cli.EXIT_CONFIG if refused else cli.EXIT_OK)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if refused:
+        assert "$.gamma_v:" in err
+
+
+def test_no_flow_sweep_chi_has_zero_velocity(tmp_path):
+    # under "no-flow" every member and the limit run are K = 0 models,
+    # whatever K the config gives
+    tables = []
+    for K in (1.0, 0.0):
+        cfg = tmp_path / f"K{K:g}.json"
+        cfg.write_text(json.dumps(_limit_config("no-flow", K, T=0.01)))
+        out = tmp_path / f"out-K{K:g}"
+        assert cli.main(["sweep-chi", "--config", str(cfg),
+                         "--out", str(out)]) == cli.EXIT_OK
+        tables.append((out / "sweep_chi.csv").read_bytes())
+    rows = list(csv.DictReader(tables[0].decode().splitlines()))
+    assert len(rows) == len(cli.CHI_SWEEP_DEFAULT)
+    for r in rows:
+        assert float(r["v_l2l2"]) == 0.0 and float(r["v_scaled"]) == 0.0
+    assert tables[0] == tables[1]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text().split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    total, dissipation = map(float, capsys.readouterr().out.split())
+    assert np.isfinite(total) and dissipation >= 0.0

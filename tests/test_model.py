@@ -294,7 +294,10 @@ class TestModelRebuild:
 
     def test_effective_drops_chemotaxis(self):
         model = make_model()
-        eff = model.effective(no_chemotaxis=True)
+        eff = model.effective("no-chemotaxis")
         assert eff.params.chi == 0.0
         assert model.params.chi == 0.05
-        assert model.effective(no_chemotaxis=False) is model
+        assert model.effective("none") is model
+        no_flow = model.effective("no-flow")
+        assert no_flow.params.K == 0.0 and no_flow.params.chi == 0.05
+        assert model.params.K == 1.0
