@@ -447,6 +447,11 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
             elif domain and amplitude is not None and not math.isfinite(
                     _cosine_coefficient(amplitude, mode, domain.lengths)):
                 ck.fail("$.gamma_v.amplitude", "too large for the domain")
+            # at K = 0 no Darcy system is solved: div v = Gamma_v cannot
+            # hold with v = 0, so a volume source would be dropped unread
+            if limit_mode == "no-flow" and amplitude:
+                ck.fail("$.gamma_v", "the no-flow limit (K = 0, v = 0) "
+                        "needs a zero volume source")
         else:
             ck.keys(gamma_v_spec, "$.gamma_v", {"kind"})
     else:

@@ -215,21 +215,23 @@ def rhs(state: SimState, model: TumourModel,
     params = f.model.params
     grid = f.grid
 
+    def project(source, mobility, gradients, transported):
+        """int source w_j - int (mobility grad - transported v).grad(w_j);
+        the fluxes die with this call, before the next equation's."""
+        flux = [mobility * g.values for g in gradients]
+        if not f.no_flow:
+            for F, vi in zip(flux, f.v):
+                F -= transported * vi.values
+        return sp.weak_form(
+            source, tuple(GridField(grid, F) for F in flux)).data
+
     # d/dt alpha_j = int Gamma_phi w_j - int (m grad(mu) - phi v).grad(w_j)
-    flux_phi = [f.m_g.values * g.values for g in f.grad_mu]
+    dalpha = project(f.gamma_phi, f.m_g.values, f.grad_mu, f.phi_g.values)
     # d/dt gamma_j = -int S w_j
     #               - int (n (D grad(sigma) - chi grad(phi)) - sigma v).grad(w_j)
     #               + b int_bdry (sigma_inf - sigma) w_j
-    flux_sigma = [f.n_g.values * g.values for g in f.grad_N_sigma]
-    if not f.no_flow:
-        for d, vi in enumerate(f.v):
-            flux_phi[d] -= f.phi_g.values * vi.values
-            flux_sigma[d] -= f.sigma_g.values * vi.values
-    dalpha = sp.weak_form(
-        f.gamma_phi, tuple(GridField(grid, F) for F in flux_phi)).data
-    dgamma = sp.weak_form(
-        GridField(grid, -f.S.values),
-        tuple(GridField(grid, F) for F in flux_sigma)).data
+    dgamma = project(GridField(grid, -f.S.values), f.n_g.values,
+                     f.grad_N_sigma, f.sigma_g.values)
     # in a batch, a member with b = 0 next to members with b != 0 gets
     # 0 * (...) added: its rates are unchanged up to the sign of a zero
     if sp._any_member(params.b != 0.0):
@@ -543,6 +545,8 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
         if i == n_steps:
             return
         state = stepper(state, config, model, fields)
+        # drop this state's evaluation before the next one is built
+        del fields
 
 
 def run(initial: SimState, config: StepperConfig, model: TumourModel,

@@ -99,7 +99,10 @@ class Mobility:
 
     @staticmethod
     def constant(value: float) -> "Mobility":
-        return Mobility(lambda t: np.full_like(np.asarray(t, dtype=float), value),
+        """value at every point of t, as a read-only zero-stride view
+        of one float, so no grid array is stored."""
+        value = float(value)
+        return Mobility(lambda t: np.broadcast_to(value, np.shape(t)),
                         lower=value, upper=value)
 
 
@@ -114,6 +117,10 @@ class SourceModel:
 
         Gamma_phi = Lambda_phi(phi, sigma) - Theta_phi(phi, sigma) * mu
         S         = Lambda_S(phi, sigma)   - Theta_S(phi, sigma)   * mu
+
+    A coefficient that is constant is returned as a Python float, not as
+    an array of the grid's shape; arithmetic broadcasts it to the same
+    values.
     """
 
     kind: str
@@ -135,7 +142,7 @@ class SourceModel:
 
     @staticmethod
     def zero() -> "SourceModel":
-        z = lambda phi, sigma: np.zeros_like(np.asarray(phi, dtype=float))
+        z = lambda phi, sigma: 0.0
         return SourceModel("zero", z, z, z, z, R0=1e-300)
 
     @staticmethod
@@ -156,7 +163,7 @@ class SourceModel:
             f = lambda phi: f0 * interpolation_h(phi)
             R5 = None
         else:
-            f = lambda phi: np.full_like(np.asarray(phi, dtype=float), f0)
+            f = lambda phi: f0
             R5 = f0 if f0 > 0 else None
         lam = lambda phi, sigma: f(phi) * (
             D * sigma + sp._per_member(chi, phi) * (1.0 - phi))
@@ -171,7 +178,7 @@ class SourceModel:
         """Proliferation / apoptosis / consumption with interpolation h."""
         lam_phi = lambda phi, sigma: interpolation_h(phi) * (lambda_p * sigma - lambda_a)
         lam_S = lambda phi, sigma: lambda_c * interpolation_h(phi) * sigma
-        zero = lambda phi, sigma: np.zeros_like(np.asarray(phi, dtype=float))
+        zero = lambda phi, sigma: 0.0
         R0 = max(lambda_p, lambda_a, lambda_c, 1e-300)
         return SourceModel("proliferation", lam_phi, zero, lam_S, zero, R0=R0)
 
@@ -427,10 +434,12 @@ def validate_assumptions(params: ModelParams, potential: Potential,
         rep.add(f"A2 mobility {label} bounds", ok,
                 detail=f"{mob.lower} <= {label} <= {mob.upper}")
 
-    theta_phi = sources.theta_phi(P, S_)
-    theta_S = sources.theta_S(P, S_)
-    lam_phi = sources.lambda_phi(P, S_)
-    lam_S = sources.lambda_S(P, S_)
+    # a constant coefficient comes back as a float: broadcast each to
+    # the sample grid, where a failure's witness is looked up
+    theta_phi, theta_S, lam_phi, lam_S = (
+        np.broadcast_to(c(P, S_), P.shape)
+        for c in (sources.theta_phi, sources.theta_S,
+                  sources.lambda_phi, sources.lambda_S))
     growth = sources.R0 * (1.0 + np.abs(P) + np.abs(S_))
     tol = 1e-12 * (1.0 + sources.R0)
     checks_A3 = [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,22 @@ def same_bits(a, b) -> bool:
     """Same shape and the same bytes, so -0.0 and 0.0 differ."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Bytes held at the peak of fn(*args, **kwargs) beyond those held
+    when it started, as tracemalloc counts them (numpy buffers included)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,8 @@ from chdarcy import dynamics as dyn
 from chdarcy import model as md
 from chdarcy import spectral as sp
 
-from conftest import make_model, make_params, random_state, same_bits
+from conftest import (make_model, make_params, random_state, same_bits,
+                      traced_peak)
 
 
 def linear_test_potential(kappa):
@@ -670,3 +672,75 @@ class TestSnapshots:
         dyn.run(random_state(interval_basis, 49), dyn.StepperConfig(dt=1e-3),
                 make_model(), 10e-3)
         assert lengths == [1e-3]
+
+
+class TestWorkingSet:
+    """A step holds one evaluation: a state's StateFields is dropped
+    before the next state's is built."""
+
+    @pytest.fixture
+    def alive_at_each_new_state(self, monkeypatch):
+        """Wrap derive and the steppers; for each derive of a state that a
+        stepper returned, record how many earlier evaluations are alive."""
+        evaluations, stepped, alive = [], [], []
+        real_derive = dyn.derive
+
+        def tracked_derive(state, model):
+            if any(state is s for s in stepped):
+                alive.append(sum(ref() is not None for ref in evaluations))
+            fields = real_derive(state, model)
+            evaluations.append(weakref.ref(fields))
+            return fields
+
+        def tracked(step):
+            def stepper(*args, **kwargs):
+                new = step(*args, **kwargs)
+                stepped.append(new)
+                return new
+            return stepper
+
+        monkeypatch.setattr(dyn, "derive", tracked_derive)
+        for name in ("step_imex", "step_rk4_explicit"):
+            monkeypatch.setattr(dyn, name, tracked(getattr(dyn, name)))
+        return alive
+
+    @pytest.mark.parametrize("case", ["imex", "guarded-imex", "rk4",
+                                      "run-observed"])
+    def test_one_evaluation_alive_at_a_time(self, rect_basis, case,
+                                            alive_at_each_new_state):
+        n = 4
+        model = make_model()
+        config = dyn.StepperConfig(dt=1e-4)
+        if case == "guarded-imex":
+            model = make_model(make_params(b=0.0), sources="zero")
+            config = replace(config, energy_guard=True, tol_E=1e-12)
+        elif case == "rk4":
+            config = replace(config, scheme="rk4-explicit")
+        state = random_state(rect_basis, 50, scale=0.1)
+        if case == "run-observed":
+            collector = dg.DiagnosticsCollector(model)
+            dyn.run(state, config, model, n * config.dt,
+                    observer=collector.observe)
+            assert len(collector.records) == n + 1
+        else:
+            for fields in dyn.snapshots(state, config, model, n * config.dt):
+                del fields
+        assert alive_at_each_new_state == [0] * n
+
+    def test_run_working_set_in_grid_arrays(self):
+        # a 2D run snapshotted at its start and end only, observed as the
+        # CLI observes it.  It peaks at 20 grid arrays; the bound is 0.7 of
+        # the 35 it reaches with two evaluations alive at once
+        basis = sp.build_basis(sp.Domain("rectangle", (1.0, 1.0)), (32, 32))
+        model = make_model()
+        state = dyn.SimState(0.0, *dyn.project_initial_data(
+            lambda x, y: 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y),
+            lambda x, y: 0.5 + 0.1 * np.cos(np.pi * x), basis))
+        config = dyn.StepperConfig(dt=1e-3)
+        dg.energy(state, model)  # the basis builds its grid and constants
+        collector = dg.DiagnosticsCollector(model)
+        peak = traced_peak(dyn.run, state, config, model, 4 * config.dt,
+                           observer=collector.observe, cadence=4)
+        assert len(collector.records) == 2
+        grid_array = 8 * np.prod(basis.default_grid.npoints)
+        assert peak <= 24 * grid_array, peak / grid_array

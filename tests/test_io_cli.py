@@ -312,6 +312,22 @@ class TestParseConfig:
             config = cf.parse_config(json.dumps(spec))
             assert config.build_model(config.build_basis()).params.K == 0.0
 
+    def test_no_flow_refuses_a_volume_source(self):
+        # at K = 0, v = 0 and div v = Gamma_v cannot hold
+        spec = small_config(limit_mode="no-flow")
+        spec["gamma_v"] = {"kind": "cosine", "amplitude": 0.3, "mode": [1]}
+        with pytest.raises(cf.ConfigError) as err:
+            cf.parse_config(json.dumps(spec))
+        assert [v for v in err.value.violations
+                if v.startswith("$.gamma_v:")] == [
+            "$.gamma_v: the no-flow limit (K = 0, v = 0) needs a zero "
+            "volume source"]
+        spec["gamma_v"]["amplitude"] = 0.0
+        cf.parse_config(json.dumps(spec))
+        spec["gamma_v"] = {"kind": "cosine", "amplitude": 0.3, "mode": [1]}
+        for limit_mode in ("none", "no-chemotaxis"):
+            cf.parse_config(json.dumps(dict(spec, limit_mode=limit_mode)))
+
     def test_unknown_key_strict_vs_lenient(self):
         spec = small_config(extra_knob=1)
         with pytest.raises(cf.ConfigError) as err:
@@ -854,15 +870,17 @@ def test_every_command_runs_every_limit_mode(tmp_path, capsys, limit_mode, K,
         argv += ["--out", str(tmp_path / "out")]
     if command.startswith("sweep"):
         argv += ["--values", "1,0.5"]
+    # the permeability sweep compares against a limit with no volume
+    # source, and the no-flow limit has none for any command
+    refused = gamma_v and (command == "sweep-k" or limit_mode == "no-flow")
+    expected = cli.EXIT_CONFIG if refused else cli.EXIT_OK
     if command == "resume":
         half = tmp_path / "half.json"
         half.write_text(json.dumps(dict(spec, T=0.002)))
         assert cli.main(["run", "--config", str(half),
-                         "--out", str(tmp_path / "half")]) == cli.EXIT_OK
+                         "--out", str(tmp_path / "half")]) == expected
         argv += ["--checkpoint", str(tmp_path / "half" / "checkpoint.ckpt")]
-    # the permeability sweep compares against a limit with no volume source
-    refused = command == "sweep-k" and gamma_v
-    assert cli.main(argv) == (cli.EXIT_CONFIG if refused else cli.EXIT_OK)
+    assert cli.main(argv) == expected
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if refused:

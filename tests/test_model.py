@@ -254,6 +254,30 @@ class TestValidation:
         assert rep.regime == "case1"
         assert rep.passed
 
+    def test_constant_rate_failure_has_a_witness(self):
+        # the constant Hawkins rate is a float, not a grid array; the check
+        # broadcasts it to the sample grid to locate the failing sample
+        params = make_params()
+        m = make_model(params)
+        sources = md.SourceModel.hawkins(-0.1, params)
+        assert isinstance(sources.theta_phi(np.zeros(3), np.zeros(3)), float)
+        rep = md.validate_assumptions(params, m.potential, m.mobility_m,
+                                      m.mobility_n, sources)
+        sign = next(c for c in rep.checks
+                    if c.name == "A3 theta_phi nonnegative")
+        assert not sign.passed
+        assert len(sign.witness) == 3 and sign.witness[2] == -0.1
+
+    def test_constant_closures_store_no_grid_array(self):
+        phi = np.zeros((3, 40, 30))
+        m = md.Mobility.constant(2.0)(phi)
+        assert m.shape == phi.shape and m.strides == (0, 0, 0)
+        assert not m.flags.writeable and np.all(m == 2.0)
+        zero = md.SourceModel.zero()
+        assert zero.theta_phi(phi, phi) == 0.0
+        assert same_bits(zero.gamma_phi(phi, -phi - 1.0, phi),
+                         np.zeros_like(phi))
+
     def test_large_chemotaxis_fails_smallness(self):
         params = make_params(chi=10.0)
         m = make_model(params)
