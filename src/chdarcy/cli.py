@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import csv
 import gc
 import sys
 from dataclasses import replace
@@ -72,7 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> cf.RunConfig:
     try:
-        text = Path(args.config).read_text()
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise cf.ConfigError([f"$: not UTF-8 text ({exc})"])
     except OSError as exc:
         raise _IOFailure(f"cannot read config: {exc}")
     config = cf.parse_config(text, strict=args.strict)
@@ -158,22 +159,6 @@ def _sweep_spec(args, config: cf.RunConfig, parameter: str) -> ex.SweepSpec:
         raise cf.ConfigError([f"--values: {exc}"])
 
 
-def _write_sweep_csv(rows, path):
-    try:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("value", "v_l2l2", "v_scaled",
-                             "diff_phi", "diff_sigma", "failed"))
-            for r in rows:
-                writer.writerow((
-                    f"{r.value:.17g}", f"{r.v_l2l2:.17g}", f"{r.v_scaled:.17g}",
-                    f"{r.diff_phi:.17g}", f"{r.diff_sigma:.17g}",
-                    r.failed or "",
-                ))
-    except OSError as exc:
-        raise _IOFailure(f"writing sweep table: {exc}")
-
-
 def _cmd_sweep(args, parameter: str) -> int:
     config = _load_config(args)
     spec = _sweep_spec(args, config, parameter)
@@ -191,7 +176,7 @@ def _cmd_sweep(args, parameter: str) -> int:
         name = "sweep_chi.csv"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_sweep_csv(rows, out / name)
+    cio.write_sweep_csv(rows, out / name)
     for r in rows:
         status = r.failed or "ok"
         print(f"{parameter}={r.value:g} diff_phi={r.diff_phi:.6e} "

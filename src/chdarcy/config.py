@@ -356,6 +356,9 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
 
     dt = ck.number(raw, "dt", "$", positive=True)
     T = ck.number(raw, "T", "$", nonnegative=True)
+    if (dt is not None and T is not None and dt > 0
+            and not math.isfinite(T / dt)):
+        ck.fail("$.T", "T / dt, the step count, must be finite")
 
     scheme_spec = raw.get("scheme", {})
     scheme, kappa, energy_guard, tol_E, max_halvings = "imex1", None, False, 0.0, 8

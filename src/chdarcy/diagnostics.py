@@ -61,12 +61,10 @@ class EnergyBreakdown:
         return -self.dissipation + self.work
 
 
-def energy(state: SimState, model: TumourModel,
-           fields: StateFields | None = None) -> EnergyBreakdown:
-    """Energy ledger at the state (fields: see dynamics.StateFields)."""
+def energy(f: StateFields) -> EnergyBreakdown:
+    """Energy ledger of the evaluated state f (see dynamics.StateFields)."""
+    state, eff = f.state, f.model
     sp._single_member(state.alpha, "energy")
-    f = fields if fields is not None else dyn.derive(state, model)
-    eff = f.model
     params = eff.params
     grid = f.grid
     W = grid.W
@@ -159,7 +157,7 @@ def energy_identity_residual(traj: Trajectory, model: TumourModel
     """
     if len(traj) < 2:
         raise ValueError("need at least two snapshots")
-    breakdowns = [energy(s, model) for s in traj.states]
+    breakdowns = [energy(dyn.derive(s, model)) for s in traj.states]
     times = np.asarray(traj.times)
     res = np.empty(len(traj) - 1)
     for n in range(len(res)):
@@ -249,7 +247,7 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
         res = np.empty(len(traj) - 1)
         for n in range(len(res)):
             dt = times[n + 1] - times[n]
-            da, dg = dyn.rhs(traj.states[n], model)
+            da, dg = dyn.rhs(dyn.derive(traj.states[n], model))
             rate = da[j] if equation == "phi" else dg[j]
             left = traj.states[n].alpha if equation == "phi" else traj.states[n].gamma
             right = traj.states[n + 1].alpha if equation == "phi" else traj.states[n + 1].gamma
@@ -580,13 +578,12 @@ class DiagnosticsCollector:
     def restore(self, acc: np.ndarray, last_state: SimState):
         self._acc = np.asarray(acc, dtype=float).copy()
         f = dyn.derive(last_state, self.model)
-        self._prev = (last_state, energy(last_state, self.model, fields=f),
-                      _mass_rates(f))
+        self._prev = (last_state, energy(f), _mass_rates(f))
 
-    def observe(self, step: int, t: float, fields: StateFields):
+    def observe(self, step: int, fields: StateFields):
         """Record the snapshot at step from its evaluation."""
-        state, basis = fields.state, fields.state.basis
-        bd = energy(state, self.model, fields=fields)
+        state, basis, t = fields.state, fields.state.basis, fields.state.t
+        bd = energy(fields)
         params = fields.model.params
         vol_root = np.sqrt(basis.domain.volume)
         v_L2 = float(np.sqrt(fields.grid.integrate(

@@ -124,10 +124,10 @@ class StateFields:
     """Everything a model fixes algebraically at one state.
 
     Only phi and sigma evolve; mu, p, v and the sources follow from them
-    at each instant.  Built by derive and never stored on the state; a
-    function taking `fields` uses it in place of derive(state, model),
-    so one evaluation serves the step, the energy ledger, the mass rates
-    and the observer, and none of them rebuilds what it holds.
+    at each instant.  Built by derive and never stored on the state; it
+    is the one input of rhs, the steppers, the energy ledger, the mass
+    rates and the observer, which read the state and model from it, so
+    none of them rebuilds what it holds.
     """
 
     state: SimState
@@ -172,8 +172,8 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
     phi_g = sp.to_grid(state.alpha, grid)
     sigma_g = sp.to_grid(state.gamma, grid)
     grad_phi = sp.gradient_on_grid(state.alpha, grid)
-    mu = md.chemical_potential(state.alpha, state.gamma, model.params,
-                               model.potential, grid, phi_g=phi_g)
+    mu = md.chemical_potential(state.alpha, state.gamma, phi_g, model.params,
+                               model.potential)
     mu_g = sp.to_grid(mu, grid)
     no_flow = _no_flow(model)
     if no_flow:
@@ -183,9 +183,7 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
                   for _ in range(basis.dim))
     else:
         gv = model.gamma_v(state.t) if model.gamma_v is not None else None
-        p, v = md.solve_darcy(state.alpha, mu, state.gamma, gv,
-                              model.params, grid, grad_phi=grad_phi,
-                              mu_g=mu_g, sigma_g=sigma_g)
+        p, v = md.solve_darcy(grad_phi, mu_g, sigma_g, gv, model.params)
     gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, model.sources)
     chi = sp._per_member(model.params.chi, phi_g.values)
     return StateFields(
@@ -204,15 +202,13 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
     )
 
 
-def rhs(state: SimState, model: TumourModel,
-        fields: StateFields | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix-free right-hand side of the coefficient ODE system.
+def rhs(f: StateFields) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix-free right-hand side of the coefficient ODE system at f.
 
     Each equation is tested against every w_j once: its fluxes are added
     on the grid and projected together with its source by sp.weak_form.
     """
-    f = fields if fields is not None else derive(state, model)
-    params = f.model.params
+    state, params = f.state, f.model.params
     grid = f.grid
 
     def project(source, mobility, gradients, transported):
@@ -412,11 +408,10 @@ def _total_energy(state: SimState, model: TumourModel, phi_g: GridField,
                               model.params, model.potential))
 
 
-def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
-              fields: StateFields | None = None,
+def step_imex(f: StateFields, config: StepperConfig,
               factors: tuple[np.ndarray, np.ndarray] | None = None
               ) -> SimState:
-    """One stabilized IMEX step of length config.dt.
+    """One stabilized IMEX step of length config.dt from evaluated state f.
 
     The implicit operator damps each mode of the increment with the
     frozen worst-case linear symbol, so no linear solve is needed.  In
@@ -424,23 +419,20 @@ def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
     halved substeps whenever the discrete energy rises beyond tol_E.
     factors, the step's _implicit_factors, spares building them.
     """
-    dt = config.dt
+    state, model, dt = f.state, f.model, config.dt
+    if factors is None:
+        factors = _implicit_factors(state.basis, model, config, dt)
     try:
-        if fields is None:
-            fields = derive(state, model)
-        if factors is None:
-            factors = _implicit_factors(state.basis, model, config, dt)
         if not (config.energy_guard and _source_free(model)):
-            return _imex_update(
-                state, rhs(state, model, fields=fields), factors, dt)
+            return _imex_update(state, rhs(f), factors, dt)
     except sp.SpectralError as exc:
         raise BlowUpError("IMEX step produced non-finite values",
                           t=state.t, state=state) from exc
 
     # the guard compares E alone, which needs phi and sigma on the grid
     # but nothing derived, so no accepted state is evaluated here
-    grid = fields.grid
-    E0 = _total_energy(state, model, fields.phi_g, fields.sigma_g)
+    grid = f.grid
+    E0 = _total_energy(state, model, f.phi_g, f.sigma_g)
     for halving in range(config.max_halvings + 1):
         nsub = 2 ** halving
         sub = state
@@ -449,9 +441,9 @@ def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for k in range(nsub):
-                    f = fields if k == 0 else derive(sub, model)
-                    sub = _imex_update(sub, rhs(sub, model, fields=f),
-                                       factors, dt / nsub)
+                    sub = _imex_update(
+                        sub, rhs(f if k == 0 else derive(sub, model)),
+                        factors, dt / nsub)
         except (sp.SpectralError, FloatingPointError):
             continue  # non-finite substep counts as a rejected interval
         E1 = _total_energy(sub, model, sp.to_grid(sub.alpha, grid),
@@ -464,16 +456,15 @@ def step_imex(state: SimState, config: StepperConfig, model: TumourModel,
     )
 
 
-def step_rk4_explicit(state: SimState, config: StepperConfig,
-                      model: TumourModel,
-                      fields: StateFields | None = None) -> SimState:
-    """Classical RK4 step; oracle integrator for small dt."""
+def step_rk4_explicit(f: StateFields, config: StepperConfig) -> SimState:
+    """Classical RK4 step from f; oracle integrator for small dt."""
+    state, model = f.state, f.model
+
     def tendency(s):
-        return rhs(s, model)
+        return rhs(derive(s, model))
 
     try:
-        k1 = rhs(state, model, fields=fields)
-        new = _rk4_update(state, config.dt, tendency, k1)
+        new = _rk4_update(state, config.dt, tendency, rhs(f))
     except sp.SpectralError as exc:
         raise BlowUpError("explicit step produced non-finite values",
                           t=state.t, state=state) from exc
@@ -497,7 +488,7 @@ class Trajectory:
         return len(self.states)
 
 
-Observer = Callable[[int, float, StateFields], None]
+Observer = Callable[[int, StateFields], None]
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -544,7 +535,7 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
             yield fields
         if i == n_steps:
             return
-        state = stepper(state, config, model, fields)
+        state = stepper(fields, config)
         # drop this state's evaluation before the next one is built
         del fields
 
@@ -556,7 +547,7 @@ def run(initial: SimState, config: StepperConfig, model: TumourModel,
 
     The snapshots are those of `snapshots`: each state is evaluated once,
     and that evaluation drives its step and is what the observer
-    receives, with its step index.
+    receives, with its step index (its time is fields.state.t).
     """
     n_steps = _step_count(T, config.dt)
     steps = (i for i in range(n_steps + 1)
@@ -567,7 +558,7 @@ def run(initial: SimState, config: StepperConfig, model: TumourModel,
         i = next(steps)
         traj.append(fields.state)
         if observer is not None:
-            observer(i, fields.state.t, fields)
+            observer(i, fields)
         # drop the evaluation before the generator steps on, so that
         # only what the trajectory keeps outlives it
         del fields

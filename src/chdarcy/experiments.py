@@ -279,7 +279,7 @@ def _forcing(ms: ManufacturedSolution, basis: SpectralBasis, t: float,
     """f(t) = d/dt c*(t) - rhs(c*(t)): makes c* an exact ODE solution."""
     cp, cs = ms.coeffs(basis, t)
     rp, rs = ms.rate_coeffs(basis, t)
-    da, dg_ = dyn.rhs(SimState(t, cp, cs), model)
+    da, dg_ = dyn.rhs(dyn.derive(SimState(t, cp, cs), model))
     return rp - da, rs - dg_
 
 
@@ -288,7 +288,7 @@ def _forced_step(state: SimState, model: TumourModel, config: StepperConfig,
     """One step of config.scheme with the forcing f added to the rhs;
     factors are the IMEX step's dyn._implicit_factors."""
     def forced_rhs(s):
-        da, dg_ = dyn.rhs(s, model)
+        da, dg_ = dyn.rhs(dyn.derive(s, model))
         fa, fg = _forcing(ms, s.basis, s.t, model)
         return da + fa, dg_ + fg
 

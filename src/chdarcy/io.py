@@ -31,17 +31,35 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_diagnostics_csv(records, path) -> None:
+def _write_csv(path, header, rows, what: str) -> None:
+    """header, then one line per row; an OSError names what was written."""
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for rec in records:
-                row = rec.row() if isinstance(rec, DiagnosticsRecord) else rec
-                writer.writerow(_fmt(x) for x in row)
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
-        raise OSError(f"writing diagnostics CSV {path}: {exc}") from exc
+        raise OSError(f"writing {what} {path}: {exc}") from exc
+
+
+def write_diagnostics_csv(records, path) -> None:
+    _write_csv(path, CSV_COLUMNS, (
+        map(_fmt, rec.row() if isinstance(rec, DiagnosticsRecord) else rec)
+        for rec in records), "diagnostics CSV")
+
+
+SWEEP_COLUMNS = ("value", "v_l2l2", "v_scaled", "diff_phi", "diff_sigma",
+                 "failed")
+
+
+def write_sweep_csv(rows, path) -> None:
+    """One line per experiments.SweepRow; failed is empty for a member
+    that ran to the end."""
+    _write_csv(path, SWEEP_COLUMNS, (
+        (*map(_fmt, (r.value, r.v_l2l2, r.v_scaled, r.diff_phi,
+                     r.diff_sigma)), r.failed or "")
+        for r in rows), "sweep table")
 
 
 def read_diagnostics_csv(path) -> list[tuple[float, ...]]:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectral as sp
-from .spectral import FieldCoeffs, GridField, QuadratureGrid, SpectralBasis
+from .spectral import FieldCoeffs, GridField
 
 
 @dataclass(frozen=True)
@@ -223,15 +223,7 @@ class TumourModel:
             sources = SourceModel.hawkins(
                 sources.f0, params, interpolated=sources.interpolated
             )
-        return TumourModel(
-            params=params,
-            potential=self.potential,
-            mobility_m=self.mobility_m,
-            mobility_n=self.mobility_n,
-            sources=sources,
-            sigma_inf=self.sigma_inf,
-            gamma_v=self.gamma_v,
-        )
+        return replace(self, params=params, sources=sources)
 
     def effective(self, limit_mode: str) -> "TumourModel":
         """The model a limit_mode integrates.  The paper's limit systems
@@ -244,55 +236,40 @@ class TumourModel:
 
 
 def chemical_potential(phi: FieldCoeffs, sigma: FieldCoeffs,
-                       params: ModelParams, potential: Potential,
-                       grid: QuadratureGrid | None = None,
-                       phi_g: GridField | None = None) -> FieldCoeffs:
+                       phi_g: GridField, params: ModelParams,
+                       potential: Potential) -> FieldCoeffs:
     """mu = A P_k[psi'(phi)] + B (-Laplacian) phi - chi sigma, in coefficients.
 
     The stiffness term is diagonal in the eigenbasis; psi'(phi) is
-    evaluated pseudospectrally on the dealiased grid and projected back.
-    phi_g, phi already on that grid, spares the synthesis.
+    evaluated pseudospectrally from phi_g, phi on a grid of its basis,
+    and projected back.
     """
     sp._check_same_basis(phi, sigma)
     basis = phi.basis
-    if grid is None:
-        grid = sp.default_grid(basis)
-    if phi_g is None:
-        phi_g = sp.to_grid(phi, grid)
-    elif phi_g.grid is not grid:
-        raise sp.BasisMismatchError("phi_g lives on a different grid")
-    psi_prime = sp.to_coeffs(GridField(grid, potential.dpsi(phi_g.values)))
+    if phi_g.grid.basis is not basis:
+        raise sp.BasisMismatchError("phi_g lives on a grid of another basis")
+    psi_prime = sp.to_coeffs(
+        GridField(phi_g.grid, potential.dpsi(phi_g.values)))
     data = (params.A * psi_prime.data
             + params.B * basis.eigenvalues * phi.data
             - sp._per_member(params.chi, sigma.data) * sigma.data)
     return FieldCoeffs(basis, data)
 
 
-def solve_darcy(phi: FieldCoeffs, mu: FieldCoeffs, sigma: FieldCoeffs,
-                gamma_v: FieldCoeffs | None, params: ModelParams,
-                grid: QuadratureGrid | None = None,
-                grad_phi: tuple[GridField, ...] | None = None,
-                mu_g: GridField | None = None,
-                sigma_g: GridField | None = None
+def solve_darcy(grad_phi: tuple[GridField, ...], mu_g: GridField,
+                sigma_g: GridField, gamma_v: FieldCoeffs | None,
+                params: ModelParams
                 ) -> tuple[FieldCoeffs, tuple[GridField, ...]]:
-    """Pressure Poisson solve and Darcy velocity.
+    """Pressure Poisson solve and Darcy velocity, from grad(phi), mu and
+    sigma on one grid.
 
     p = (-Laplacian_N)^{-1}( Gamma_v / K - div((mu + chi sigma) grad phi) )
-    with zero mean, and v = -K (grad p - (mu + chi sigma) grad phi) on the
-    grid.  grad_phi, mu_g and sigma_g, already on that grid, spare their
-    transforms.
+    with zero mean, and v = -K (grad p - (mu + chi sigma) grad phi) on
+    that grid.
     """
-    basis = phi.basis
-    if grid is None:
-        grid = sp.default_grid(basis)
-    if grad_phi is None:
-        grad_phi = sp.gradient_on_grid(phi, grid)
-    if mu_g is None:
-        mu_g = sp.to_grid(mu, grid)
-    if sigma_g is None:
-        sigma_g = sp.to_grid(sigma, grid)
-    if any(f.grid is not grid for f in (*grad_phi, mu_g, sigma_g)):
-        raise sp.BasisMismatchError("grid fields live on a different grid")
+    grid = mu_g.grid
+    if any(f.grid is not grid for f in (*grad_phi, sigma_g)):
+        raise sp.BasisMismatchError("grid fields live on different grids")
     chi = sp._per_member(params.chi, sigma_g.values)
     drive = mu_g.values + chi * sigma_g.values
     forcing = tuple(GridField(grid, drive * comp.values) for comp in grad_phi)
@@ -303,7 +280,7 @@ def solve_darcy(phi: FieldCoeffs, mu: FieldCoeffs, sigma: FieldCoeffs,
             raise sp.ZeroMeanViolationError("gamma_v must have zero mean")
         rhs = rhs + gamma_v.data / sp._per_member(params.K, rhs)
     rhs[..., 0] = 0.0
-    p = sp.inverse_neumann_laplacian(FieldCoeffs(basis, rhs))
+    p = sp.inverse_neumann_laplacian(FieldCoeffs(grid.basis, rhs))
     grad_p = sp.gradient_on_grid(p, grid)
     K = sp._per_member(params.K, drive)
     v = tuple(

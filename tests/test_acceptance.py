@@ -127,7 +127,7 @@ def test_oracle_equivalence_dense_vs_matrix_free():
     worst = 0.0
     for seed in range(10):
         state = random_state(basis, seed, scale=0.25)
-        da, dgm = dyn.rhs(state, model)
+        da, dgm = dyn.rhs(dyn.derive(state, model))
         da2, dg2 = dyn.dense_rhs(state, model)
         scale = max(1.0, np.max(np.abs(da2)), np.max(np.abs(dg2)))
         worst = max(worst,

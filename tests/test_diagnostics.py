@@ -20,21 +20,21 @@ def constant_state(basis, phi_val, sigma_val, t=0.0):
 class TestEnergyValues:
     def test_double_well_midpoint(self, interval_basis):
         model = make_model(make_params(b=0.0), sources="zero")
-        bd = dg.energy(constant_state(interval_basis, 0.0, 0.0), model)
+        bd = dg.energy(dyn.derive(constant_state(interval_basis, 0.0, 0.0), model))
         assert abs(bd.total - 0.25) < 1e-13   # A psi(0) |Omega| = 1 * 1/4 * 1
         assert abs(bd.gradient_part) < 1e-14
         assert abs(bd.nutrient_part) < 1e-14
 
     def test_well_minimum_has_zero_energy(self, interval_basis):
         model = make_model(make_params(b=0.0), sources="zero")
-        bd = dg.energy(constant_state(interval_basis, 1.0, 0.0), model)
+        bd = dg.energy(dyn.derive(constant_state(interval_basis, 1.0, 0.0), model))
         assert abs(bd.total) < 1e-13
         assert abs(bd.dissipation) < 1e-13
         assert abs(bd.work) < 1e-13
 
     def test_nutrient_and_chemotaxis_parts(self, interval_basis):
         model = make_model(make_params(D=2.0, chi=0.5, b=0.0), sources="zero")
-        bd = dg.energy(constant_state(interval_basis, 0.0, 1.0), model)
+        bd = dg.energy(dyn.derive(constant_state(interval_basis, 0.0, 1.0), model))
         assert abs(bd.psi_part - 0.25) < 1e-13
         assert abs(bd.nutrient_part - 1.0) < 1e-13
         assert abs(bd.chemotaxis_part - 0.5) < 1e-13
@@ -42,7 +42,7 @@ class TestEnergyValues:
 
     def test_parts_sum_to_total(self, rect_basis):
         model = make_model()
-        bd = dg.energy(random_state(rect_basis, 14), model)
+        bd = dg.energy(dyn.derive(random_state(rect_basis, 14), model))
         parts = (bd.psi_part + bd.gradient_part + bd.nutrient_part
                  + bd.chemotaxis_part)
         assert abs(bd.total - parts) < 1e-12 * max(1.0, abs(bd.total))
@@ -50,7 +50,7 @@ class TestEnergyValues:
     def test_dissipation_nonnegative(self, rect_basis):
         model = make_model()
         for seed in range(5):
-            bd = dg.energy(random_state(rect_basis, seed), model)
+            bd = dg.energy(dyn.derive(random_state(rect_basis, seed), model))
             assert bd.diss_mu >= -1e-12
             assert bd.diss_nutrient >= -1e-12
             assert bd.diss_darcy >= -1e-12
@@ -60,7 +60,7 @@ class TestEnergyValues:
         # sigma = 1 on [0,1]: D b int_bdry sigma^2 = D b * 2
         params = make_params(D=2.0, b=0.3)
         model = make_model(params, sources="zero")
-        bd = dg.energy(constant_state(interval_basis, 1.0, 1.0), model)
+        bd = dg.energy(dyn.derive(constant_state(interval_basis, 1.0, 1.0), model))
         assert abs(bd.diss_boundary - 2.0 * 0.3 * 2.0) < 1e-13
 
     def test_hawkins_source_work_sign(self, rect_basis):
@@ -68,7 +68,7 @@ class TestEnergyValues:
         # combine to -f int (N_sigma - mu)^2 <= 0
         model = make_model(make_params(b=0.0))
         for seed in range(5):
-            bd = dg.energy(random_state(rect_basis, seed), model)
+            bd = dg.energy(dyn.derive(random_state(rect_basis, seed), model))
             assert bd.work_phi_source + bd.work_nutrient_source <= 1e-12
 
 
@@ -95,7 +95,7 @@ class TestSingleModeOracle:
                              sp.constant_field(basis, 0.0))
         lam = basis.eigenvalues[2]
         coef = params.A * kappa + params.B * lam
-        bd = dg.energy(state, model)
+        bd = dg.energy(dyn.derive(state, model))
         assert abs(bd.total - 0.5 * coef * 0.4 ** 2) < 1e-12
         assert abs(bd.diss_mu - lam * coef ** 2 * 0.4 ** 2) < 1e-10
         assert abs(bd.power + bd.dissipation) < 1e-12  # no work terms
@@ -322,8 +322,8 @@ class TestCollector:
         collector = dg.DiagnosticsCollector(model)
         seen = []
 
-        def observer(step, t, state):
-            collector.observe(step, t, state)
+        def observer(step, fields):
+            collector.observe(step, fields)
             seen.append(collector.accumulators())
 
         dyn.run(random_state(interval_basis, 12, scale=0.1),
@@ -370,10 +370,11 @@ class TestPureEvaluation:
         model_K001 = model_K1.with_params(model_K1.params.with_(K=0.01))
         state = config.build_initial_state(basis)
         fresh = state.copy()
-        dg.energy(state, model_K1)
-        second = dg.energy(state, model_K001)
-        assert second == dg.energy(fresh, model_K001)
-        assert second.diss_darcy != dg.energy(fresh, model_K1).diss_darcy
+        dg.energy(dyn.derive(state, model_K1))
+        second = dg.energy(dyn.derive(state, model_K001))
+        assert second == dg.energy(dyn.derive(fresh, model_K001))
+        assert second.diss_darcy != dg.energy(
+            dyn.derive(fresh, model_K1)).diss_darcy
 
 
 class TestOneLedger:

@@ -88,14 +88,14 @@ class TestRhs:
         model = make_model(make_params(b=0.1), sources="zero", sigma_inf=0.0)
         state = dyn.SimState(0.0, sp.constant_field(interval_basis, 1.0),
                              sp.constant_field(interval_basis, 0.0))
-        da, dgm = dyn.rhs(state, model)
+        da, dgm = dyn.rhs(dyn.derive(state, model))
         assert np.max(np.abs(da)) < 1e-13
         assert np.max(np.abs(dgm)) < 1e-13
 
     def test_constant_mode_conserved_without_sources(self, rect_basis):
         model = make_model(make_params(b=0.0), sources="zero")
         state = random_state(rect_basis, 17)
-        da, dgm = dyn.rhs(state, model)
+        da, dgm = dyn.rhs(dyn.derive(state, model))
         assert abs(da[0]) < 1e-13
         assert abs(dgm[0]) < 1e-13
 
@@ -114,7 +114,7 @@ class TestRhs:
         else:
             model = make_model()
         state = random_state(basis, seed, scale=0.3)
-        da, dgm = dyn.rhs(state, model)
+        da, dgm = dyn.rhs(dyn.derive(state, model))
         ops = dyn.dense_galerkin_operators(state, model)
         da2, dg2 = dyn.dense_rhs(state, model, ops)
         scale = max(1.0, np.max(np.abs(da2)), np.max(np.abs(dg2)))
@@ -133,7 +133,7 @@ class TestRhs:
         for i in range(300):
             basis = sp.build_basis(sp.Domain("interval", (0.5 + i / 200,)), 8)
             state = random_state(basis, i, scale=0.3)
-            da, dgm = dyn.rhs(state, model)
+            da, dgm = dyn.rhs(dyn.derive(state, model))
             da2, dg2 = dyn.dense_rhs(state, model)
             scale = max(1.0, np.max(np.abs(da2)), np.max(np.abs(dg2)))
             assert np.max(np.abs(da - da2)) / scale < 1e-8, f"basis {i}"
@@ -155,7 +155,7 @@ class TestRhs:
 
         free = make_model(make_params(b=0.0), sources="zero")
         guarded = dyn.StepperConfig(dt=1e-3, energy_guard=True)
-        dyn.step_imex(random_state(rect_basis, 24), guarded, free)
+        dyn.step_imex(dyn.derive(random_state(rect_basis, 24), free), guarded)
 
     def test_darcy_weak_divergence_matches_volume_source(self, rect_basis):
         # weak divergence of the Darcy velocity reproduces Gamma_v / nothing
@@ -208,8 +208,8 @@ class TestRhs:
         spec["limit_mode"] = "no-chemotaxis"
         limit = cf.parse_config(json.dumps(spec)).build_model(interval_basis)
         state = random_state(interval_basis, 8)
-        da1, dg1 = dyn.rhs(state, limit)
-        da2, dg2 = dyn.rhs(state.copy(), chi0)
+        da1, dg1 = dyn.rhs(dyn.derive(state, limit))
+        da2, dg2 = dyn.rhs(dyn.derive(state.copy(), chi0))
         assert same_bits(da1, da2) and same_bits(dg1, dg2)
 
 
@@ -248,7 +248,7 @@ class TestImex:
         config = dyn.StepperConfig(dt=1e-2)
         state = dyn.SimState(0.0, sp.constant_field(interval_basis, 1.0),
                              sp.constant_field(interval_basis, 0.0))
-        new = dyn.step_imex(state, config, model)
+        new = dyn.step_imex(dyn.derive(state, model), config)
         assert np.max(np.abs(new.alpha.data - state.alpha.data)) < 1e-14
         assert np.max(np.abs(new.gamma.data - state.gamma.data)) < 1e-14
 
@@ -263,7 +263,7 @@ class TestImex:
         data[2] = 1.0
         state = dyn.SimState(0.0, sp.FieldCoeffs(basis, data),
                              sp.constant_field(basis, 0.0))
-        new = dyn.step_imex(state, config, model)
+        new = dyn.step_imex(dyn.derive(state, model), config)
         lam = basis.eigenvalues[2]
         L = params.B * lam ** 2 + params.A * kappa * lam
         expect = 1.0 / (1.0 + config.dt * L)
@@ -289,16 +289,16 @@ class TestImex:
         config = dyn.StepperConfig(dt=5.0, energy_guard=True, tol_E=0.0,
                                    max_halvings=0)
         with pytest.raises(dyn.StepFailureError):
-            dyn.step_imex(state, config, model)
+            dyn.step_imex(dyn.derive(state, model), config)
 
     def test_energy_guard_accepts_decaying_step(self, interval_basis):
         model = make_model(make_params(b=0.0), sources="zero")
         state = random_state(interval_basis, 30, scale=0.2)
         config = dyn.StepperConfig(dt=1e-3, energy_guard=True, tol_E=0.0,
                                    max_halvings=6)
-        e0 = dg.energy(state, model).total
-        new = dyn.step_imex(state, config, model)
-        assert dg.energy(new, model).total <= e0 + 1e-12
+        e0 = dg.energy(dyn.derive(state, model)).total
+        new = dyn.step_imex(dyn.derive(state, model), config)
+        assert dg.energy(dyn.derive(new, model)).total <= e0 + 1e-12
 
 
     def test_nonfinite_step_is_blowup(self, interval_basis):
@@ -306,7 +306,7 @@ class TestImex:
         state = random_state(interval_basis, 3)
         state.alpha.data *= 1e120
         with pytest.raises(dyn.BlowUpError) as info, np.errstate(all="ignore"):
-            dyn.step_imex(state, dyn.StepperConfig(dt=1e-3), model)
+            dyn.run(state, dyn.StepperConfig(dt=1e-3), model, 1e-3)
         assert info.value.t == state.t and info.value.state is state
 
 
@@ -323,7 +323,7 @@ class TestRk4:
         data[1] = 1.0
         state = dyn.SimState(0.0, sp.FieldCoeffs(basis, data),
                              sp.constant_field(basis, 0.0))
-        new = dyn.step_rk4_explicit(state, config, model)
+        new = dyn.step_rk4_explicit(dyn.derive(state, model), config)
         lam = basis.eigenvalues[1]
         L = params.B * lam ** 2 + params.A * kappa * lam
         assert abs(new.alpha.data[1] - np.exp(-L * dt)) < (L * dt) ** 5
@@ -334,15 +334,16 @@ class TestRk4:
         config = dyn.StepperConfig(dt=50.0, scheme="rk4-explicit")
         with pytest.raises(dyn.BlowUpError), np.errstate(all="ignore"):
             for _ in range(40):
-                state = dyn.step_rk4_explicit(state, config, model)
+                state = dyn.step_rk4_explicit(dyn.derive(state, model), config)
 
     def test_consistent_with_imex_at_small_dt(self, rect_basis):
         model = make_model()
         state = random_state(rect_basis, 7)
         dt = 1e-6
-        s1 = dyn.step_imex(state, dyn.StepperConfig(dt=dt), model)
+        s1 = dyn.step_imex(dyn.derive(state, model), dyn.StepperConfig(dt=dt))
         s2 = dyn.step_rk4_explicit(
-            state.copy(), dyn.StepperConfig(dt=dt, scheme="rk4-explicit"), model)
+            dyn.derive(state.copy(), model),
+            dyn.StepperConfig(dt=dt, scheme="rk4-explicit"))
         assert np.max(np.abs(s1.alpha.data - s2.alpha.data)) < 1e-5 * dt ** 0.0 * 1e-1
 
 
@@ -358,7 +359,7 @@ class TestRun:
         state = random_state(interval_basis, 2)
         seen = []
         traj = dyn.run(state, dyn.StepperConfig(dt=1e-3), model, 0.01,
-                       observer=lambda i, t, s: seen.append(i), cadence=3)
+                       observer=lambda i, f: seen.append(i), cadence=3)
         assert seen == [0, 3, 6, 9, 10]
         assert len(traj) == len(seen)
 
@@ -387,9 +388,9 @@ class TestPureEvaluation:
         limit = make_model(make_params(K=0.0, chi=0.3))
         state = random_state(interval_basis, 8)
         fresh = state.copy()
-        dyn.rhs(state, model)
-        da, dgm = dyn.rhs(state, limit)
-        da_fresh, dg_fresh = dyn.rhs(fresh, limit)
+        dyn.rhs(dyn.derive(state, model))
+        da, dgm = dyn.rhs(dyn.derive(state, limit))
+        da_fresh, dg_fresh = dyn.rhs(dyn.derive(fresh, limit))
         assert np.array_equal(da, da_fresh)
         assert np.array_equal(dgm, dg_fresh)
 
@@ -457,7 +458,7 @@ class TestEvaluationBudget:
         config = dyn.StepperConfig(dt=1e-3)
         seen = []
         traj = dyn.run(random_state(rect_basis, 45), config, model, 6e-3,
-                       observer=lambda i, t, f: seen.append((t, f)),
+                       observer=lambda i, f: seen.append((f.state.t, f)),
                        cadence=2)
         snaps = list(dyn.snapshots(random_state(rect_basis, 45), config,
                                    model, 6e-3, cadence=2))
@@ -506,7 +507,7 @@ class TestEvaluationBudget:
                 monkeypatch.setattr(sp, name, counting(name, getattr(sp, name)))
         model = make_model()
         state = random_state(rect_basis, 46)
-        dyn.rhs(state, model, fields=dyn.derive(state, model))
+        dyn.rhs(dyn.derive(state, model))
         # phi, sigma and mu synthesized and differentiated once each, the
         # psi' projection, the Darcy divergence and grad p, then one
         # projection per equation
@@ -569,8 +570,8 @@ class TestMemberAxis:
         batch, model, states, alone = members
         config = dyn.StepperConfig(dt=1e-3)
         fb = dyn.derive(batch, model)
-        rb = dyn.rhs(batch, model, fields=fb)
-        sb = dyn.step_imex(batch, config, model, fields=fb)
+        rb = dyn.rhs(fb)
+        sb = dyn.step_imex(fb, config)
         for i, (state, member) in enumerate(zip(states, alone)):
             f = dyn.derive(state, member)
             for name in ("phi_g", "sigma_g", "mu_g", "gamma_phi", "S",
@@ -583,9 +584,9 @@ class TestMemberAxis:
             assert same_bits(fb.M_gamma[i], f.M_gamma)
             assert same_bits(fb.mu.data[i], f.mu.data)
             assert same_bits(fb.p.data[i], f.p.data)
-            r = dyn.rhs(state, member, fields=f)
+            r = dyn.rhs(f)
             assert same_bits(rb[0][i], r[0]) and same_bits(rb[1][i], r[1])
-            s = dyn.step_imex(state, config, member, fields=f)
+            s = dyn.step_imex(f, config)
             assert same_bits(sb.alpha.data[i], s.alpha.data)
             assert same_bits(sb.gamma.data[i], s.gamma.data)
             assert sb.norm()[i] == s.norm()
@@ -615,9 +616,9 @@ class TestMemberAxis:
         config = dyn.StepperConfig(dt=1e-3)
         fb = dyn.derive(batch, model)
         assert fb.p.data.shape == batch.alpha.data.shape
-        step = dyn.step_imex(batch, config, model, fields=fb)
+        step = dyn.step_imex(fb, config)
         for i, (state, member) in enumerate(zip(states, alone)):
-            s = dyn.step_imex(state, config, member)
+            s = dyn.step_imex(dyn.derive(state, member), config)
             assert same_bits(step.alpha.data[i], s.alpha.data)
             assert same_bits(step.gamma.data[i], s.gamma.data)
 
@@ -625,10 +626,10 @@ class TestMemberAxis:
         batch, model, _, _ = members
         fields = dyn.derive(batch, model)
         with pytest.raises(sp.BasisMismatchError):
-            dg.energy(batch, model, fields=fields)
+            dg.energy(fields)
         collector = dg.DiagnosticsCollector(model)
         with pytest.raises(sp.BasisMismatchError):
-            collector.observe(0, batch.t, fields)
+            collector.observe(0, fields)
         assert collector.records == []
 
     def test_parameters_checked_for_every_member(self):
@@ -644,7 +645,7 @@ class TestSnapshots:
         config = dyn.StepperConfig(dt=1e-3)
         seen = []
         traj = dyn.run(random_state(rect_basis, 47), config, model, 5e-3,
-                       observer=lambda i, t, f: seen.append(i), cadence=2)
+                       observer=lambda i, f: seen.append(i), cadence=2)
         snaps = list(dyn.snapshots(random_state(rect_basis, 47), config,
                                    model, 5e-3, cadence=2))
         assert seen == [0, 2, 4, 5]
@@ -737,7 +738,7 @@ class TestWorkingSet:
             lambda x, y: 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y),
             lambda x, y: 0.5 + 0.1 * np.cos(np.pi * x), basis))
         config = dyn.StepperConfig(dt=1e-3)
-        dg.energy(state, model)  # the basis builds its grid and constants
+        dg.energy(dyn.derive(state, model))  # the basis builds its grid and constants
         collector = dg.DiagnosticsCollector(model)
         peak = traced_peak(dyn.run, state, config, model, 4 * config.dt,
                            observer=collector.observe, cadence=4)

@@ -20,6 +20,7 @@ from chdarcy import cli
 from chdarcy import config as cf
 from chdarcy import diagnostics as dg
 from chdarcy import dynamics as dyn
+from chdarcy import experiments as ex
 from chdarcy import io as cio
 from chdarcy import spectral as sp
 
@@ -903,6 +904,55 @@ def test_no_flow_sweep_chi_has_zero_velocity(tmp_path):
     for r in rows:
         assert float(r["v_l2l2"]) == 0.0 and float(r["v_scaled"]) == 0.0
     assert tables[0] == tables[1]
+
+
+COMMANDS = ["validate", "run", "resume", "sweep-k", "sweep-chi", "mms"]
+
+
+def _argv(command, cfg, tmp_path):
+    argv = [command, "--config", str(cfg)]
+    if command not in ("validate", "mms"):
+        argv += ["--out", str(tmp_path / "out")]
+    if command == "resume":
+        argv += ["--checkpoint", str(tmp_path / "checkpoint.ckpt")]
+    return argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(b"\xff\xfe{")
+    assert cli.main(_argv(command, cfg, tmp_path)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: $: not UTF-8" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_overflowing_step_count_is_config_error(tmp_path, capsys, command):
+    # T / dt overflows to inf, which no step count can be
+    spec = json.loads(REFERENCE.read_text())
+    spec.update(dt=1e-300, T=1e10)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(spec))
+    assert cli.main(_argv(command, cfg, tmp_path)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: $.T:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_table_round_trips_a_failed_row(tmp_path):
+    rows = [ex.SweepRow(0.1, 0.5, 1 / 3, 2e-17, 1e300),
+            ex.SweepRow(0.05, np.nan, np.nan, np.nan, np.nan,
+                        failed="explicit step blew up")]
+    cio.write_sweep_csv(rows, tmp_path / "sweep.csv")
+    with (tmp_path / "sweep.csv").open(newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert tuple(lines[0]) == cio.SWEEP_COLUMNS
+    assert [float(x) for x in lines[1][:5]] == [0.1, 0.5, 1 / 3, 2e-17, 1e300]
+    assert lines[1][5] == ""
+    assert lines[2] == ["0.050000000000000003"] + ["nan"] * 4 + [
+        "explicit step blew up"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -121,7 +121,9 @@ class TestChemicalPotential:
         pot = md.Potential.quartic_double_well()
         phi = sp.constant_field(interval_basis, 1.0)
         sigma = sp.constant_field(interval_basis, 0.0)
-        mu = md.chemical_potential(phi, sigma, params, pot)
+        mu = md.chemical_potential(
+            phi, sigma, sp.to_grid(phi, sp.default_grid(interval_basis)),
+            params, pot)
         assert np.max(np.abs(mu.data)) < 1e-13
 
     def test_linearization_about_zero(self, interval_basis):
@@ -133,7 +135,9 @@ class TestChemicalPotential:
         data[1] = eps
         phi = sp.FieldCoeffs(interval_basis, data)
         sigma = sp.constant_field(interval_basis, 0.0)
-        mu = md.chemical_potential(phi, sigma, params, pot)
+        mu = md.chemical_potential(
+            phi, sigma, sp.to_grid(phi, sp.default_grid(interval_basis)),
+            params, pot)
         expect = (-params.A + params.B * np.pi ** 2) * eps
         assert abs(mu.data[1] - expect) < 1e-12
 
@@ -142,7 +146,9 @@ class TestChemicalPotential:
         pot = md.Potential.quartic_double_well()
         phi = sp.constant_field(interval_basis, 1.0)
         sigma = sp.constant_field(interval_basis, 1.0)
-        mu = md.chemical_potential(phi, sigma, params, pot)
+        mu = md.chemical_potential(
+            phi, sigma, sp.to_grid(phi, sp.default_grid(interval_basis)),
+            params, pot)
         assert abs(mu.mean() + params.chi) < 1e-13
 
 
@@ -157,7 +163,9 @@ class TestDarcy:
         data[1] = 1.0 / np.sqrt(2.0)   # cos(pi x)
         gamma_v = sp.FieldCoeffs(basis, data * params.K)
         zero = sp.constant_field(basis, 0.0)
-        p, v = md.solve_darcy(zero, zero, zero, gamma_v, params, grid)
+        p, v = md.solve_darcy(sp.gradient_on_grid(zero, grid),
+                              sp.to_grid(zero, grid), sp.to_grid(zero, grid),
+                              gamma_v, params)
         x = grid.nodes[0]
         assert np.allclose(sp.to_grid(p, grid).values,
                            np.cos(np.pi * x) / np.pi ** 2, atol=1e-12)
@@ -169,57 +177,44 @@ class TestDarcy:
         params = make_params()
         pot = md.Potential.quartic_double_well()
         state = random_state(rect_basis, 21)
-        mu = md.chemical_potential(state.alpha, state.gamma, params, pot)
-        p, _ = md.solve_darcy(state.alpha, mu, state.gamma, None, params)
+        grid = sp.default_grid(rect_basis)
+        mu = md.chemical_potential(state.alpha, state.gamma,
+                                   sp.to_grid(state.alpha, grid), params, pot)
+        p, _ = md.solve_darcy(sp.gradient_on_grid(state.alpha, grid),
+                              sp.to_grid(mu, grid),
+                              sp.to_grid(state.gamma, grid), None, params)
         assert abs(p.mean()) < 1e-13
 
     def test_gamma_v_mean_zero_enforced(self, interval_basis):
         params = make_params()
         zero = sp.constant_field(interval_basis, 0.0)
         bad = sp.constant_field(interval_basis, 1.0)
+        grid = sp.default_grid(interval_basis)
+        zero_g = sp.to_grid(zero, grid)
         with pytest.raises(sp.ZeroMeanViolationError):
-            md.solve_darcy(zero, zero, zero, bad, params)
+            md.solve_darcy(sp.gradient_on_grid(zero, grid), zero_g, zero_g,
+                           bad, params)
 
 
 class TestGridKeywords:
-    """Grid fields handed in replace the transforms, with the same result."""
-
-    def test_chemical_potential_takes_phi_on_the_grid(self, rect_basis):
-        from conftest import random_state
-        params = make_params()
-        pot = md.Potential.quartic_double_well()
-        state = random_state(rect_basis, 22)
-        grid = sp.default_grid(rect_basis)
-        mu = md.chemical_potential(state.alpha, state.gamma, params, pot)
-        given = md.chemical_potential(state.alpha, state.gamma, params, pot,
-                                      grid, phi_g=sp.to_grid(state.alpha, grid))
-        assert np.array_equal(mu.data, given.data)
-
-    def test_solve_darcy_takes_fields_on_the_grid(self, rect_basis):
-        from conftest import random_state
-        params = make_params()
-        state = random_state(rect_basis, 23)
-        mu = random_state(rect_basis, 24).alpha
-        grid = sp.default_grid(rect_basis)
-        p, v = md.solve_darcy(state.alpha, mu, state.gamma, None, params)
-        p2, v2 = md.solve_darcy(
-            state.alpha, mu, state.gamma, None, params, grid,
-            grad_phi=sp.gradient_on_grid(state.alpha, grid),
-            mu_g=sp.to_grid(mu, grid), sigma_g=sp.to_grid(state.gamma, grid))
-        assert np.array_equal(p.data, p2.data)
-        assert all(np.array_equal(a.values, b.values) for a, b in zip(v, v2))
+    """Grid fields must live on one grid of the fields' basis."""
 
     def test_fields_on_another_grid_rejected(self, rect_basis):
         params = make_params()
         pot = md.Potential.quartic_double_well()
         zero = sp.constant_field(rect_basis, 0.0)
+        another = sp.build_basis(rect_basis.domain, rect_basis.modes)
+        with pytest.raises(sp.BasisMismatchError):
+            md.chemical_potential(
+                zero, zero, sp.to_grid(sp.constant_field(another, 0.0),
+                                       sp.default_grid(another)),
+                params, pot)
+        grid = sp.default_grid(rect_basis)
         other = rect_basis.quadrature_grid(oversample=3.0)
         with pytest.raises(sp.BasisMismatchError):
-            md.chemical_potential(zero, zero, params, pot,
-                                  phi_g=sp.to_grid(zero, other))
-        with pytest.raises(sp.BasisMismatchError):
-            md.solve_darcy(zero, zero, zero, None, params,
-                           mu_g=sp.to_grid(zero, other))
+            md.solve_darcy(sp.gradient_on_grid(zero, grid),
+                           sp.to_grid(zero, other), sp.to_grid(zero, grid),
+                           None, params)
 
 
 class TestNutrientFreeEnergy:
