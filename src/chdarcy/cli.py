@@ -134,10 +134,9 @@ def _cmd_run(args) -> int:
             raise cf.ConfigError(["$.T: checkpoint is already past T"])
     else:
         start = config.build_initial_state(basis)
-    traj = dyn.run(start, stepper, model, max(config.T - start.t, 0.0),
-                   observer=collector.observe, cadence=config.cadence,
-                   observe_initial=not resume)
-    final = traj.states[-1] if len(traj) else start
+    final = dyn.run(start, stepper, model, max(config.T - start.t, 0.0),
+                    observer=collector.observe, cadence=config.cadence,
+                    observe_initial=not resume)
     _write_outputs(Path(args.out), collector, final, config,
                    config.content_hash())
     n = len(collector.records)

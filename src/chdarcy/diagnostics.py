@@ -15,7 +15,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import model as md
 from . import spectral as sp
-from .dynamics import SimState, StateFields, Trajectory
+from .dynamics import SimState, StateFields
 from .model import TumourModel
 from .spectral import FieldCoeffs, GridField
 
@@ -149,17 +149,17 @@ def _mass_defect(dt: float, c0: FieldCoeffs, c1: FieldCoeffs,
     return (c1.data[0] - c0.data[0]) * vol_root - dt * rate
 
 
-def energy_identity_residual(traj: Trajectory, model: TumourModel
+def energy_identity_residual(states: list[SimState], model: TumourModel
                              ) -> ResidualSeries:
     """Per-interval defect of the energy balance (_energy_defect).
 
     First order in dt for the IMEX scheme, zero at equilibria.
     """
-    if len(traj) < 2:
+    if len(states) < 2:
         raise ValueError("need at least two snapshots")
-    breakdowns = [energy(dyn.derive(s, model)) for s in traj.states]
-    times = np.asarray(traj.times)
-    res = np.empty(len(traj) - 1)
+    breakdowns = [energy(dyn.derive(s, model)) for s in states]
+    times = np.array([s.t for s in states])
+    res = np.empty(len(states) - 1)
     for n in range(len(res)):
         res[n] = _energy_defect(times[n + 1] - times[n], breakdowns[n],
                                 breakdowns[n + 1])
@@ -195,7 +195,7 @@ def _mass_rates(f: StateFields) -> tuple[float, float]:
     return rate_phi, rate_sigma
 
 
-def mass_balance_residuals(traj: Trajectory, model: TumourModel
+def mass_balance_residuals(states: list[SimState], model: TumourModel
                            ) -> MassBalance:
     """Defects of the two mass laws over each recorded interval
     (_mass_defect).
@@ -203,10 +203,10 @@ def mass_balance_residuals(traj: Trajectory, model: TumourModel
     Exact (to roundoff) for the IMEX stepper when snapshots are taken
     every step, because the constant mode sees no implicit damping.
     """
-    if len(traj) < 2:
+    if len(states) < 2:
         raise ValueError("need at least two snapshots")
-    states, times = traj.states, np.asarray(traj.times)
-    r_phi, r_sigma = np.empty(len(traj) - 1), np.empty(len(traj) - 1)
+    times = np.array([s.t for s in states])
+    r_phi, r_sigma = np.empty(len(states) - 1), np.empty(len(states) - 1)
     for i, (s0, s1) in enumerate(zip(states, states[1:])):
         dt = times[i + 1] - times[i]
         rate_phi, rate_sigma = _mass_rates(dyn.derive(s0, model))
@@ -227,7 +227,7 @@ class WeakResidual:
     max_abs: float      # max |r| over snapshots (algebraic relations)
 
 
-def weak_residual(traj: Trajectory, j: int, equation: str,
+def weak_residual(states: list[SimState], j: int, equation: str,
                   model: TumourModel) -> WeakResidual:
     """Residual of one weak-form equation against test function j.
 
@@ -236,21 +236,21 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
     velocity) are re-evaluated on a 4x oversampled grid and should hold
     to roundoff at every snapshot.
     """
-    basis = traj.states[0].basis
+    basis = states[0].basis
     if not (0 <= j < basis.n_modes):
         raise IndexError(f"test index {j} outside 0..{basis.n_modes - 1}")
     if equation not in ("phi", "mu", "sigma", "pressure", "velocity"):
         raise ValueError(f"unknown equation {equation!r}")
-    times = np.asarray(traj.times)
+    times = np.array([s.t for s in states])
 
     if equation in ("phi", "sigma"):
-        res = np.empty(len(traj) - 1)
+        res = np.empty(len(states) - 1)
         for n in range(len(res)):
             dt = times[n + 1] - times[n]
-            da, dg = dyn.rhs(dyn.derive(traj.states[n], model))
+            da, dg = dyn.rhs(dyn.derive(states[n], model))
             rate = da[j] if equation == "phi" else dg[j]
-            left = traj.states[n].alpha if equation == "phi" else traj.states[n].gamma
-            right = traj.states[n + 1].alpha if equation == "phi" else traj.states[n + 1].gamma
+            left = states[n].alpha if equation == "phi" else states[n].gamma
+            right = states[n + 1].alpha if equation == "phi" else states[n + 1].gamma
             res[n] = (right.data[j] - left.data[j]) / dt - rate
         dts = np.diff(times)
         return WeakResidual(equation, j, float(np.sum(np.abs(res) * dts)),
@@ -258,7 +258,7 @@ def weak_residual(traj: Trajectory, j: int, equation: str,
 
     max_abs = 0.0
     grid4 = basis.quadrature_grid(oversample=4.0)
-    for state in traj.states:
+    for state in states:
         der = dyn.derive(state, model)
         eff = der.model
         params = eff.params
@@ -475,14 +475,14 @@ def velocity_time_norms(times, v_sq, K: float) -> tuple[float, float]:
     return v_l2l2, (v_l2l2 / np.sqrt(K) if K > 0 else 0.0)
 
 
-def norm_suite(traj: Trajectory, model: TumourModel,
+def norm_suite(states: list[SimState], model: TumourModel,
                velocity_gradient: bool = False) -> NormSuite:
     """Time-aggregated norms of the solution quintuple over a window."""
-    times = np.asarray(traj.times)
+    times = np.array([s.t for s in states])
     acc = {name: ([], []) for name in ("phi", "sigma", "mu", "p")}
     velocities = []
     dv = [] if velocity_gradient else None
-    for state in traj.states:
+    for state in states:
         der = dyn.derive(state, model)
         for name, coeffs in (("phi", state.alpha), ("sigma", state.gamma),
                              ("mu", der.mu), ("p", der.p)):
@@ -580,8 +580,8 @@ class DiagnosticsCollector:
         f = dyn.derive(last_state, self.model)
         self._prev = (last_state, energy(f), _mass_rates(f))
 
-    def observe(self, step: int, fields: StateFields):
-        """Record the snapshot at step from its evaluation."""
+    def observe(self, fields: StateFields):
+        """Record a snapshot from its evaluation."""
         state, basis, t = fields.state, fields.state.basis, fields.state.t
         bd = energy(fields)
         params = fields.model.params

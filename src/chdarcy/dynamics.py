@@ -16,7 +16,7 @@ once, each exactly as it would advance alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -262,7 +262,7 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
     params = model.params
     basis = state.basis
     grid = basis.quadrature_grid(oversample=oversample)
-    W = grid.weight_array()
+    W = grid.W
 
     phi_g = sp.to_grid(state.alpha, grid).values
     sigma_g = sp.to_grid(state.gamma, grid).values
@@ -324,7 +324,7 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
     R_S = basis_vals @ (Wf * S_vals.reshape(nflat))
 
     M_bdry = sp.boundary_mass_matrix(basis)
-    Sigma_vec = model.sigma_inf(state.t) * sp.boundary_integral_vector(basis)
+    Sigma_vec = model.sigma_inf(state.t) * basis.boundary_vector
 
     return DenseGalerkinOperators(
         S=S, S_m=S_m, S_n=S_n, C=C, M_bdry=M_bdry, R_phi=R_phi, R_S=R_S,
@@ -473,28 +473,7 @@ def step_rk4_explicit(f: StateFields, config: StepperConfig) -> SimState:
     return new
 
 
-@dataclass
-class Trajectory:
-    states: list[SimState] = field(default_factory=list)
-
-    @property
-    def times(self) -> list[float]:
-        return [s.t for s in self.states]
-
-    def append(self, state: SimState):
-        self.states.append(state)
-
-    def __len__(self):
-        return len(self.states)
-
-
-Observer = Callable[[int, StateFields], None]
-
-
-def _step_count(T: float, dt: float) -> int:
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    return int(round(T / dt))
+Observer = Callable[[StateFields], None]
 
 
 def _snapshot_due(i: int, n_steps: int, cadence: int,
@@ -514,7 +493,9 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
     already written.  Nothing is kept, so a consumer that reduces each
     snapshot on arrival holds one state at a time.
     """
-    n_steps = _step_count(T, config.dt)
+    if T < 0:
+        raise ValueError("T must be nonnegative")
+    n_steps = int(round(T / config.dt))
     config = replace(config, kappa=config.resolved_kappa(model))
     if config.scheme == "imex1":
         stepper = partial(step_imex, factors=_implicit_factors(
@@ -542,24 +523,20 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
 
 def run(initial: SimState, config: StepperConfig, model: TumourModel,
         T: float, observer: Observer | None = None,
-        cadence: int = 1, observe_initial: bool = True) -> Trajectory:
-    """Advance for a duration T, snapshotting every `cadence` steps.
+        cadence: int = 1, observe_initial: bool = True) -> SimState:
+    """Advance for a duration T and return the final state, or `initial`
+    when nothing is stepped (a resumed run already at its horizon).
 
-    The snapshots are those of `snapshots`: each state is evaluated once,
-    and that evaluation drives its step and is what the observer
-    receives, with its step index (its time is fields.state.t).
+    The observer receives the snapshots of `snapshots`: each state is
+    evaluated once, and that evaluation drives its step.  No state is
+    kept, so a run holds one evaluation at a time whatever its length.
     """
-    n_steps = _step_count(T, config.dt)
-    steps = (i for i in range(n_steps + 1)
-             if _snapshot_due(i, n_steps, cadence, observe_initial))
-    traj = Trajectory()
+    final = initial
     for fields in snapshots(initial, config, model, T, cadence,
                             observe_initial):
-        i = next(steps)
-        traj.append(fields.state)
+        final = fields.state
         if observer is not None:
-            observer(i, fields)
-        # drop the evaluation before the generator steps on, so that
-        # only what the trajectory keeps outlives it
+            observer(fields)
+        # drop the evaluation before the generator steps on
         del fields
-    return traj
+    return final

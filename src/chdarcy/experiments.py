@@ -17,7 +17,7 @@ import numpy as np
 from . import diagnostics as dg
 from . import dynamics as dyn
 from . import spectral as sp
-from .dynamics import SimState, StepperConfig, Trajectory
+from .dynamics import SimState, StepperConfig
 from .model import TumourModel
 from .spectral import FieldCoeffs, SpectralBasis
 
@@ -94,17 +94,6 @@ def _time_norm(diffs, times, comparison: str) -> float:
     return float(np.sqrt(dg.trapezoid(diffs ** 2, times)))
 
 
-def _difference_norm(a: Trajectory, b: Trajectory, field: str,
-                     comparison: str) -> float:
-    if len(a) != len(b):
-        raise ValueError("trajectories must share the snapshot grid")
-    name = "alpha" if field == "phi" else "gamma"
-    diffs = [_snapshot_difference(getattr(sa, name), getattr(sb, name),
-                                  comparison)
-             for sa, sb in zip(a.states, b.states)]
-    return _time_norm(diffs, a.times, comparison)
-
-
 def sweep_vanishing_permeability(spec: SweepSpec, model: TumourModel,
                                  initial: SimState) -> list[SweepRow]:
     """Member runs at decreasing K with b = K, against the K = 0 run."""
@@ -124,11 +113,11 @@ def _sweep(spec: SweepSpec, parameter: str, model: TumourModel,
     """Members with parameter = b = value, each against the limit run,
     the model at parameter = b = 0.
 
-    The limit run's trajectory is the reference.  The members then
-    advance together as one batched state, each snapshot reduced on
-    arrival, so no member trajectory is kept.  If the batch fails, each
-    member is re-run alone, and one that blows up gets its failed row
-    while the others go on.
+    The limit run's snapshot states, collected by its observer, are the
+    reference.  The members then advance together as one batched state,
+    each snapshot reduced on arrival, so no member trajectory is kept.
+    If the batch fails, each member is re-run alone, and one that blows
+    up gets its failed row while the others go on.
     """
     if spec.parameter != parameter:
         raise ValueError(f"spec.parameter must be {parameter!r}")
@@ -137,8 +126,9 @@ def _sweep(spec: SweepSpec, parameter: str, model: TumourModel,
         return model.with_params(
             model.params.with_(**{parameter: value, "b": value}))
 
-    limit = dyn.run(initial.copy(), StepperConfig(dt=spec.dt), at(0.0),
-                    spec.T, cadence=spec.cadence)
+    limit = []
+    dyn.run(initial.copy(), StepperConfig(dt=spec.dt), at(0.0), spec.T,
+            observer=lambda f: limit.append(f.state), cadence=spec.cadence)
     values = np.array(spec.values)
     members = at(values)
     batch = SimState(initial.t, *(
@@ -161,11 +151,11 @@ def _sweep(spec: SweepSpec, parameter: str, model: TumourModel,
 
 def _member_rows(spec: SweepSpec, values: tuple[float, ...],
                  members: TumourModel, initial: SimState,
-                 limit: Trajectory) -> list[SweepRow]:
+                 limit: list[SimState]) -> list[SweepRow]:
     """One row per value: the members' run (batched, or one member
     alone), each snapshot reduced against the limit run's on arrival."""
     times, diff_phi, diff_sigma, v_sq = [], [], [], []
-    refs = iter(limit.states)
+    refs = iter(limit)
     for f in dyn.snapshots(initial, StepperConfig(dt=spec.dt), members,
                            spec.T, cadence=spec.cadence):
         ref = next(refs)

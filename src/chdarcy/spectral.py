@@ -196,9 +196,6 @@ class QuadratureGrid:
     def dim(self) -> int:
         return self.basis.dim
 
-    def weight_array(self) -> np.ndarray:
-        return self.W
-
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         if self.dim == 1:
             return (self.nodes[0],)
@@ -385,10 +382,8 @@ def to_coeffs(f: GridField) -> FieldCoeffs:
     return weak_form(f)
 
 
-def gradient_on_grid(c: FieldCoeffs, g: QuadratureGrid | None = None) -> tuple[GridField, ...]:
+def gradient_on_grid(c: FieldCoeffs, g: QuadratureGrid) -> tuple[GridField, ...]:
     """Exact derivative of the cosine series, evaluated at the nodes."""
-    if g is None:
-        g = default_grid(c.basis)
     if g.basis is not c.basis:
         raise BasisMismatchError("grid was built for a different basis")
     if c.basis.dim == 1:
@@ -455,11 +450,6 @@ def boundary_mass_apply(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:
            + rx[:, None] * (rx @ G)[..., None, :]
            + (G @ ly)[..., :, None] * ly + (G @ ry)[..., :, None] * ry)
     return out.reshape(c.shape)
-
-
-def boundary_integral_vector(basis: SpectralBasis) -> np.ndarray:
-    """b_j = int_{boundary} w_j, kept by the basis (boundary_vector)."""
-    return basis.boundary_vector
 
 
 def inner_product(c1: FieldCoeffs, c2: FieldCoeffs, kind: str = "L2"):

@@ -51,6 +51,11 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def trajectory(initial, config, model, T, **kw) -> list:
+    """The states of a run's snapshots, in order; dynamics.run keeps none."""
+    return [f.state for f in dyn.snapshots(initial, config, model, T, **kw)]
+
+
 def traced_peak(fn, *args, **kwargs) -> int:
     """Bytes held at the peak of fn(*args, **kwargs) beyond those held
     when it started, as tracemalloc counts them (numpy buffers included)."""

@@ -19,7 +19,7 @@ from chdarcy import experiments as ex
 from chdarcy import io as cio
 from chdarcy import spectral as sp
 
-from conftest import make_model, make_params, random_state
+from conftest import make_model, make_params, random_state, trajectory
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
@@ -44,8 +44,13 @@ def reference_run():
     """In-process reference run with full per-step diagnostics."""
     config, basis, model, stepper, initial = build_run(load_reference_spec())
     collector = dg.DiagnosticsCollector(model)
-    traj = dyn.run(initial, stepper, model, config.T,
-                   observer=collector.observe, cadence=1)
+    traj = []
+
+    def observer(fields):
+        collector.observe(fields)
+        traj.append(fields.state)
+
+    dyn.run(initial, stepper, model, config.T, observer=observer, cadence=1)
     return config, basis, model, stepper, traj, collector.records
 
 
@@ -111,12 +116,12 @@ def test_reference_128_steps_within_memory():
     collector = dg.DiagnosticsCollector(model)
     tracemalloc.start()
     try:
-        traj = dyn.run(initial, stepper, model, config.T,
-                       observer=collector.observe, cadence=1)
+        final = dyn.run(initial, stepper, model, config.T,
+                        observer=collector.observe, cadence=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(traj) == 3 and len(collector.records) == 3
+    assert final.t == config.T and len(collector.records) == 3
     assert peak < 128 * 2 ** 20
 
 
@@ -163,9 +168,7 @@ def test_weak_formulation_residuals(reference_run):
     config, basis, model, stepper, traj, _ = reference_run
 
     # algebraic relations hold to 1e-10 at every snapshot
-    sub = dyn.Trajectory()
-    for i in range(0, len(traj), 25):
-        sub.append(traj.states[i])
+    sub = traj[::25]
     for equation in ("mu", "pressure", "velocity"):
         for j in (0, 3):
             r = dg.weak_residual(sub, j, equation, model)
@@ -173,11 +176,11 @@ def test_weak_formulation_residuals(reference_run):
 
     # evolution residuals halve with dt within 25%; the window starts
     # after the initial transient so the defect is in its asymptotic range
-    initial = traj.states[100]
+    initial = traj[100]
     vals = {}
     for dt in (1e-3, 5e-4):
         cfg = dyn.StepperConfig(dt=dt)
-        window = dyn.run(initial.copy(), cfg, model, 0.02)
+        window = trajectory(initial.copy(), cfg, model, 0.02)
         vals[dt] = {
             eq: dg.weak_residual(window, 3, eq, model).integrated
             for eq in ("phi", "sigma")
@@ -192,7 +195,7 @@ def permeability_sweep(reference_run):
     _, basis, model, _, traj, _ = reference_run
     spec = ex.SweepSpec("K", (1.0, 0.25, 0.0625, 0.015625),
                         dt=1e-3, T=0.5, cadence=5)
-    return ex.sweep_vanishing_permeability(spec, model, traj.states[0])
+    return ex.sweep_vanishing_permeability(spec, model, traj[0])
 
 
 def test_vanishing_permeability_convergence(permeability_sweep):
@@ -221,7 +224,7 @@ def test_vanishing_chemotaxis_convergence(reference_run):
     _, basis, model, _, traj, _ = reference_run
     spec = ex.SweepSpec("chi", (1.0, 0.5, 0.25, 0.125),
                         dt=1e-3, T=0.5, cadence=5)
-    rows = ex.sweep_vanishing_chemotaxis(spec, model, traj.states[0])
+    rows = ex.sweep_vanishing_chemotaxis(spec, model, traj[0])
     assert all(r.failed is None for r in rows)
     for field in ("diff_phi", "diff_sigma"):
         diffs = [getattr(r, field) for r in rows]

@@ -9,7 +9,8 @@ from chdarcy import dynamics as dyn
 from chdarcy import model as md
 from chdarcy import spectral as sp
 
-from conftest import make_model, make_params, random_state, same_bits
+from conftest import (make_model, make_params, random_state, same_bits,
+                      trajectory)
 
 
 def constant_state(basis, phi_val, sigma_val, t=0.0):
@@ -105,8 +106,8 @@ class TestEnergyIdentity:
     def test_zero_at_equilibrium(self, interval_basis):
         model = make_model(make_params(b=0.0), sources="zero")
         config = dyn.StepperConfig(dt=1e-3)
-        traj = dyn.run(constant_state(interval_basis, 1.0, 0.0),
-                       config, model, 0.01)
+        traj = trajectory(constant_state(interval_basis, 1.0, 0.0),
+                          config, model, 0.01)
         res = dg.energy_identity_residual(traj, model)
         assert res.max_abs < 1e-13
 
@@ -117,7 +118,7 @@ class TestEnergyIdentity:
 
         def integral(dt):
             config = dyn.StepperConfig(dt=dt)
-            traj = dyn.run(state.copy(), config, model, T)
+            traj = trajectory(state.copy(), config, model, T)
             return dg.energy_identity_residual(traj, model).integral_abs
 
         ratio = integral(1e-3) / integral(5e-4)
@@ -125,8 +126,7 @@ class TestEnergyIdentity:
 
     def test_needs_two_snapshots(self, interval_basis):
         model = make_model()
-        traj = dyn.Trajectory()
-        traj.append(random_state(interval_basis, 1))
+        traj = [random_state(interval_basis, 1)]
         with pytest.raises(ValueError):
             dg.energy_identity_residual(traj, model)
 
@@ -137,23 +137,24 @@ class TestMassBalance:
         # mass obeys d/dt mass = b (sigma_inf |bdry| - int_bdry sigma)
         model = make_model(make_params(b=0.5), sources="zero", sigma_inf=1.0)
         config = dyn.StepperConfig(dt=1e-3)
-        traj = dyn.run(constant_state(interval_basis, 1.0, 0.2),
-                       config, model, 0.05)
+        traj = trajectory(constant_state(interval_basis, 1.0, 0.2),
+                          config, model, 0.05)
         mb = dg.mass_balance_residuals(traj, model)
         assert mb.max_rel_phi < 1e-13
         assert mb.max_rel_sigma < 1e-13
-        masses = [s.gamma.data[0] for s in traj.states]
+        masses = [s.gamma.data[0] for s in traj]
         assert masses[-1] > masses[0]
 
     def test_residual_detects_tampering(self, interval_basis):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        traj = dyn.run(random_state(interval_basis, 3), config, model, 0.01)
-        bad = traj.states[-1].alpha.data.copy()
+        traj = trajectory(random_state(interval_basis, 3), config, model,
+                          0.01)
+        bad = traj[-1].alpha.data.copy()
         bad[0] += 1e-3
-        traj.states[-1] = dyn.SimState(traj.states[-1].t,
-                                       sp.FieldCoeffs(interval_basis, bad),
-                                       traj.states[-1].gamma)
+        traj[-1] = dyn.SimState(traj[-1].t,
+                                sp.FieldCoeffs(interval_basis, bad),
+                                traj[-1].gamma)
         mb = dg.mass_balance_residuals(traj, model)
         assert mb.max_rel_phi > 1e-4
 
@@ -166,7 +167,7 @@ def traj_pair():
     out = {}
     for dt in (1e-3, 5e-4):
         config = dyn.StepperConfig(dt=dt)
-        out[dt] = (dyn.run(state.copy(), config, model, 0.02), config)
+        out[dt] = (trajectory(state.copy(), config, model, 0.02), config)
     return model, out
 
 
@@ -191,7 +192,8 @@ class TestWeakResiduals:
     def test_rejects_bad_inputs(self, interval_basis):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        traj = dyn.run(random_state(interval_basis, 1), config, model, 0.002)
+        traj = trajectory(random_state(interval_basis, 1), config, model,
+                          0.002)
         with pytest.raises(IndexError):
             dg.weak_residual(traj, 99, "phi", model)
         with pytest.raises(ValueError):
@@ -292,8 +294,8 @@ class TestNormSuite:
     def test_equilibrium_velocity_free(self, interval_basis):
         model = make_model(make_params(b=0.0), sources="zero")
         config = dyn.StepperConfig(dt=1e-3)
-        traj = dyn.run(constant_state(interval_basis, 1.0, 0.0),
-                       config, model, 0.01)
+        traj = trajectory(constant_state(interval_basis, 1.0, 0.0),
+                          config, model, 0.01)
         ns = dg.norm_suite(traj, model)
         assert ns.v_l2l2 < 1e-13
         assert abs(ns.phi.linf_l2 - 1.0) < 1e-13
@@ -302,14 +304,15 @@ class TestNormSuite:
         params = make_params(K=0.25)
         model = make_model(params)
         config = dyn.StepperConfig(dt=1e-3)
-        traj = dyn.run(random_state(rect_basis, 33), config, model, 0.005)
+        traj = trajectory(random_state(rect_basis, 33), config, model, 0.005)
         ns = dg.norm_suite(traj, model)
         assert abs(ns.v_l2l2_scaled - ns.v_l2l2 / np.sqrt(0.25)) < 1e-13
 
     def test_velocity_gradient_optional(self, interval_basis):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        traj = dyn.run(random_state(interval_basis, 34), config, model, 0.005)
+        traj = trajectory(random_state(interval_basis, 34), config, model,
+                          0.005)
         assert dg.norm_suite(traj, model).dv_l2 is None
         ns = dg.norm_suite(traj, model, velocity_gradient=True)
         assert ns.dv_l2 is not None and len(ns.dv_l2) == len(traj)
@@ -322,8 +325,8 @@ class TestCollector:
         collector = dg.DiagnosticsCollector(model)
         seen = []
 
-        def observer(step, fields):
-            collector.observe(step, fields)
+        def observer(fields):
+            collector.observe(fields)
             seen.append(collector.accumulators())
 
         dyn.run(random_state(interval_basis, 12, scale=0.1),
@@ -346,11 +349,11 @@ class TestCollector:
                 observer=full.observe)
 
         first = dg.DiagnosticsCollector(model)
-        traj = dyn.run(initial.copy(), config, model, 0.005,
-                       observer=first.observe)
+        mid = dyn.run(initial.copy(), config, model, 0.005,
+                      observer=first.observe)
         second = dg.DiagnosticsCollector(model)
-        second.restore(first.accumulators(), traj.states[-1])
-        dyn.run(traj.states[-1], config, model, 0.005,
+        second.restore(first.accumulators(), mid)
+        dyn.run(mid, config, model, 0.005,
                 observer=second.observe, observe_initial=False)
 
         merged = first.records + second.records
@@ -408,8 +411,14 @@ class TestOneLedger:
         model = make_model(make_params(b=0.3))  # Hawkins sources
         config = dyn.StepperConfig(dt=1e-3)
         collector = dg.DiagnosticsCollector(model)
-        traj = dyn.run(random_state(basis, 21, scale=0.1), config, model,
-                       0.02, observer=collector.observe)
+        traj = []
+
+        def observer(fields):
+            collector.observe(fields)
+            traj.append(fields.state)
+
+        dyn.run(random_state(basis, 21, scale=0.1), config, model, 0.02,
+                observer=observer)
         rows = collector.records[1:]
         mb = dg.mass_balance_residuals(traj, model)
         ei = dg.energy_identity_residual(traj, model)

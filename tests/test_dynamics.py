@@ -12,7 +12,7 @@ from chdarcy import model as md
 from chdarcy import spectral as sp
 
 from conftest import (make_model, make_params, random_state, same_bits,
-                      traced_peak)
+                      traced_peak, trajectory)
 
 
 def linear_test_potential(kappa):
@@ -275,8 +275,7 @@ class TestImex:
         T = 0.02
 
         def final(dt):
-            traj = dyn.run(state.copy(), dyn.StepperConfig(dt=dt), model, T)
-            return traj.states[-1]
+            return dyn.run(state.copy(), dyn.StepperConfig(dt=dt), model, T)
 
         ref = final(1.25e-4)
         e1 = np.max(np.abs(final(1e-3).alpha.data - ref.alpha.data))
@@ -351,31 +350,36 @@ class TestRun:
     def test_t_zero_returns_initial_only(self, interval_basis):
         model = make_model()
         state = random_state(interval_basis, 2)
-        traj = dyn.run(state, dyn.StepperConfig(dt=1e-3), model, 0.0)
-        assert len(traj) == 1 and traj.states[0] is state
+        seen = []
+        final = dyn.run(state, dyn.StepperConfig(dt=1e-3), model, 0.0,
+                        observer=lambda f: seen.append(f.state))
+        assert final is state
+        assert len(seen) == 1 and seen[0] is state
 
     def test_cadence_and_final_snapshot(self, interval_basis):
         model = make_model()
         state = random_state(interval_basis, 2)
+        config = dyn.StepperConfig(dt=1e-3)
         seen = []
-        traj = dyn.run(state, dyn.StepperConfig(dt=1e-3), model, 0.01,
-                       observer=lambda i, f: seen.append(i), cadence=3)
+        final = dyn.run(state, config, model, 0.01, cadence=3,
+                        observer=lambda f: seen.append(
+                            round(f.state.t / config.dt)))
         assert seen == [0, 3, 6, 9, 10]
-        assert len(traj) == len(seen)
+        assert round(final.t / config.dt) == 10
 
     def test_determinism(self, interval_basis):
         model = make_model()
         state = random_state(interval_basis, 2)
         t1 = dyn.run(state.copy(), dyn.StepperConfig(dt=1e-3), model, 0.01)
         t2 = dyn.run(state.copy(), dyn.StepperConfig(dt=1e-3), model, 0.01)
-        assert np.array_equal(t1.states[-1].alpha.data, t2.states[-1].alpha.data)
-        assert np.array_equal(t1.states[-1].gamma.data, t2.states[-1].gamma.data)
+        assert np.array_equal(t1.alpha.data, t2.alpha.data)
+        assert np.array_equal(t1.gamma.data, t2.gamma.data)
 
     def test_mass_laws_per_step(self, rect_basis):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
         state = random_state(rect_basis, 19)
-        traj = dyn.run(state, config, model, 0.01)
+        traj = trajectory(state, config, model, 0.01)
         mb = dg.mass_balance_residuals(traj, model)
         norm = 1.0 + state.norm()
         assert np.max(np.abs(mb.phi_residuals)) < 1e-12 * norm
@@ -427,9 +431,10 @@ class TestEvaluationBudget:
                                                    source_calls):
         model = make_model(make_params(b=0.0), sources="zero")
         config = dyn.StepperConfig(dt=1e-3, energy_guard=True, tol_E=1e-12)
-        traj = dyn.run(random_state(rect_basis, 41, scale=0.1), config, model,
-                       self.n * config.dt)
-        assert len(traj) == self.n + 1
+        seen = []
+        dyn.run(random_state(rect_basis, 41, scale=0.1), config, model,
+                self.n * config.dt, observer=lambda f: seen.append(f.state.t))
+        assert len(seen) == self.n + 1
         assert len(source_calls) <= self.n + 1
 
     def test_observed_run_evaluates_each_state_at_most_twice(
@@ -457,15 +462,15 @@ class TestEvaluationBudget:
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
         seen = []
-        traj = dyn.run(random_state(rect_basis, 45), config, model, 6e-3,
-                       observer=lambda i, f: seen.append((f.state.t, f)),
-                       cadence=2)
+        final = dyn.run(random_state(rect_basis, 45), config, model, 6e-3,
+                        observer=seen.append, cadence=2)
         snaps = list(dyn.snapshots(random_state(rect_basis, 45), config,
                                    model, 6e-3, cadence=2))
-        assert len(seen) == len(traj) == len(snaps) == 4
-        for (t, f), state, g in zip(seen, traj.states, snaps):
+        assert len(seen) == len(snaps) == 4
+        assert seen[-1].state is final
+        for f, g in zip(seen, snaps):
             assert isinstance(f, dyn.StateFields)
-            assert f.state is state and t == state.t
+            assert f.state.t == g.state.t
             assert all(same_bits(a.values, b.values)
                        for a, b in zip(f.v, g.v))
 
@@ -629,7 +634,7 @@ class TestMemberAxis:
             dg.energy(fields)
         collector = dg.DiagnosticsCollector(model)
         with pytest.raises(sp.BasisMismatchError):
-            collector.observe(0, fields)
+            collector.observe(fields)
         assert collector.records == []
 
     def test_parameters_checked_for_every_member(self):
@@ -644,13 +649,13 @@ class TestSnapshots:
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
         seen = []
-        traj = dyn.run(random_state(rect_basis, 47), config, model, 5e-3,
-                       observer=lambda i, f: seen.append(i), cadence=2)
+        final = dyn.run(random_state(rect_basis, 47), config, model, 5e-3,
+                        observer=lambda f: seen.append(f.state), cadence=2)
         snaps = list(dyn.snapshots(random_state(rect_basis, 47), config,
                                    model, 5e-3, cadence=2))
-        assert seen == [0, 2, 4, 5]
-        assert len(snaps) == len(traj)
-        for f, state in zip(snaps, traj.states):
+        assert [round(s.t / config.dt) for s in seen] == [0, 2, 4, 5]
+        assert len(snaps) == len(seen) and seen[-1] is final
+        for f, state in zip(snaps, seen):
             assert f.state.t == state.t
             assert same_bits(f.state.alpha.data, state.alpha.data)
 
@@ -727,6 +732,19 @@ class TestWorkingSet:
             for fields in dyn.snapshots(state, config, model, n * config.dt):
                 del fields
         assert alive_at_each_new_state == [0] * n
+
+    def test_run_memory_does_not_grow_with_its_length(self):
+        # run keeps no state: a 2000-step run peaks where a 100-step run
+        # does.  A state on this basis is 1 KB, so keeping every state
+        # would add about 3 MB
+        basis = sp.build_basis(sp.Domain("rectangle", (1.0, 1.0)), (8, 8))
+        model = make_model()
+        config = dyn.StepperConfig(dt=1e-4)
+        state = random_state(basis, 51, scale=0.1)
+        dyn.run(state, config, model, 10 * config.dt)  # first-use caches
+        short, long = (traced_peak(dyn.run, state, config, model,
+                                   n * config.dt) for n in (100, 2000))
+        assert long <= short + 256 * 2 ** 10, (short, long)
 
     def test_run_working_set_in_grid_arrays(self):
         # a 2D run snapshotted at its start and end only, observed as the

@@ -6,7 +6,7 @@ from chdarcy import dynamics as dyn
 from chdarcy import experiments as ex
 from chdarcy import spectral as sp
 
-from conftest import make_model, make_params, random_state
+from conftest import make_model, make_params, random_state, trajectory
 
 
 class TestFitRate:
@@ -76,16 +76,6 @@ class TestSweeps:
         diffs = [max(r.diff_phi, r.diff_sigma) for r in rows]
         assert diffs[0] > diffs[1] > diffs[2] > 0
 
-    def test_difference_norm_of_identical_trajectories(self, setup):
-        basis, model, initial = setup
-        config = dyn.StepperConfig(dt=1e-3)
-        traj = dyn.run(initial.copy(), config, model, 0.01)
-        for comparison in ("Linf-L2", "L2-H1"):
-            assert ex._difference_norm(traj, traj, "phi", comparison) == 0.0
-        short = dyn.run(initial.copy(), config, model, 0.005)
-        with pytest.raises(ValueError):
-            ex._difference_norm(traj, short, "phi", "Linf-L2")
-
     def test_permeability_sweep_rejects_volume_source(self, setup):
         basis, model, initial = setup
         data = np.zeros(basis.n_modes)
@@ -116,27 +106,35 @@ def member_by_member(spec, model, initial):
     parameter = spec.parameter
     limit_model = model.with_params(
         model.params.with_(**{parameter: 0.0, "b": 0.0}))
-    limit = dyn.run(initial.copy(), dyn.StepperConfig(dt=spec.dt),
-                    limit_model, spec.T, cadence=spec.cadence)
+    limit = trajectory(initial.copy(), dyn.StepperConfig(dt=spec.dt),
+                       limit_model, spec.T, cadence=spec.cadence)
     rows = []
     for value in spec.values:
         member = model.with_params(
             model.params.with_(**{parameter: value, "b": value}))
         config = dyn.StepperConfig(dt=spec.dt)
         try:
-            traj = dyn.run(initial.copy(), config, member, spec.T,
-                           cadence=spec.cadence)
+            traj = trajectory(initial.copy(), config, member, spec.T,
+                              cadence=spec.cadence)
         except dyn.StepFailureError as exc:
             rows.append(ex.SweepRow(value, np.nan, np.nan, np.nan, np.nan,
                                     failed=str(exc)))
             continue
-        velocities = [dyn.derive(s, member).v for s in traj.states]
-        v_l2l2, v_scaled = dg.velocity_norms(traj.times, velocities,
+        assert len(traj) == len(limit)
+        times = [s.t for s in traj]
+        velocities = [dyn.derive(s, member).v for s in traj]
+        v_l2l2, v_scaled = dg.velocity_norms(times, velocities,
                                              member.params.K)
-        rows.append(ex.SweepRow(
-            value, v_l2l2, v_scaled,
-            ex._difference_norm(traj, limit, "phi", spec.comparison),
-            ex._difference_norm(traj, limit, "sigma", spec.comparison)))
+
+        def difference(name):
+            diffs = [ex._snapshot_difference(getattr(s, name),
+                                             getattr(ref, name),
+                                             spec.comparison)
+                     for s, ref in zip(traj, limit)]
+            return ex._time_norm(diffs, times, spec.comparison)
+
+        rows.append(ex.SweepRow(value, v_l2l2, v_scaled, difference("alpha"),
+                                difference("gamma")))
     return rows
 
 

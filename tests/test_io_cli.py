@@ -941,6 +941,54 @@ def test_overflowing_step_count_is_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_step_count_above_the_cap_is_config_error(tmp_path, capsys, command):
+    # T / dt = 1e290 is finite but would run for ages and write nothing
+    spec = json.loads(REFERENCE.read_text())
+    spec.update(dt=1e-300, T=1e-10)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(spec))
+    assert cli.main(_argv(command, cfg, tmp_path)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: $.T:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_step_count_cap_is_inclusive():
+    spec = json.loads(REFERENCE.read_text())
+    spec.update(dt=1.0, T=float(cf.MAX_STEPS))
+    cf.parse_config(json.dumps(spec))
+    spec.update(T=float(cf.MAX_STEPS + 1))
+    with pytest.raises(cf.ConfigError) as info:
+        cf.parse_config(json.dumps(spec))
+    assert info.value.violations == [
+        f"$.T: T / dt, the step count, must be <= {cf.MAX_STEPS}"]
+
+
+def _deep_nesting():
+    return "[" * 100000
+
+
+def _huge_seed():
+    # json.dumps cannot write the integer either, so splice its digits in
+    spec = json.loads(REFERENCE.read_text())
+    spec["seed"] = "SEED"
+    return json.dumps(spec).replace('"SEED"', "9" * 5000)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("text", [_deep_nesting, _huge_seed],
+                         ids=["deep-nesting", "5000-digit-int"])
+def test_json_that_cannot_be_decoded_is_config_error(tmp_path, capsys,
+                                                     command, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text())
+    assert cli.main(_argv(command, cfg, tmp_path)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: $:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_table_round_trips_a_failed_row(tmp_path):
     rows = [ex.SweepRow(0.1, 0.5, 1 / 3, 2e-17, 1e300),
             ex.SweepRow(0.05, np.nan, np.nan, np.nan, np.nan,
