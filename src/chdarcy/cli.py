@@ -1,7 +1,9 @@
 """Command-line surface: validate, run, sweep-k, sweep-chi, mms, resume.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O failure.
+4 I/O failure.  Floating-point overflow and invalid operations warn
+nothing: a value that leaves the float range is caught where a state
+or a diagnostics record is made, and exits 3 with one line.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import config as cf
 from . import diagnostics as dg
@@ -215,7 +219,8 @@ def main(argv=None) -> int:
         "mms": _cmd_mms,
     }
     try:
-        return handlers[args.command](args)
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except cf.ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)

@@ -8,12 +8,12 @@ the integral-form Gronwall envelope, and time-aggregated norm suites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics as dyn
-from . import model as md
 from . import spectral as sp
 from .dynamics import SimState, StateFields
 from .model import TumourModel
@@ -70,21 +70,20 @@ def energy(f: StateFields) -> EnergyBreakdown:
     W = grid.W
     alpha, gamma = state.alpha, state.gamma
 
-    psi_part, gradient_part, nutrient_part, chemotaxis_part = md.free_energy(
-        alpha, gamma, f.phi_g, f.sigma_g, params, eff.potential)
+    psi_part, gradient_part, nutrient_part, chemotaxis_part = f.energy_parts
     total = psi_part + gradient_part + nutrient_part + chemotaxis_part
 
-    diss_mu = float(np.sum(W * f.m_g.values
-                           * sum(g.values ** 2 for g in f.grad_mu)))
-    diss_nutrient = float(np.sum(W * f.n_g.values
-                                 * sum(g.values ** 2 for g in f.grad_N_sigma)))
-    diss_darcy = (0.0 if f.no_flow else
-                  grid.integrate(sum(vi.values ** 2 for vi in f.v)) / params.K)
+    diss_mu = float((W * f.m_g.values
+                     * sum(g.values ** 2 for g in f.grad_mu)).sum())
+    diss_nutrient = float((W * f.n_g.values
+                           * sum(g.values ** 2 for g in f.grad_N_sigma)).sum())
+    diss_darcy = 0.0 if f.no_flow else f.v_sq / params.K
     diss_boundary = params.D * params.b * float(gamma.data @ f.M_gamma)
 
-    _, N_sigma, _ = md.nutrient_free_energy_density(f.phi_g, f.sigma_g, params)
+    # N_sigma of model.nutrient_free_energy_density, the one part read here
+    N_sigma = params.D * f.sigma_g.values + params.chi * (1.0 - f.phi_g.values)
     work_phi_source = grid.integrate(f.gamma_phi.values * f.mu_g.values)
-    work_nutrient_source = -grid.integrate(f.S.values * N_sigma.values)
+    work_nutrient_source = -grid.integrate(f.S.values * N_sigma)
 
     work_volume_source = 0.0
     if eff.gamma_v is not None and not f.no_flow:
@@ -98,10 +97,10 @@ def energy(f: StateFields) -> EnergyBreakdown:
     bvec = state.basis.boundary_vector
     bdry_measure = state.basis.domain.boundary_measure
     sigma_inf = eff.sigma_inf(state.t)
-    int_N_sigma = (params.D * float(gamma.data @ bvec)
+    int_sigma = float(gamma.data @ bvec)
+    int_N_sigma = (params.D * int_sigma
                    + params.chi * (bdry_measure - float(alpha.data @ bvec)))
-    int_sigma_one_minus_phi = float(gamma.data @ bvec) \
-        - float(f.M_gamma @ alpha.data)
+    int_sigma_one_minus_phi = int_sigma - float(f.M_gamma @ alpha.data)
     work_boundary = params.b * (sigma_inf * int_N_sigma
                                 - params.chi * int_sigma_one_minus_phi)
 
@@ -188,7 +187,10 @@ def _mass_rates(f: StateFields) -> tuple[float, float]:
     """Exact rates of the total masses, by the constant test function."""
     state, params = f.state, f.model.params
     rate_phi = f.grid.integrate(f.gamma_phi.values)
-    rate_sigma = -f.grid.integrate(f.S.values) + params.b * (
+    # S is Gamma_phi itself when the two reaction laws are equal
+    consumed = (rate_phi if f.S is f.gamma_phi
+                else f.grid.integrate(f.S.values))
+    rate_sigma = -consumed + params.b * (
         f.model.sigma_inf(state.t) * state.basis.domain.boundary_measure
         - float(state.gamma.data @ state.basis.boundary_vector)
     )
@@ -581,13 +583,13 @@ class DiagnosticsCollector:
         self._prev = (last_state, energy(f), _mass_rates(f))
 
     def observe(self, fields: StateFields):
-        """Record a snapshot from its evaluation."""
+        """Record a snapshot from its evaluation.  A record that is not
+        finite is a BlowUpError at the snapshot's time, and is not kept."""
         state, basis, t = fields.state, fields.state.basis, fields.state.t
         bd = energy(fields)
         params = fields.model.params
         vol_root = np.sqrt(basis.domain.volume)
-        v_L2 = float(np.sqrt(fields.grid.integrate(
-            sum(vi.values ** 2 for vi in fields.v))))
+        v_L2 = float(np.sqrt(fields.v_sq))
         sigma_bdry_sq = float(state.gamma.data @ fields.M_gamma)
 
         res_phi = res_sigma = res_energy = 0.0
@@ -622,5 +624,8 @@ class DiagnosticsCollector:
             res_mass_sigma=res_sigma,
             res_energy_identity=res_energy,
         )
+        if not all(map(math.isfinite, record.row())):
+            raise dyn.BlowUpError("diagnostics left the float range",
+                                  t=t, state=state)
         self.records.append(record)
         self._prev = (state, bd, _mass_rates(fields))

@@ -17,7 +17,7 @@ once, each exactly as it would advance alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -127,7 +127,10 @@ class StateFields:
     at each instant.  Built by derive and never stored on the state; it
     is the one input of rhs, the steppers, the energy ledger, the mass
     rates and the observer, which read the state and model from it, so
-    none of them rebuilds what it holds.
+    none of them rebuilds what it holds.  Its fields are not checked
+    for finiteness: the state and mu are, and a non-finite field makes
+    the step's rates or new state non-finite, which the steppers report
+    as a BlowUpError at the state's time.
     """
 
     state: SimState
@@ -149,11 +152,28 @@ class StateFields:
     grad_N_sigma: tuple[GridField, ...]  # D grad(sigma) - chi grad(phi)
     M_gamma: np.ndarray   # int_bdry sigma w_j, the boundary mass times gamma
 
+    @cached_property
+    def energy_parts(self) -> tuple[float, float, float, float]:
+        """The four parts of E at this state (model.free_energy), computed
+        on first use: the energy guard and the ledger share them."""
+        state, model = self.state, self.model
+        return md.free_energy(state.alpha, state.gamma, self.phi_g,
+                              self.sigma_g, model.params, model.potential)
+
+    @cached_property
+    def v_sq(self) -> float:
+        """int |v|^2 of a single member, computed on first use: the
+        ledger's Darcy dissipation and the observer's |v| share it."""
+        return self.grid.integrate(sum(vi.values ** 2 for vi in self.v))
+
 
 def _no_flow(model: TumourModel) -> bool:
     """Whether K = 0 for every member, the zero-velocity limit; a batch
     mixing K = 0 and K > 0 is refused."""
-    zero = np.asarray(model.params.K) == 0.0
+    K = model.params.K
+    if isinstance(K, float):  # a shared K, numpy's float64 included
+        return K == 0.0
+    zero = np.asarray(K) == 0.0
     if zero.any() and not zero.all():
         raise ValueError("a batch mixes K = 0 and K > 0")
     return bool(zero.all())
@@ -178,8 +198,10 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
     no_flow = _no_flow(model)
     if no_flow:
         members = state.alpha.data.shape[:-1]
-        p = FieldCoeffs(basis, np.zeros(members + (basis.n_modes,)))
-        v = tuple(GridField(grid, np.zeros(members + grid.npoints))
+        p = sp._unchecked(FieldCoeffs, basis,
+                          np.zeros(members + (basis.n_modes,)))
+        v = tuple(sp._unchecked(GridField, grid,
+                                np.zeros(members + grid.npoints))
                   for _ in range(basis.dim))
     else:
         gv = model.gamma_v(state.t) if model.gamma_v is not None else None
@@ -192,10 +214,11 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
         grad_phi=grad_phi,
         grad_mu=sp.gradient_on_grid(mu, grid),
         mu=mu, p=p, v=v, gamma_phi=gamma_phi, S=S,
-        m_g=GridField(grid, model.mobility_m(phi_g.values)),
-        n_g=GridField(grid, model.mobility_n(phi_g.values)),
+        m_g=sp._unchecked(GridField, grid, model.mobility_m(phi_g.values)),
+        n_g=sp._unchecked(GridField, grid, model.mobility_n(phi_g.values)),
         grad_N_sigma=tuple(
-            GridField(grid, model.params.D * gs.values - chi * gp.values)
+            sp._unchecked(GridField, grid,
+                          model.params.D * gs.values - chi * gp.values)
             for gs, gp in zip(sp.gradient_on_grid(state.gamma, grid),
                               grad_phi)),
         M_gamma=sp.boundary_mass_apply(basis, state.gamma.data),
@@ -219,15 +242,16 @@ def rhs(f: StateFields) -> tuple[np.ndarray, np.ndarray]:
             for F, vi in zip(flux, f.v):
                 F -= transported * vi.values
         return sp.weak_form(
-            source, tuple(GridField(grid, F) for F in flux)).data
+            source, tuple(sp._unchecked(GridField, grid, F)
+                          for F in flux)).data
 
     # d/dt alpha_j = int Gamma_phi w_j - int (m grad(mu) - phi v).grad(w_j)
     dalpha = project(f.gamma_phi, f.m_g.values, f.grad_mu, f.phi_g.values)
     # d/dt gamma_j = -int S w_j
     #               - int (n (D grad(sigma) - chi grad(phi)) - sigma v).grad(w_j)
     #               + b int_bdry (sigma_inf - sigma) w_j
-    dgamma = project(GridField(grid, -f.S.values), f.n_g.values,
-                     f.grad_N_sigma, f.sigma_g.values)
+    dgamma = project(sp._unchecked(GridField, grid, -f.S.values),
+                     f.n_g.values, f.grad_N_sigma, f.sigma_g.values)
     # in a batch, a member with b = 0 next to members with b != 0 gets
     # 0 * (...) added: its rates are unchanged up to the sign of a zero
     if sp._any_member(params.b != 0.0):
@@ -402,12 +426,6 @@ def _source_free(model: TumourModel) -> bool:
             and model.gamma_v is None)
 
 
-def _total_energy(state: SimState, model: TumourModel, phi_g: GridField,
-                  sigma_g: GridField) -> float:
-    return sum(md.free_energy(state.alpha, state.gamma, phi_g, sigma_g,
-                              model.params, model.potential))
-
-
 def step_imex(f: StateFields, config: StepperConfig,
               factors: tuple[np.ndarray, np.ndarray] | None = None
               ) -> SimState:
@@ -430,9 +448,10 @@ def step_imex(f: StateFields, config: StepperConfig,
                           t=state.t, state=state) from exc
 
     # the guard compares E alone, which needs phi and sigma on the grid
-    # but nothing derived, so no accepted state is evaluated here
+    # but nothing derived, so no accepted state is evaluated here; E0 is
+    # the evaluation's own, which the ledger reads too
     grid = f.grid
-    E0 = _total_energy(state, model, f.phi_g, f.sigma_g)
+    E0 = sum(f.energy_parts)
     for halving in range(config.max_halvings + 1):
         nsub = 2 ** halving
         sub = state
@@ -446,10 +465,18 @@ def step_imex(f: StateFields, config: StepperConfig,
                         factors, dt / nsub)
         except (sp.SpectralError, FloatingPointError):
             continue  # non-finite substep counts as a rejected interval
-        E1 = _total_energy(sub, model, sp.to_grid(sub.alpha, grid),
-                           sp.to_grid(sub.gamma, grid))
+        E1 = sum(md.free_energy(sub.alpha, sub.gamma,
+                                sp.to_grid(sub.alpha, grid),
+                                sp.to_grid(sub.gamma, grid),
+                                model.params, model.potential))
         if E1 <= E0 + config.tol_E:
             return sub
+    # the evaluation's fields are not checked, so rates that are not
+    # finite at the state itself, which no halving helps, show up here
+    with np.errstate(all="ignore"):
+        if not all(np.isfinite(r).all() for r in rhs(f)):
+            raise BlowUpError("state evaluation produced non-finite values",
+                              t=state.t, state=state)
     raise StepFailureError(
         f"energy guard exhausted {config.max_halvings} halvings",
         t=state.t, state=state,

@@ -274,17 +274,33 @@ def _forcing(ms: ManufacturedSolution, basis: SpectralBasis, t: float,
 
 
 def _forced_step(state: SimState, model: TumourModel, config: StepperConfig,
-                 ms: ManufacturedSolution, factors) -> SimState:
-    """One step of config.scheme with the forcing f added to the rhs;
-    factors are the IMEX step's dyn._implicit_factors."""
-    def forced_rhs(s):
-        da, dg_ = dyn.rhs(dyn.derive(s, model))
-        fa, fg = _forcing(ms, s.basis, s.t, model)
-        return da + fa, dg_ + fg
+                 ms: ManufacturedSolution, factors,
+                 f_start: tuple[np.ndarray, np.ndarray]
+                 ) -> tuple[SimState, tuple[np.ndarray, np.ndarray] | None]:
+    """One step of config.scheme with the forcing f added to the rhs.
 
+    f_start is f at state.t; factors are the IMEX step's
+    dyn._implicit_factors.  Returns the new state and f at its time when
+    the step computed it: RK4's last stage is the next step's first, and
+    its middle stages share t + dt/2, so each distinct time is forced
+    once.  An IMEX step reads f at its start only and returns None.
+    """
+    def forced_rhs(s, f):
+        da, dg_ = dyn.rhs(dyn.derive(s, model))
+        return da + f[0], dg_ + f[1]
+
+    t, dt = state.t, config.dt
     if config.scheme == "imex1":
-        return dyn._imex_update(state, forced_rhs(state), factors, config.dt)
-    return dyn._rk4_update(state, config.dt, forced_rhs, forced_rhs(state))
+        return dyn._imex_update(state, forced_rhs(state, f_start), factors,
+                                dt), None
+    f_mid = _forcing(ms, state.basis, t + dt / 2, model)
+    f_end = _forcing(ms, state.basis, t + dt, model)
+    # _rk4_update evaluates stages 2, 3 and 4 in order, at these times
+    stage_forcing = iter((f_mid, f_mid, f_end))
+    new = dyn._rk4_update(state, dt,
+                          lambda s: forced_rhs(s, next(stage_forcing)),
+                          forced_rhs(state, f_start))
+    return new, f_end
 
 
 def run_manufactured(ms: ManufacturedSolution, basis: SpectralBasis,
@@ -297,8 +313,12 @@ def run_manufactured(ms: ManufacturedSolution, basis: SpectralBasis,
     config = replace(config, kappa=config.resolved_kappa(model))
     factors = dyn._implicit_factors(basis, model, config, config.dt)
     n = int(round(T / config.dt))
+    forcing = None  # f at state.t once known; an RK4 step hands it on
     for _ in range(n):
-        state = _forced_step(state, model, config, ms, factors)
+        if forcing is None:
+            forcing = _forcing(ms, basis, state.t, model)
+        state, forcing = _forced_step(state, model, config, ms, factors,
+                                      forcing)
     ep, es = ms.coeffs(basis, state.t)
     return float(np.sqrt(np.sum((state.alpha.data - ep.data) ** 2)
                          + np.sum((state.gamma.data - es.data) ** 2)))

@@ -102,7 +102,11 @@ class Mobility:
         """value at every point of t, as a read-only zero-stride view
         of one float, so no grid array is stored."""
         value = float(value)
-        return Mobility(lambda t: np.broadcast_to(value, np.shape(t)),
+        one = np.array(value)
+        one.flags.writeable = False
+        # the view built directly: np.broadcast_to costs several times more
+        return Mobility(lambda t: np.ndarray(np.shape(t), float, one, 0,
+                                             (0,) * np.ndim(t)),
                         lower=value, upper=value)
 
 
@@ -242,14 +246,15 @@ def chemical_potential(phi: FieldCoeffs, sigma: FieldCoeffs,
 
     The stiffness term is diagonal in the eigenbasis; psi'(phi) is
     evaluated pseudospectrally from phi_g, phi on a grid of its basis,
-    and projected back.
+    and projected back.  mu is checked as a new FieldCoeffs, so a finite
+    phi whose potential overflows raises SpectralError here.
     """
     sp._check_same_basis(phi, sigma)
     basis = phi.basis
     if phi_g.grid.basis is not basis:
         raise sp.BasisMismatchError("phi_g lives on a grid of another basis")
     psi_prime = sp.to_coeffs(
-        GridField(phi_g.grid, potential.dpsi(phi_g.values)))
+        sp._unchecked(GridField, phi_g.grid, potential.dpsi(phi_g.values)))
     data = (params.A * psi_prime.data
             + params.B * basis.eigenvalues * phi.data
             - sp._per_member(params.chi, sigma.data) * sigma.data)
@@ -265,14 +270,18 @@ def solve_darcy(grad_phi: tuple[GridField, ...], mu_g: GridField,
 
     p = (-Laplacian_N)^{-1}( Gamma_v / K - div((mu + chi sigma) grad phi) )
     with zero mean, and v = -K (grad p - (mu + chi sigma) grad phi) on
-    that grid.
+    that grid.  The right-hand side is made mean-zero here, so it is
+    divided by the eigenvalues directly; the fields built from the inputs
+    are not checked again.
     """
     grid = mu_g.grid
+    basis = grid.basis
     if any(f.grid is not grid for f in (*grad_phi, sigma_g)):
         raise sp.BasisMismatchError("grid fields live on different grids")
     chi = sp._per_member(params.chi, sigma_g.values)
     drive = mu_g.values + chi * sigma_g.values
-    forcing = tuple(GridField(grid, drive * comp.values) for comp in grad_phi)
+    forcing = tuple(sp._unchecked(GridField, grid, drive * comp.values)
+                    for comp in grad_phi)
     rhs = -sp.divergence_to_coeffs(forcing).data  # -<div F, w_j>
     if gamma_v is not None:
         scale = max(1.0, float(np.max(np.abs(gamma_v.data))))
@@ -280,11 +289,13 @@ def solve_darcy(grad_phi: tuple[GridField, ...], mu_g: GridField,
             raise sp.ZeroMeanViolationError("gamma_v must have zero mean")
         rhs = rhs + gamma_v.data / sp._per_member(params.K, rhs)
     rhs[..., 0] = 0.0
-    p = sp.inverse_neumann_laplacian(FieldCoeffs(grid.basis, rhs))
+    lam = basis.eigenvalues
+    p = sp._unchecked(FieldCoeffs, basis, np.divide(
+        rhs, lam, out=np.zeros_like(rhs), where=lam > 0))
     grad_p = sp.gradient_on_grid(p, grid)
     K = sp._per_member(params.K, drive)
     v = tuple(
-        GridField(grid, -K * (gp.values - f.values))
+        sp._unchecked(GridField, grid, -K * (gp.values - f.values))
         for gp, f in zip(grad_p, forcing)
     )
     return p, v
@@ -299,12 +310,14 @@ def evaluate_sources(phi_g: GridField, mu_g: GridField, sigma_g: GridField,
     it is evaluated once and the one GridField is returned for both.
     """
     phi, mu, sigma = phi_g.values, mu_g.values, sigma_g.values
-    gamma_phi = GridField(phi_g.grid, sources.gamma_phi(phi, mu, sigma))
+    grid = phi_g.grid
+    gamma_phi = sp._unchecked(GridField, grid,
+                              sources.gamma_phi(phi, mu, sigma))
     if (sources.lambda_S is sources.lambda_phi
             and sources.theta_S is sources.theta_phi):
         S = gamma_phi
     else:
-        S = GridField(phi_g.grid, sources.S(phi, mu, sigma))
+        S = sp._unchecked(GridField, grid, sources.S(phi, mu, sigma))
     if debug:
         bound = sources.R0 * (1.0 + np.abs(phi) + np.abs(mu) + np.abs(sigma))
         excess = np.abs(gamma_phi.values) + np.abs(S.values) - bound

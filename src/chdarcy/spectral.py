@@ -120,11 +120,12 @@ class SpectralBasis:
     # per-dim basis values at the endpoints 0 and L
     traces_1d: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
-    @property
+    # constants of the basis, read by every transform: computed once
+    @cached_property
     def n_modes(self) -> int:
         return math.prod(self.modes)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.domain.dim
 
@@ -192,7 +193,7 @@ class QuadratureGrid:
     synth: tuple[np.ndarray, ...]  # per-dim synthesis matrices, (n, k)
     deriv: tuple[np.ndarray, ...]  # per-dim derivative matrices, (n, k)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.basis.dim
 
@@ -207,7 +208,7 @@ class QuadratureGrid:
             raise BasisMismatchError(
                 f"integrate takes one member's values of shape "
                 f"{self.npoints}, got {np.shape(values)}")
-        return float(np.sum(self.W * values))
+        return float((self.W * values).sum())
 
     def integrate_members(self, values: np.ndarray) -> np.ndarray:
         """Per-member integrals of values of shape (..., *npoints)."""
@@ -261,6 +262,22 @@ class GridField:
                 f"grid values shape {self.values.shape} does not match grid "
                 f"{self.grid.npoints}"
             )
+
+
+def _unchecked(cls, owner, array: np.ndarray):
+    """cls(owner, array) for cls FieldCoeffs or GridField, without the
+    checks of its __post_init__.
+
+    For the intermediates of one evaluation: transform outputs and the
+    fields derive, rhs and the Darcy solve build from them.  array must
+    be a float array of the right shape; finiteness is checked where a
+    state is made, not on each intermediate.
+    """
+    obj = object.__new__(cls)
+    owner_name, array_name = cls.__match_args__
+    setattr(obj, owner_name, owner)
+    setattr(obj, array_name, array)
+    return obj
 
 
 def _check_same_basis(a: FieldCoeffs, b: FieldCoeffs):
@@ -341,7 +358,7 @@ def to_grid(c: FieldCoeffs, g: QuadratureGrid) -> GridField:
         vals = _along_first_axis(g.synth[0], c.data, 1)
     else:
         vals = g.synth[0] @ c.tensor() @ g.synth[1].T
-    return GridField(g, vals)
+    return _unchecked(GridField, g, vals)
 
 
 def weak_form(source: GridField | None,
@@ -370,16 +387,18 @@ def weak_form(source: GridField | None,
         fx = _along_first_axis(D[0].T, W * flux[0].values, dim)
         rows = -fx if rows is None else rows - fx
     if dim == 1:
-        return FieldCoeffs(g.basis, rows)
+        return _unchecked(FieldCoeffs, g.basis, rows)
     data = rows @ S[1]
     if flux:
         data -= S[0].T @ (W * flux[1].values) @ D[1]
-    return FieldCoeffs(g.basis, data.reshape(data.shape[:-2] + (-1,)))
+    return _unchecked(FieldCoeffs, g.basis,
+                      data.reshape(data.shape[:-2] + (-1,)))
 
 
 def to_coeffs(f: GridField) -> FieldCoeffs:
-    """Analysis: L2 projection of nodal data onto the basis via quadrature."""
-    return weak_form(f)
+    """Analysis: L2 projection of nodal data onto the basis via quadrature;
+    coefficients that leave the float range raise SpectralError."""
+    return FieldCoeffs(f.grid.basis, weak_form(f).data)
 
 
 def gradient_on_grid(c: FieldCoeffs, g: QuadratureGrid) -> tuple[GridField, ...]:
@@ -387,11 +406,12 @@ def gradient_on_grid(c: FieldCoeffs, g: QuadratureGrid) -> tuple[GridField, ...]
     if g.basis is not c.basis:
         raise BasisMismatchError("grid was built for a different basis")
     if c.basis.dim == 1:
-        return (GridField(g, _along_first_axis(g.deriv[0], c.data, 1)),)
+        return (_unchecked(GridField, g,
+                           _along_first_axis(g.deriv[0], c.data, 1)),)
     C = c.tensor()
     gx = g.deriv[0] @ C @ g.synth[1].T
     gy = g.synth[0] @ C @ g.deriv[1].T
-    return (GridField(g, gx), GridField(g, gy))
+    return (_unchecked(GridField, g, gx), _unchecked(GridField, g, gy))
 
 
 def divergence_to_coeffs(components: tuple[GridField, ...]) -> FieldCoeffs:

@@ -73,6 +73,25 @@ def traced_peak(fn, *args, **kwargs) -> int:
 
 
 @pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) replaces module.name, for the test, by a
+    wrapper that appends each call's arguments to a list and then calls
+    the original; it returns that list."""
+    def install(module, name: str) -> list:
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
+@pytest.fixture
 def interval_basis():
     return sp.build_basis(sp.Domain("interval", (1.0,)), 10)
 

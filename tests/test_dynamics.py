@@ -409,16 +409,8 @@ class TestEvaluationBudget:
     n = 10
 
     @pytest.fixture
-    def source_calls(self, monkeypatch):
-        calls = []
-        real = md.evaluate_sources
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(md, "evaluate_sources", counted)
-        return calls
+    def source_calls(self, count_calls):
+        return count_calls(md, "evaluate_sources")
 
     def test_unguarded_run_evaluates_each_state_once(self, rect_basis,
                                                      source_calls):
@@ -436,6 +428,19 @@ class TestEvaluationBudget:
                 self.n * config.dt, observer=lambda f: seen.append(f.state.t))
         assert len(seen) == self.n + 1
         assert len(source_calls) <= self.n + 1
+
+    def test_guarded_observed_run_computes_two_free_energies_per_step(
+            self, rect_basis, count_calls):
+        # the guard's E0 and the ledger share one per state; the guard's
+        # E1 of each new state is the other
+        calls = count_calls(md, "free_energy")
+        model = make_model(make_params(b=0.0), sources="zero")
+        config = dyn.StepperConfig(dt=1e-3, energy_guard=True, tol_E=1e-12)
+        collector = dg.DiagnosticsCollector(model)
+        dyn.run(random_state(rect_basis, 41, scale=0.1), config, model,
+                self.n * config.dt, observer=collector.observe)
+        assert len(collector.records) == self.n + 1
+        assert len(calls) <= 2 * self.n + 1
 
     def test_observed_run_evaluates_each_state_at_most_twice(
             self, rect_basis, source_calls):
@@ -533,15 +538,31 @@ class TestEvaluationBudget:
 
 
 class TestRunFailures:
-    @pytest.mark.parametrize("guarded", [False, True])
-    def test_overflowing_state_is_blowup(self, interval_basis, guarded):
+    @pytest.mark.parametrize(
+        "basis,guarded", [("interval_basis", False), ("interval_basis", True),
+                          ("rect_basis", False), ("rect_basis", True)],
+        ids=["False", "True", "rectangle-False", "rectangle-True"])
+    def test_overflowing_state_is_blowup(self, request, basis, guarded):
         model = make_model(make_params(b=0.0), sources="zero")
         config = dyn.StepperConfig(dt=1e-3, energy_guard=guarded)
         collector = dg.DiagnosticsCollector(model)
-        state = random_state(interval_basis, 3)
+        state = random_state(request.getfixturevalue(basis), 3)
         state.alpha.data *= 1e120
         with pytest.raises(dyn.BlowUpError) as info, np.errstate(all="ignore"):
             dyn.run(state, config, model, 5e-3, observer=collector.observe)
+        assert info.value.t == state.t and info.value.state is state
+
+    @pytest.mark.parametrize("basis", ["interval_basis", "rect_basis"])
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_overflowing_darcy_forcing_is_blowup(self, request, basis,
+                                                 guarded):
+        # mu is finite at this scale, but (mu + chi sigma) grad(phi) is not
+        model = make_model(make_params(b=0.0), sources="zero")
+        config = dyn.StepperConfig(dt=1e-3, energy_guard=guarded)
+        state = random_state(request.getfixturevalue(basis), 3)
+        state.alpha.data *= 1e100
+        with pytest.raises(dyn.BlowUpError) as info, np.errstate(all="ignore"):
+            dyn.run(state, config, model, 5e-3)
         assert info.value.t == state.t and info.value.state is state
 
 

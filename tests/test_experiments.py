@@ -231,6 +231,34 @@ class TestManufacturedStudy:
             orders=(2,), dts=(1e-2, 5e-3, 2.5e-3, 1.25e-3), model=model)
         assert 0.8 < res.temporal_fit.slope < 1.2
 
+    @pytest.mark.parametrize("scheme", ["rk4-explicit", "imex1"])
+    def test_carried_forcing_matches_forcing_every_stage(self, model, scheme):
+        # reference: every stage evaluates the forcing at its own time
+        basis = sp.build_basis(sp.Domain("interval", (1.0,)), 4)
+        ms = ex.ManufacturedSolution.default()
+        config = dyn.StepperConfig(dt=1e-2, scheme=scheme)
+        factors = dyn._implicit_factors(basis, model, config, 1e-2)
+
+        def forced_rhs(s):
+            da, dg_ = dyn.rhs(dyn.derive(s, model))
+            fa, fg = ex._forcing(ms, basis, s.t, model)
+            return da + fa, dg_ + fg
+
+        cp, cs = ms.coeffs(basis, 0.0)
+        state = dyn.SimState(0.0, cp, cs)
+        for _ in range(10):
+            if scheme == "imex1":
+                state = dyn._imex_update(state, forced_rhs(state), factors,
+                                         1e-2)
+            else:
+                state = dyn._rk4_update(state, 1e-2, forced_rhs,
+                                        forced_rhs(state))
+        ep, es = ms.coeffs(basis, state.t)
+        expect = float(np.sqrt(np.sum((state.alpha.data - ep.data) ** 2)
+                               + np.sum((state.gamma.data - es.data) ** 2)))
+        assert expect > 0.0
+        assert ex.run_manufactured(ms, basis, model, config, 0.1) == expect
+
     def test_forcing_vanishes_for_exact_ode_solution(self, model):
         # a pure decay carried by the rhs itself needs no forcing at the
         # equilibrium point

@@ -841,6 +841,33 @@ def test_mms_ignores_the_volume_source(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_mms_forces_each_distinct_time_once(capsys, count_calls):
+    # RK4's two middle stages share t + dt/2 and its last stage is the
+    # next step's first: 1 + 2n forcings per RK4 run, n per IMEX run
+    calls = count_calls(ex, "_forcing")
+    assert cli.main(["mms", "--config", str(REFERENCE)]) == cli.EXIT_OK
+    assert "temporal slope" in capsys.readouterr().out
+    assert len(calls) <= 1800
+
+
+@pytest.mark.parametrize("T", [100, 60],
+                         ids=["state-overflow", "diagnostics-overflow"])
+def test_numerical_failure_prints_one_line_and_writes_nothing(tmp_path,
+                                                              capsys, T):
+    # dt = 10 on the reference model: every state up to t = 60 is finite,
+    # but the t = 60 diagnostics overflow, and later states do too
+    spec = json.loads(REFERENCE.read_text())
+    spec.update(modes=[8, 8], dt=10, T=T)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg),
+                     "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert re.fullmatch(r"numerical failure at t=[^\n]*\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
 # Every command under every limit mode: the limit systems are the full
 # system at chi = 0 and at K = 0, so each command runs each of them.
 LIMIT_CELLS = [("none", 1.0), ("no-chemotaxis", 1.0), ("no-flow", 1.0),
