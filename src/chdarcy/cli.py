@@ -33,8 +33,12 @@ EXIT_IO = 4
 # leftovers.  Nothing is frozen while the process runs.
 atexit.register(gc.freeze)
 
-K_SWEEP_DEFAULT = (1.0, 0.25, 0.0625, 0.015625)
-CHI_SWEEP_DEFAULT = (1.0, 0.5, 0.25, 0.125)
+# per sweep command: the parameter sent to zero, its default values and
+# the table written
+SWEEPS = {
+    "sweep-k": ("K", (1.0, 0.25, 0.0625, 0.015625), "sweep_k.csv"),
+    "sweep-chi": ("chi", (1.0, 0.5, 0.25, 0.125), "sweep_chi.csv"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,14 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("validate", help="check a config"), needs_out=False)
     common(sub.add_parser("run", help="execute a run"))
-    p = sub.add_parser("sweep-k", help="vanishing-permeability sweep")
-    common(p)
-    p.add_argument("--values", default=None,
-                   help="comma-separated decreasing K values")
-    p = sub.add_parser("sweep-chi", help="vanishing-chemotaxis sweep")
-    common(p)
-    p.add_argument("--values", default=None,
-                   help="comma-separated decreasing chi values")
+    for command, (parameter, _, _) in SWEEPS.items():
+        p = sub.add_parser(command, help=f"vanishing-{parameter} sweep")
+        common(p)
+        p.add_argument("--values", default=None,
+                       help=f"comma-separated decreasing {parameter} values")
     p = sub.add_parser("mms", help="manufactured-solution study")
     common(p, needs_out=False)
     p = sub.add_parser("resume", help="continue from a checkpoint")
@@ -104,7 +105,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _write_outputs(out: Path, collector, state, config, config_hash):
+def _write_outputs(out: Path, collector, state, config_hash):
     out.mkdir(parents=True, exist_ok=True)
     cio.write_diagnostics_csv(collector.records, out / "diagnostics.csv")
     cio.write_field_snapshot(state, out / "final.snap")
@@ -141,42 +142,33 @@ def _cmd_run(args) -> int:
     final = dyn.run(start, stepper, model, max(config.T - start.t, 0.0),
                     observer=collector.observe, cadence=config.cadence,
                     observe_initial=not resume)
-    _write_outputs(Path(args.out), collector, final, config,
-                   config.content_hash())
+    _write_outputs(Path(args.out), collector, final, config.content_hash())
     n = len(collector.records)
     print(f"resumed at t={start.t:g}, wrote {n} rows" if resume
           else f"wrote {n} diagnostics rows to {args.out}")
     return EXIT_OK
 
 
-def _sweep_spec(args, config: cf.RunConfig, parameter: str) -> ex.SweepSpec:
-    """The sweep of --values, or of the defaults; values that are not
-    numbers, or that SweepSpec refuses, are a config error."""
-    values = K_SWEEP_DEFAULT if parameter == "K" else CHI_SWEEP_DEFAULT
+def _cmd_sweep(args) -> int:
+    """The sweep of --values, or of the command's defaults, stepped as
+    the config's scheme section says; values that are not numbers, or
+    that SweepSpec refuses, are a config error."""
+    parameter, values, name = SWEEPS[args.command]
+    config = _load_config(args)
+    stepper = config.build_stepper()
     try:
         if args.values is not None:
             values = tuple(float(v) for v in args.values.split(","))
-        return ex.SweepSpec(parameter, values, dt=config.dt, T=config.T,
+        spec = ex.SweepSpec(parameter, values, stepper, config.T,
                             cadence=config.cadence)
     except ValueError as exc:
         raise cf.ConfigError([f"--values: {exc}"])
-
-
-def _cmd_sweep(args, parameter: str) -> int:
-    config = _load_config(args)
-    spec = _sweep_spec(args, config, parameter)
     if parameter == "K" and config.gamma_v_spec["kind"] != "zero":
         raise cf.ConfigError(
             ["$.gamma_v: the permeability sweep needs a zero volume source"])
     basis = config.build_basis()
-    model = config.build_model(basis)
-    initial = config.build_initial_state(basis)
-    if parameter == "K":
-        rows = ex.sweep_vanishing_permeability(spec, model, initial)
-        name = "sweep_k.csv"
-    else:
-        rows = ex.sweep_vanishing_chemotaxis(spec, model, initial)
-        name = "sweep_chi.csv"
+    rows = ex.sweep(spec, config.build_model(basis),
+                    config.build_initial_state(basis))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cio.write_sweep_csv(rows, out / name)
@@ -214,8 +206,8 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
         "run": _cmd_run,
         "resume": _cmd_run,
-        "sweep-k": lambda a: _cmd_sweep(a, "K"),
-        "sweep-chi": lambda a: _cmd_sweep(a, "chi"),
+        "sweep-k": _cmd_sweep,
+        "sweep-chi": _cmd_sweep,
         "mms": _cmd_mms,
     }
     try:

@@ -105,8 +105,7 @@ class RunConfig:
         paper obtains them from the full system."""
         return TumourModel(
             **self._hypothesis_parts(),
-            sigma_inf=md.BoundaryAndInitialData.constant_sigma_inf(
-                self.sigma_inf_value),
+            sigma_inf=self.sigma_inf_value,
             gamma_v=self._build_gamma_v(basis),
         ).effective(self.limit_mode)
 
@@ -120,8 +119,7 @@ class RunConfig:
         flat = int(np.ravel_multi_index(mode, basis.modes))
         data[flat] = _cosine_coefficient(float(spec["amplitude"]), mode,
                                          basis.domain.lengths)
-        coeffs = FieldCoeffs(basis, data)
-        return lambda t: coeffs
+        return FieldCoeffs(basis, data)
 
     def build_stepper(self) -> StepperConfig:
         return StepperConfig(
@@ -256,7 +254,7 @@ class _Checker:
         self.violations.append(f"{path}: {message}")
 
     def keys(self, obj: dict, path: str, required: set, optional: set = frozenset()):
-        for k in required:
+        for k in sorted(required):
             if k not in obj:
                 self.fail(path, f"missing key '{k}'")
         if self.strict:
@@ -427,7 +425,7 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         if kind:
             req, opt = _SOURCE_KEYS[kind]
             ck.keys(source_spec, "$.sources", req, opt)
-            for key in req | opt:
+            for key in sorted(req | opt):
                 if key in ("kind", "interpolated"):
                     continue
                 ck.number(source_spec, key, "$.sources", nonnegative=True)

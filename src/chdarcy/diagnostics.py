@@ -87,7 +87,7 @@ def energy(f: StateFields) -> EnergyBreakdown:
 
     work_volume_source = 0.0
     if eff.gamma_v is not None and not f.no_flow:
-        gv = sp.to_grid(eff.gamma_v(state.t), grid).values
+        gv = sp.to_grid(eff.gamma_v, grid).values
         p_g = sp.to_grid(f.p, grid).values
         lam_v = (p_g - f.mu_g.values * f.phi_g.values
                  - 0.5 * params.D * f.sigma_g.values ** 2)
@@ -96,12 +96,11 @@ def energy(f: StateFields) -> EnergyBreakdown:
     # boundary work, exact in the truncated basis: traces of the series
     bvec = state.basis.boundary_vector
     bdry_measure = state.basis.domain.boundary_measure
-    sigma_inf = eff.sigma_inf(state.t)
     int_sigma = float(gamma.data @ bvec)
     int_N_sigma = (params.D * int_sigma
                    + params.chi * (bdry_measure - float(alpha.data @ bvec)))
     int_sigma_one_minus_phi = int_sigma - float(f.M_gamma @ alpha.data)
-    work_boundary = params.b * (sigma_inf * int_N_sigma
+    work_boundary = params.b * (eff.sigma_inf * int_N_sigma
                                 - params.chi * int_sigma_one_minus_phi)
 
     return EnergyBreakdown(
@@ -191,7 +190,7 @@ def _mass_rates(f: StateFields) -> tuple[float, float]:
     consumed = (rate_phi if f.S is f.gamma_phi
                 else f.grid.integrate(f.S.values))
     rate_sigma = -consumed + params.b * (
-        f.model.sigma_inf(state.t) * state.basis.domain.boundary_measure
+        f.model.sigma_inf * state.basis.domain.boundary_measure
         - float(state.gamma.data @ state.basis.boundary_vector)
     )
     return rate_phi, rate_sigma
@@ -281,7 +280,7 @@ def weak_residual(states: list[SimState], j: int, equation: str,
                 F4 = tuple(GridField(grid4, drive4 * g.values) for g in grad_phi4)
                 rhs_j = -sp.divergence_to_coeffs(F4).data[j]
                 if eff.gamma_v is not None:
-                    rhs_j += eff.gamma_v(state.t).data[j] / params.K
+                    rhs_j += eff.gamma_v.data[j] / params.K
                 if j == 0:
                     rhs_j = 0.0
                 r = basis.eigenvalues[j] * der.p.data[j] - rhs_j

@@ -204,8 +204,8 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
                                 np.zeros(members + grid.npoints))
                   for _ in range(basis.dim))
     else:
-        gv = model.gamma_v(state.t) if model.gamma_v is not None else None
-        p, v = md.solve_darcy(grad_phi, mu_g, sigma_g, gv, model.params)
+        p, v = md.solve_darcy(grad_phi, mu_g, sigma_g, model.gamma_v,
+                              model.params)
     gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, model.sources)
     chi = sp._per_member(model.params.chi, phi_g.values)
     return StateFields(
@@ -255,9 +255,8 @@ def rhs(f: StateFields) -> tuple[np.ndarray, np.ndarray]:
     # in a batch, a member with b = 0 next to members with b != 0 gets
     # 0 * (...) added: its rates are unchanged up to the sign of a zero
     if sp._any_member(params.b != 0.0):
-        sigma_inf = f.model.sigma_inf(state.t)
         dgamma += sp._per_member(params.b, f.M_gamma) * (
-            sigma_inf * state.basis.boundary_vector - f.M_gamma)
+            f.model.sigma_inf * state.basis.boundary_vector - f.M_gamma)
 
     return dalpha, dgamma
 
@@ -330,7 +329,7 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
         forcing = [drive * g.reshape(nflat) for g in grad_phi]
         rhs_p = sum(gb @ (Wf * f) for gb, f in zip(basis_grads, forcing))
         if model.gamma_v is not None:
-            rhs_p = rhs_p + model.gamma_v(state.t).data / params.K
+            rhs_p = rhs_p + model.gamma_v.data / params.K
         rhs_p[0] = 0.0
         p = sp.inverse_neumann_laplacian(FieldCoeffs(basis, rhs_p))
         grad_p = [gb.T @ p.data for gb in basis_grads]
@@ -348,7 +347,7 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
     R_S = basis_vals @ (Wf * S_vals.reshape(nflat))
 
     M_bdry = sp.boundary_mass_matrix(basis)
-    Sigma_vec = model.sigma_inf(state.t) * basis.boundary_vector
+    Sigma_vec = model.sigma_inf * basis.boundary_vector
 
     return DenseGalerkinOperators(
         S=S, S_m=S_m, S_n=S_n, C=C, M_bdry=M_bdry, R_phi=R_phi, R_S=R_S,

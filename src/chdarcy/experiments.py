@@ -1,11 +1,12 @@
 """Scripted studies: asymptotic-limit sweeps, manufactured solutions,
 and rate fitting.
 
-The two sweeps drive the permeability (with b = K) and the chemotaxis
-strength (with b = chi) toward zero and compare each member trajectory
+The sweep drives the permeability (with b = K) or the chemotaxis
+strength (with b = chi) toward zero and compares each member trajectory
 against the corresponding limit system run on the same basis, initial
-data, and time grid.  The manufactured-solution study verifies spatial
-in-span exactness and the first-order temporal rate of the IMEX scheme.
+data, time grid and stepper.  The manufactured-solution study verifies
+spatial in-span exactness and the first-order temporal rate of the IMEX
+scheme.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def fit_rate(x, y) -> RateFit:
 class SweepSpec:
     parameter: str              # "K" | "chi"
     values: tuple[float, ...]   # strictly decreasing, positive, finite
-    dt: float
+    stepper: StepperConfig      # of the limit run and of every member
     T: float
     comparison: str = "Linf-L2"  # | "L2-H1"
     cadence: int = 1
@@ -94,40 +95,29 @@ def _time_norm(diffs, times, comparison: str) -> float:
     return float(np.sqrt(dg.trapezoid(diffs ** 2, times)))
 
 
-def sweep_vanishing_permeability(spec: SweepSpec, model: TumourModel,
-                                 initial: SimState) -> list[SweepRow]:
-    """Member runs at decreasing K with b = K, against the K = 0 run."""
-    if model.gamma_v is not None:
-        raise ValueError("permeability sweep requires a zero volume source")
-    return _sweep(spec, "K", model, initial)
-
-
-def sweep_vanishing_chemotaxis(spec: SweepSpec, model: TumourModel,
-                               initial: SimState) -> list[SweepRow]:
-    """Member runs at decreasing chi with b = chi, against the chi = 0 run."""
-    return _sweep(spec, "chi", model, initial)
-
-
-def _sweep(spec: SweepSpec, parameter: str, model: TumourModel,
-           initial: SimState) -> list[SweepRow]:
+def sweep(spec: SweepSpec, model: TumourModel,
+          initial: SimState) -> list[SweepRow]:
     """Members with parameter = b = value, each against the limit run,
-    the model at parameter = b = 0.
+    the model at parameter = b = 0: K = 0 is the zero-velocity limit and
+    chi = 0 the limit without chemotaxis or active transport.
 
     The limit run's snapshot states, collected by its observer, are the
     reference.  The members then advance together as one batched state,
     each snapshot reduced on arrival, so no member trajectory is kept.
     If the batch fails, each member is re-run alone, and one that blows
-    up gets its failed row while the others go on.
+    up gets its failed row while the others go on.  Every run steps
+    with spec.stepper; a limit run that fails raises.
     """
-    if spec.parameter != parameter:
-        raise ValueError(f"spec.parameter must be {parameter!r}")
+    parameter = spec.parameter
+    if parameter == "K" and model.gamma_v is not None:
+        raise ValueError("permeability sweep requires a zero volume source")
 
     def at(value):
         return model.with_params(
             model.params.with_(**{parameter: value, "b": value}))
 
     limit = []
-    dyn.run(initial.copy(), StepperConfig(dt=spec.dt), at(0.0), spec.T,
+    dyn.run(initial.copy(), spec.stepper, at(0.0), spec.T,
             observer=lambda f: limit.append(f.state), cadence=spec.cadence)
     values = np.array(spec.values)
     members = at(values)
@@ -156,8 +146,8 @@ def _member_rows(spec: SweepSpec, values: tuple[float, ...],
     alone), each snapshot reduced against the limit run's on arrival."""
     times, diff_phi, diff_sigma, v_sq = [], [], [], []
     refs = iter(limit)
-    for f in dyn.snapshots(initial, StepperConfig(dt=spec.dt), members,
-                           spec.T, cadence=spec.cadence):
+    for f in dyn.snapshots(initial, spec.stepper, members, spec.T,
+                           cadence=spec.cadence):
         ref = next(refs)
         times.append(f.state.t)
         diff_phi.append(_snapshot_difference(f.state.alpha, ref.alpha,

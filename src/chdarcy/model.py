@@ -187,38 +187,26 @@ class SourceModel:
         return SourceModel("proliferation", lam_phi, zero, lam_S, zero, R0=R0)
 
 
-@dataclass
-class BoundaryAndInitialData:
-    """Boundary nutrient level, prescribed volume source, and initial fields.
-
-    sigma_inf is constant in space; gamma_v(t) must have zero mean.
-    """
-
-    sigma_inf: Callable[[float], float]
-    gamma_v: Callable[[float], FieldCoeffs] | None
-    phi0: FieldCoeffs | None = None
-    sigma0: FieldCoeffs | None = None
-
-    @staticmethod
-    def constant_sigma_inf(value: float) -> Callable[[float], float]:
-        return lambda t: value
-
-
 # the constant each limit_mode sends to zero
 LIMIT_PARAMETER = {"none": None, "no-chemotaxis": "chi", "no-flow": "K"}
 
 
 @dataclass
 class TumourModel:
-    """Everything the dynamics needs: constants, closures, and data."""
+    """Everything the dynamics needs: constants, closures, and data.
+
+    sigma_inf, the boundary nutrient level, is constant in space and
+    time; gamma_v, the volume source, is constant in time and must have
+    zero mean.
+    """
 
     params: ModelParams
     potential: Potential
     mobility_m: Mobility
     mobility_n: Mobility
     sources: SourceModel
-    sigma_inf: Callable[[float], float]
-    gamma_v: Callable[[float], FieldCoeffs] | None = None
+    sigma_inf: float
+    gamma_v: FieldCoeffs | None = None
 
     def with_params(self, params: ModelParams) -> "TumourModel":
         sources = self.sources

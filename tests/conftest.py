@@ -33,7 +33,7 @@ def make_model(params=None, sources="hawkins", f0=0.1,
         mobility_m=md.Mobility.constant(m),
         mobility_n=md.Mobility.constant(n),
         sources=source_model,
-        sigma_inf=md.BoundaryAndInitialData.constant_sigma_inf(sigma_inf),
+        sigma_inf=sigma_inf,
         gamma_v=gamma_v,
     )
 

@@ -194,8 +194,8 @@ def test_weak_formulation_residuals(reference_run):
 def permeability_sweep(reference_run):
     _, basis, model, _, traj, _ = reference_run
     spec = ex.SweepSpec("K", (1.0, 0.25, 0.0625, 0.015625),
-                        dt=1e-3, T=0.5, cadence=5)
-    return ex.sweep_vanishing_permeability(spec, model, traj[0])
+                        dyn.StepperConfig(dt=1e-3), T=0.5, cadence=5)
+    return ex.sweep(spec, model, traj[0])
 
 
 def test_vanishing_permeability_convergence(permeability_sweep):
@@ -223,8 +223,8 @@ def test_vanishing_permeability_scaled_velocity_band(permeability_sweep):
 def test_vanishing_chemotaxis_convergence(reference_run):
     _, basis, model, _, traj, _ = reference_run
     spec = ex.SweepSpec("chi", (1.0, 0.5, 0.25, 0.125),
-                        dt=1e-3, T=0.5, cadence=5)
-    rows = ex.sweep_vanishing_chemotaxis(spec, model, traj[0])
+                        dyn.StepperConfig(dt=1e-3), T=0.5, cadence=5)
+    rows = ex.sweep(spec, model, traj[0])
     assert all(r.failed is None for r in rows)
     for field in ("diff_phi", "diff_sigma"):
         diffs = [getattr(r, field) for r in rows]

@@ -110,7 +110,7 @@ class TestRhs:
             data = np.zeros(basis.n_modes)
             data[2] = 0.7
             gv = sp.FieldCoeffs(basis, data)
-            model = make_model(make_params(K=0.0), gamma_v=lambda t: gv)
+            model = make_model(make_params(K=0.0), gamma_v=gv)
         else:
             model = make_model()
         state = random_state(basis, seed, scale=0.3)
@@ -168,7 +168,7 @@ class TestRhs:
         data = np.zeros(rect_basis.n_modes)
         data[rect_basis.modes[1]] = 0.7  # mode (1, 0)
         gv = sp.FieldCoeffs(rect_basis, data)
-        model_gv = make_model(gamma_v=lambda t: gv)
+        model_gv = make_model(gamma_v=gv)
         state2 = random_state(rect_basis, 24)
         der2 = dyn.derive(state2, model_gv)
         div_v2 = sp.divergence_to_coeffs(der2.v)

@@ -33,20 +33,23 @@ class TestFitRate:
             ex.fit_rate([1.0, 0.5, 0.25], [1.0, 0.5, 0.25, 0.1])
 
 
+IMEX = dyn.StepperConfig(dt=1e-3)
+
+
 class TestSweepSpec:
     def test_valid(self):
-        spec = ex.SweepSpec("K", (1.0, 0.5, 0.25), dt=1e-3, T=0.01)
+        spec = ex.SweepSpec("K", (1.0, 0.5, 0.25), IMEX, T=0.01)
         assert spec.values == (1.0, 0.5, 0.25)
 
     def test_rejects_unordered_or_nonpositive(self):
         with pytest.raises(ValueError):
-            ex.SweepSpec("K", (0.5, 1.0), dt=1e-3, T=0.01)
+            ex.SweepSpec("K", (0.5, 1.0), IMEX, T=0.01)
         with pytest.raises(ValueError):
-            ex.SweepSpec("K", (1.0, 0.0), dt=1e-3, T=0.01)
+            ex.SweepSpec("K", (1.0, 0.0), IMEX, T=0.01)
         with pytest.raises(ValueError):
-            ex.SweepSpec("xi", (1.0, 0.5), dt=1e-3, T=0.01)
+            ex.SweepSpec("xi", (1.0, 0.5), IMEX, T=0.01)
         with pytest.raises(ValueError):
-            ex.SweepSpec("K", (1.0, 0.5), dt=1e-3, T=0.01, comparison="L9")
+            ex.SweepSpec("K", (1.0, 0.5), IMEX, T=0.01, comparison="L9")
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +63,8 @@ def setup():
 class TestSweeps:
     def test_permeability_differences_decrease(self, setup):
         _, model, initial = setup
-        spec = ex.SweepSpec("K", (1.0, 0.25, 0.0625), dt=1e-3, T=0.02)
-        rows = ex.sweep_vanishing_permeability(spec, model, initial)
+        spec = ex.SweepSpec("K", (1.0, 0.25, 0.0625), IMEX, T=0.02)
+        rows = ex.sweep(spec, model, initial)
         assert all(r.failed is None for r in rows)
         diffs = [r.diff_phi for r in rows]
         assert diffs[0] > diffs[1] > diffs[2] > 0
@@ -70,8 +73,8 @@ class TestSweeps:
 
     def test_chemotaxis_differences_decrease(self, setup):
         _, model, initial = setup
-        spec = ex.SweepSpec("chi", (0.5, 0.25, 0.125), dt=1e-3, T=0.02)
-        rows = ex.sweep_vanishing_chemotaxis(spec, model, initial)
+        spec = ex.SweepSpec("chi", (0.5, 0.25, 0.125), IMEX, T=0.02)
+        rows = ex.sweep(spec, model, initial)
         assert all(r.failed is None for r in rows)
         diffs = [max(r.diff_phi, r.diff_sigma) for r in rows]
         assert diffs[0] > diffs[1] > diffs[2] > 0
@@ -81,16 +84,9 @@ class TestSweeps:
         data = np.zeros(basis.n_modes)
         data[1] = 0.1
         gv = sp.FieldCoeffs(basis, data)
-        spec = ex.SweepSpec("K", (1.0, 0.5), dt=1e-3, T=0.01)
+        spec = ex.SweepSpec("K", (1.0, 0.5), IMEX, T=0.01)
         with pytest.raises(ValueError):
-            ex.sweep_vanishing_permeability(
-                spec, make_model(gamma_v=lambda t: gv), initial)
-
-    def test_wrong_parameter_rejected(self, setup):
-        _, model, initial = setup
-        spec = ex.SweepSpec("chi", (0.5,), dt=1e-3, T=0.01)
-        with pytest.raises(ValueError):
-            ex.sweep_vanishing_permeability(spec, model, initial)
+            ex.sweep(spec, make_model(gamma_v=gv), initial)
 
 
 def table(rows):
@@ -106,15 +102,14 @@ def member_by_member(spec, model, initial):
     parameter = spec.parameter
     limit_model = model.with_params(
         model.params.with_(**{parameter: 0.0, "b": 0.0}))
-    limit = trajectory(initial.copy(), dyn.StepperConfig(dt=spec.dt),
-                       limit_model, spec.T, cadence=spec.cadence)
+    limit = trajectory(initial.copy(), spec.stepper, limit_model, spec.T,
+                       cadence=spec.cadence)
     rows = []
     for value in spec.values:
         member = model.with_params(
             model.params.with_(**{parameter: value, "b": value}))
-        config = dyn.StepperConfig(dt=spec.dt)
         try:
-            traj = trajectory(initial.copy(), config, member, spec.T,
+            traj = trajectory(initial.copy(), spec.stepper, member, spec.T,
                               cadence=spec.cadence)
         except dyn.StepFailureError as exc:
             rows.append(ex.SweepRow(value, np.nan, np.nan, np.nan, np.nan,
@@ -138,35 +133,48 @@ def member_by_member(spec, model, initial):
     return rows
 
 
+K_VALUES = (1.0, 0.25, 0.0625, 0.015625)
+CHI_VALUES = (0.5, 0.25, 0.125)
+KAPPA50 = dyn.StepperConfig(dt=1e-3, kappa=50.0)
+# RK4 is stable at this dt on the 8-mode interval
+RK4 = dyn.StepperConfig(dt=2e-4, scheme="rk4-explicit")
+
+
 class TestSweepTables:
     """The sweep table equals the one built member by member from whole
     trajectories, to the last digit the CSV writes."""
 
     @pytest.mark.parametrize("comparison", ["Linf-L2", "L2-H1"])
-    @pytest.mark.parametrize("parameter,values", [
-        ("K", (1.0, 0.25, 0.0625, 0.015625)),
-        ("chi", (0.5, 0.25, 0.125)),
+    @pytest.mark.parametrize("parameter,values,stepper", [
+        pytest.param("K", K_VALUES, IMEX, id="K-values0"),
+        pytest.param("chi", CHI_VALUES, IMEX, id="chi-values1"),
+        pytest.param("K", K_VALUES, KAPPA50, id="K-kappa50"),
+        pytest.param("chi", CHI_VALUES, KAPPA50, id="chi-kappa50"),
+        pytest.param("K", K_VALUES, RK4, id="K-rk4"),
+        pytest.param("chi", CHI_VALUES, RK4, id="chi-rk4"),
     ])
     def test_matches_member_by_member(self, setup, parameter, values,
-                                      comparison):
+                                      stepper, comparison):
         _, model, initial = setup
-        spec = ex.SweepSpec(parameter, values, dt=1e-3, T=0.01,
+        spec = ex.SweepSpec(parameter, values, stepper, T=0.01,
                             comparison=comparison, cadence=3)
-        sweep = (ex.sweep_vanishing_permeability if parameter == "K"
-                 else ex.sweep_vanishing_chemotaxis)
-        assert table(sweep(spec, model, initial)) == table(
+        assert table(ex.sweep(spec, model, initial)) == table(
             member_by_member(spec, model, initial))
 
-    @pytest.mark.parametrize("basis", [
-        sp.build_basis(sp.Domain("interval", (1.0,)), 8),
-        sp.build_basis(sp.Domain("rectangle", (1.0, 1.5)), (5, 4)),
-    ], ids=["interval", "rectangle"])
-    def test_member_that_blows_up(self, basis):
+    @pytest.mark.parametrize("basis,stepper", [
+        pytest.param(sp.build_basis(sp.Domain("interval", (1.0,)), 8), IMEX,
+                     id="interval"),
+        pytest.param(sp.build_basis(sp.Domain("rectangle", (1.0, 1.5)),
+                                    (5, 4)), IMEX, id="rectangle"),
+        pytest.param(sp.build_basis(sp.Domain("interval", (1.0,)), 8), RK4,
+                     id="interval-rk4"),
+    ])
+    def test_member_that_blows_up(self, basis, stepper):
         model = make_model()
         initial = random_state(basis, 61, scale=0.15)
-        spec = ex.SweepSpec("K", (1e6, 1.0, 0.25), dt=1e-3, T=0.02)
+        spec = ex.SweepSpec("K", (1e6, 1.0, 0.25), stepper, T=0.02)
         with np.errstate(all="ignore"):
-            rows = ex.sweep_vanishing_permeability(spec, model, initial)
+            rows = ex.sweep(spec, model, initial)
             expected = member_by_member(spec, model, initial)
         assert rows[0].failed and all(r.failed is None for r in rows[1:])
         assert table(rows) == table(expected)

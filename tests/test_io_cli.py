@@ -791,6 +791,28 @@ def _src_env():
     return env
 
 
+@pytest.mark.parametrize("spec", [
+    {},
+    small_config(sources={"kind": "proliferation", "lambda_p": "x",
+                          "lambda_a": "y", "lambda_c": "z"}),
+], ids=["empty", "bad-source-values"])
+def test_config_errors_in_a_fixed_order(tmp_path, spec):
+    # the order of the errors does not follow string hashing
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(spec))
+    errs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chdarcy.cli", "validate",
+             "--config", str(cfg)],
+            env=dict(_src_env(), PYTHONHASHSEED=seed), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_CONFIG
+        errs.append(proc.stderr)
+    assert errs[0].count("config error:") >= 3
+    assert errs[0] == errs[1]
+
+
 class TestProcessExit:
     """The CLI as a process: its exit skips the final collections of the
     run's leftovers (gc.freeze at exit) and loses nothing by it."""
@@ -927,13 +949,42 @@ def test_no_flow_sweep_chi_has_zero_velocity(tmp_path):
                          "--out", str(out)]) == cli.EXIT_OK
         tables.append((out / "sweep_chi.csv").read_bytes())
     rows = list(csv.DictReader(tables[0].decode().splitlines()))
-    assert len(rows) == len(cli.CHI_SWEEP_DEFAULT)
+    assert len(rows) == len(cli.SWEEPS["sweep-chi"][1])
     for r in rows:
         assert float(r["v_l2l2"]) == 0.0 and float(r["v_scaled"]) == 0.0
     assert tables[0] == tables[1]
 
 
-COMMANDS = ["validate", "run", "resume", "sweep-k", "sweep-chi", "mms"]
+@pytest.mark.parametrize("command", ["sweep-k", "sweep-chi"])
+def test_sweep_steps_with_the_config_scheme(tmp_path, command):
+    # RK4 is stable at this dt on the 8-mode interval
+    tables = []
+    for i, scheme in enumerate(({}, {"kappa": 50}, {"name": "rk4-explicit"})):
+        cfg = tmp_path / f"s{i}.json"
+        cfg.write_text(json.dumps(small_config(dt=2e-4, T=0.004,
+                                               scheme=scheme)))
+        out = tmp_path / f"out{i}"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                         "--values", "1,0.5"]) == cli.EXIT_OK
+        tables.append((out / cli.SWEEPS[command][2]).read_bytes())
+    assert len(set(tables)) == 3
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-k", "sweep-chi"])
+def test_failing_limit_run_exits_as_run_does(tmp_path, capsys, command):
+    # RK4 beyond its stability bound: the run, and a sweep's limit run,
+    # blow up
+    cfg = tmp_path / "rk4.json"
+    cfg.write_text(json.dumps(small_config(
+        dt=1e-2, T=0.2, scheme={"name": "rk4-explicit"})))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg),
+                     "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert "numerical failure at t=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+COMMANDS =["validate", "run", "resume", "sweep-k", "sweep-chi", "mms"]
 
 
 def _argv(command, cfg, tmp_path):
