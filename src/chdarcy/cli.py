@@ -134,9 +134,9 @@ def _cmd_run(args) -> int:
     collector = dg.DiagnosticsCollector(model)
     if resume:
         start = ck.state
-        collector.restore(ck.accumulators, start)
         if config.T - start.t < -1e-12:
             raise cf.ConfigError(["$.T: checkpoint is already past T"])
+        collector.restore(ck.accumulators, start)
     else:
         start = config.build_initial_state(basis)
     final = dyn.run(start, stepper, model, max(config.T - start.t, 0.0),

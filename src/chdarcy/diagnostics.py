@@ -578,7 +578,7 @@ class DiagnosticsCollector:
 
     def restore(self, acc: np.ndarray, last_state: SimState):
         self._acc = np.asarray(acc, dtype=float).copy()
-        f = dyn.derive(last_state, self.model)
+        f = dyn._evaluate(last_state, self.model)
         self._prev = (last_state, energy(f), _mass_rates(f))
 
     def observe(self, fields: StateFields):

@@ -230,6 +230,7 @@ def rhs(f: StateFields) -> tuple[np.ndarray, np.ndarray]:
 
     Each equation is tested against every w_j once: its fluxes are added
     on the grid and projected together with its source by sp.weak_form.
+    A model forcing is added last, at the state's time.
     """
     state, params = f.state, f.model.params
     grid = f.grid
@@ -258,6 +259,9 @@ def rhs(f: StateFields) -> tuple[np.ndarray, np.ndarray]:
         dgamma += sp._per_member(params.b, f.M_gamma) * (
             f.model.sigma_inf * state.basis.boundary_vector - f.M_gamma)
 
+    if f.model.forcing is not None:
+        fa, fg = f.model.forcing(state.t)
+        return dalpha + fa, dgamma + fg
     return dalpha, dgamma
 
 
@@ -422,7 +426,8 @@ def _rk4_update(state: SimState, dt: float,
 def _source_free(model: TumourModel) -> bool:
     return (model.sources.kind == "zero"
             and not sp._any_member(model.params.b != 0.0)
-            and model.gamma_v is None)
+            and model.gamma_v is None
+            and model.forcing is None)
 
 
 def step_imex(f: StateFields, config: StepperConfig,
@@ -507,6 +512,16 @@ def _snapshot_due(i: int, n_steps: int, cadence: int,
     return (i % cadence == 0 or i == n_steps) and (i > 0 or observe_initial)
 
 
+def _evaluate(state: SimState, model: TumourModel) -> StateFields:
+    """derive, with a state that cannot be evaluated (non-finite values)
+    reported as a BlowUpError at its time."""
+    try:
+        return derive(state, model)
+    except sp.SpectralError as exc:
+        raise BlowUpError("state evaluation produced non-finite values",
+                          t=state.t, state=state) from exc
+
+
 def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
               T: float, cadence: int = 1, observe_initial: bool = True):
     """Advance for a duration T, yielding the StateFields of every
@@ -533,11 +548,7 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
         due = _snapshot_due(i, n_steps, cadence, observe_initial)
         if i == n_steps and not due:
             return  # a resumed run already at its horizon
-        try:
-            fields = derive(state, model)
-        except sp.SpectralError as exc:
-            raise BlowUpError("state evaluation produced non-finite values",
-                              t=state.t, state=state) from exc
+        fields = _evaluate(state, model)
         if due:
             yield fields
         if i == n_steps:

@@ -6,7 +6,8 @@ strength (with b = chi) toward zero and compares each member trajectory
 against the corresponding limit system run on the same basis, initial
 data, time grid and stepper.  The manufactured-solution study verifies
 spatial in-span exactness and the first-order temporal rate of the IMEX
-scheme.
+scheme; its forcing is a term of the model, so its runs are stepped by
+dynamics.run like any other.
 """
 
 from __future__ import annotations
@@ -263,55 +264,29 @@ def _forcing(ms: ManufacturedSolution, basis: SpectralBasis, t: float,
     return rp - da, rs - dg_
 
 
-def _forced_step(state: SimState, model: TumourModel, config: StepperConfig,
-                 ms: ManufacturedSolution, factors,
-                 f_start: tuple[np.ndarray, np.ndarray]
-                 ) -> tuple[SimState, tuple[np.ndarray, np.ndarray] | None]:
-    """One step of config.scheme with the forcing f added to the rhs.
-
-    f_start is f at state.t; factors are the IMEX step's
-    dyn._implicit_factors.  Returns the new state and f at its time when
-    the step computed it: RK4's last stage is the next step's first, and
-    its middle stages share t + dt/2, so each distinct time is forced
-    once.  An IMEX step reads f at its start only and returns None.
-    """
-    def forced_rhs(s, f):
-        da, dg_ = dyn.rhs(dyn.derive(s, model))
-        return da + f[0], dg_ + f[1]
-
-    t, dt = state.t, config.dt
-    if config.scheme == "imex1":
-        return dyn._imex_update(state, forced_rhs(state, f_start), factors,
-                                dt), None
-    f_mid = _forcing(ms, state.basis, t + dt / 2, model)
-    f_end = _forcing(ms, state.basis, t + dt, model)
-    # _rk4_update evaluates stages 2, 3 and 4 in order, at these times
-    stage_forcing = iter((f_mid, f_mid, f_end))
-    new = dyn._rk4_update(state, dt,
-                          lambda s: forced_rhs(s, next(stage_forcing)),
-                          forced_rhs(state, f_start))
-    return new, f_end
-
-
 def run_manufactured(ms: ManufacturedSolution, basis: SpectralBasis,
                      model: TumourModel, config: StepperConfig,
                      T: float) -> float:
-    """Integrate the forced system from the projected exact data;
-    returns the final-time coefficient-space L2 error."""
-    cp, cs = ms.coeffs(basis, 0.0)
-    state = SimState(0.0, cp, cs)
-    config = replace(config, kappa=config.resolved_kappa(model))
-    factors = dyn._implicit_factors(basis, model, config, config.dt)
-    n = int(round(T / config.dt))
-    forcing = None  # f at state.t once known; an RK4 step hands it on
-    for _ in range(n):
-        if forcing is None:
-            forcing = _forcing(ms, basis, state.t, model)
-        state, forcing = _forced_step(state, model, config, ms, factors,
-                                      forcing)
-    ep, es = ms.coeffs(basis, state.t)
-    return float(np.sqrt(np.sum((state.alpha.data - ep.data) ** 2)
-                         + np.sum((state.gamma.data - es.data) ** 2)))
+    """Integrate the forced system from the projected exact data with
+    dyn.run; returns the final-time coefficient-space L2 error.
+
+    The forcing is a term of the model.  It keeps the last time it was
+    asked for and its value: an RK4 step's two middle stages share
+    t + dt/2, and its last stage's time is the next step's first, so
+    each distinct time is forced once.
+    """
+    last = [None, None]  # t, _forcing at t
+
+    def forcing(t):
+        if last[0] != t:
+            last[:] = t, _forcing(ms, basis, t, model)
+        return last[1]
+
+    final = dyn.run(SimState(0.0, *ms.coeffs(basis, 0.0)), config,
+                    replace(model, forcing=forcing), T)
+    ep, es = ms.coeffs(basis, final.t)
+    return float(np.sqrt(np.sum((final.alpha.data - ep.data) ** 2)
+                         + np.sum((final.gamma.data - es.data) ** 2)))
 
 
 @dataclass

@@ -197,7 +197,9 @@ class TumourModel:
 
     sigma_inf, the boundary nutrient level, is constant in space and
     time; gamma_v, the volume source, is constant in time and must have
-    zero mean.
+    zero mean.  forcing, when set, maps a time t to coefficient vectors
+    (f_alpha, f_gamma) that the right-hand side adds to the two
+    equations' rates, as the manufactured-solution study does.
     """
 
     params: ModelParams
@@ -207,6 +209,7 @@ class TumourModel:
     sources: SourceModel
     sigma_inf: float
     gamma_v: FieldCoeffs | None = None
+    forcing: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
 
     def with_params(self, params: ModelParams) -> "TumourModel":
         sources = self.sources

@@ -92,6 +92,23 @@ class TestRhs:
         assert np.max(np.abs(da)) < 1e-13
         assert np.max(np.abs(dgm)) < 1e-13
 
+    def test_forcing_is_added_at_the_state_time(self, interval_basis):
+        model = make_model()
+        state = random_state(interval_basis, 3, scale=0.3)
+        state.t = 0.25
+        times = []
+
+        def forcing(t):
+            times.append(t)
+            return np.full(interval_basis.n_modes, t), np.arange(
+                interval_basis.n_modes, dtype=float)
+
+        da, dgm = dyn.rhs(dyn.derive(state, model))
+        fa, fg = dyn.rhs(dyn.derive(state, replace(model, forcing=forcing)))
+        assert times == [0.25]
+        assert same_bits(fa, da + 0.25)
+        assert same_bits(fg, dgm + np.arange(interval_basis.n_modes))
+
     def test_constant_mode_conserved_without_sources(self, rect_basis):
         model = make_model(make_params(b=0.0), sources="zero")
         state = random_state(rect_basis, 17)

@@ -267,6 +267,17 @@ class TestManufacturedStudy:
         assert expect > 0.0
         assert ex.run_manufactured(ms, basis, model, config, 0.1) == expect
 
+    def test_energy_guard_leaves_a_forced_run_alone(self, model):
+        # a growing manufactured solution raises the energy, but the
+        # forcing is a source, so the guard must not act on its run
+        basis = sp.build_basis(sp.Domain("interval", (1.0,)), 4)
+        ms = ex.ManufacturedSolution(((1, 0.3),), ((2, 0.5),), decay=-2.0)
+        errors = [ex.run_manufactured(
+            ms, basis, model, dyn.StepperConfig(dt=1e-2, energy_guard=g),
+            0.1) for g in (False, True)]
+        assert errors[0] == errors[1]
+        assert errors[0] == pytest.approx(0.017198187054758344, rel=1e-12)
+
     def test_forcing_vanishes_for_exact_ode_solution(self, model):
         # a pure decay carried by the rhs itself needs no forcing at the
         # equilibrium point

@@ -890,6 +890,40 @@ def test_numerical_failure_prints_one_line_and_writes_nothing(tmp_path,
     assert not out.exists()
 
 
+def test_mms_blow_up_prints_one_line(tmp_path, capsys):
+    # B = 1 passes validate, but the manufactured RK4 runs leave the
+    # float range
+    spec = json.loads(REFERENCE.read_text())
+    spec["params"]["B"] = 1.0
+    cfg = tmp_path / "mms.json"
+    cfg.write_text(json.dumps(spec))
+    assert cli.main(["mms", "--config", str(cfg)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical failure at t=[^\n]*\n", err)
+    assert "Traceback" not in err
+
+
+def test_resume_from_a_state_that_cannot_be_evaluated(tmp_path, capsys):
+    # every payload value is finite, but the potential at phi * 1e120
+    # overflows, so the restored state cannot be evaluated
+    config = cf.parse_config(REFERENCE.read_text())
+    basis = config.build_basis()
+    start = config.build_initial_state(basis)
+    state = dyn.SimState(start.t, sp.FieldCoeffs(basis,
+                                                 start.alpha.data * 1e120),
+                         start.gamma)
+    ckpt = tmp_path / "checkpoint.ckpt"
+    cio.write_checkpoint(
+        cio.Checkpoint(config.content_hash(), state, np.zeros(4)), ckpt)
+    out = tmp_path / "out"
+    assert cli.main(["resume", "--config", str(REFERENCE),
+                     "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert re.fullmatch(r"numerical failure at t=[^\n]*\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
 # Every command under every limit mode: the limit systems are the full
 # system at chi = 0 and at K = 0, so each command runs each of them.
 LIMIT_CELLS = [("none", 1.0), ("no-chemotaxis", 1.0), ("no-flow", 1.0),
