@@ -95,8 +95,7 @@ class RunConfig:
             sources = md.SourceModel.proliferation(
                 spec["lambda_p"], spec["lambda_a"], spec["lambda_c"])
         return dict(params=self.params, potential=potential,
-                    mobility_m=md.Mobility.constant(self.mobility_m),
-                    mobility_n=md.Mobility.constant(self.mobility_n),
+                    mobility_m=self.mobility_m, mobility_n=self.mobility_n,
                     sources=sources)
 
     def build_model(self, basis: SpectralBasis) -> TumourModel:

@@ -73,9 +73,9 @@ def energy(f: StateFields) -> EnergyBreakdown:
     psi_part, gradient_part, nutrient_part, chemotaxis_part = f.energy_parts
     total = psi_part + gradient_part + nutrient_part + chemotaxis_part
 
-    diss_mu = float((W * f.m_g.values
+    diss_mu = float((W * eff.mobility_m
                      * sum(g.values ** 2 for g in f.grad_mu)).sum())
-    diss_nutrient = float((W * f.n_g.values
+    diss_nutrient = float((W * eff.mobility_n
                            * sum(g.values ** 2 for g in f.grad_N_sigma)).sum())
     diss_darcy = 0.0 if f.no_flow else f.v_sq / params.K
     diss_boundary = params.D * params.b * float(gamma.data @ f.M_gamma)

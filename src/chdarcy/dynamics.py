@@ -92,23 +92,13 @@ class NonFiniteInitialData(ValueError):
 
 def project_initial_data(phi0, sigma0, basis: SpectralBasis
                          ) -> tuple[FieldCoeffs, FieldCoeffs]:
-    """L2 projection of initial fields onto the truncated basis.
-
-    phi0 / sigma0 may be callables of the grid coordinates, GridFields,
-    or coefficient vectors already in the basis.
-    """
+    """L2 projection of initial fields onto the truncated basis; phi0 and
+    sigma0 are callables of the grid coordinates."""
     grid = sp.default_grid(basis)
 
     def project(f, name):
-        if isinstance(f, FieldCoeffs):
-            if f.basis is not basis:
-                raise sp.BasisMismatchError("initial data on a different basis")
-            return f.copy()
-        if isinstance(f, GridField):
-            vals = f.values
-        else:
-            vals = np.asarray(f(*grid.meshgrid()), dtype=float)
-            vals = np.broadcast_to(vals, grid.npoints).copy()
+        vals = np.asarray(f(*grid.meshgrid()), dtype=float)
+        vals = np.broadcast_to(vals, grid.npoints).copy()
         if not np.all(np.isfinite(vals)):
             raise NonFiniteInitialData(name)
         try:
@@ -147,8 +137,6 @@ class StateFields:
     v: tuple[GridField, ...]
     gamma_phi: GridField  # Gamma_phi on the grid
     S: GridField          # nutrient consumption; gamma_phi itself when equal
-    m_g: GridField        # mobility m(phi) on the grid
-    n_g: GridField        # mobility n(phi) on the grid
     grad_N_sigma: tuple[GridField, ...]  # D grad(sigma) - chi grad(phi)
     M_gamma: np.ndarray   # int_bdry sigma w_j, the boundary mass times gamma
 
@@ -181,7 +169,7 @@ def _no_flow(model: TumourModel) -> bool:
 
 def derive(state: SimState, model: TumourModel) -> StateFields:
     """Evaluate the state: grid values, mu, p, v, the sources, the
-    mobilities, the nutrient flux gradient and the boundary product.
+    nutrient flux gradient and the boundary product.
 
     phi, sigma and mu are each synthesized and differentiated once; mu
     and the Darcy solve take those grid fields instead of redoing them.
@@ -214,8 +202,6 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
         grad_phi=grad_phi,
         grad_mu=sp.gradient_on_grid(mu, grid),
         mu=mu, p=p, v=v, gamma_phi=gamma_phi, S=S,
-        m_g=sp._unchecked(GridField, grid, model.mobility_m(phi_g.values)),
-        n_g=sp._unchecked(GridField, grid, model.mobility_n(phi_g.values)),
         grad_N_sigma=tuple(
             sp._unchecked(GridField, grid,
                           model.params.D * gs.values - chi * gp.values)
@@ -232,7 +218,7 @@ def rhs(f: StateFields) -> tuple[np.ndarray, np.ndarray]:
     on the grid and projected together with its source by sp.weak_form.
     A model forcing is added last, at the state's time.
     """
-    state, params = f.state, f.model.params
+    state, model, params = f.state, f.model, f.model.params
     grid = f.grid
 
     def project(source, mobility, gradients, transported):
@@ -247,20 +233,20 @@ def rhs(f: StateFields) -> tuple[np.ndarray, np.ndarray]:
                           for F in flux)).data
 
     # d/dt alpha_j = int Gamma_phi w_j - int (m grad(mu) - phi v).grad(w_j)
-    dalpha = project(f.gamma_phi, f.m_g.values, f.grad_mu, f.phi_g.values)
+    dalpha = project(f.gamma_phi, model.mobility_m, f.grad_mu, f.phi_g.values)
     # d/dt gamma_j = -int S w_j
     #               - int (n (D grad(sigma) - chi grad(phi)) - sigma v).grad(w_j)
     #               + b int_bdry (sigma_inf - sigma) w_j
     dgamma = project(sp._unchecked(GridField, grid, -f.S.values),
-                     f.n_g.values, f.grad_N_sigma, f.sigma_g.values)
+                     model.mobility_n, f.grad_N_sigma, f.sigma_g.values)
     # in a batch, a member with b = 0 next to members with b != 0 gets
     # 0 * (...) added: its rates are unchanged up to the sign of a zero
     if sp._any_member(params.b != 0.0):
         dgamma += sp._per_member(params.b, f.M_gamma) * (
-            f.model.sigma_inf * state.basis.boundary_vector - f.M_gamma)
+            model.sigma_inf * state.basis.boundary_vector - f.M_gamma)
 
-    if f.model.forcing is not None:
-        fa, fg = f.model.forcing(state.t)
+    if model.forcing is not None:
+        fa, fg = model.forcing(state.t)
         return dalpha + fa, dgamma + fg
     return dalpha, dgamma
 
@@ -294,8 +280,6 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
     phi_g = sp.to_grid(state.alpha, grid).values
     sigma_g = sp.to_grid(state.gamma, grid).values
     grad_phi = [g.values for g in sp.gradient_on_grid(state.alpha, grid)]
-    m_vals = model.mobility_m(phi_g)
-    n_vals = model.mobility_n(phi_g)
 
     k = basis.n_modes
     nflat = int(np.prod(grid.npoints))
@@ -311,13 +295,10 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
         for d, comp in enumerate(sp.gradient_on_grid(cj, grid)):
             basis_grads[d][j] = comp.values.reshape(nflat)
 
-    def stiffness(weight):
-        wf = (Wf * weight.reshape(nflat))
-        return sum((gb * wf) @ gb.T for gb in basis_grads)
-
+    stiffness = sum((gb * Wf) @ gb.T for gb in basis_grads)
     S = np.diag(basis.eigenvalues)
-    S_m = stiffness(m_vals)
-    S_n = stiffness(n_vals)
+    S_m = model.mobility_m * stiffness
+    S_n = model.mobility_n * stiffness
 
     psi_vec = basis_vals @ (Wf * model.potential.dpsi(phi_g).reshape(nflat))
     beta = params.A * psi_vec + params.B * basis.eigenvalues * state.alpha.data \
@@ -375,17 +356,23 @@ def dense_rhs(state: SimState, model: TumourModel,
     return dalpha, dgamma
 
 
-def _implicit_factors(basis: SpectralBasis, model: TumourModel,
-                      config: StepperConfig, dt: float
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """1 + dt L per mode for the two equations: the IMEX damping of a
-    step of length dt, a constant of (basis, model, config, dt)."""
+def _linear_rates(basis: SpectralBasis, model: TumourModel,
+                  config: StepperConfig) -> tuple[np.ndarray, np.ndarray]:
+    """L per mode for the two equations, the stiff linear part of the
+    rates: m (B lam^2 + A kappa lam) and n D lam."""
     params = model.params
     lam = basis.eigenvalues
     kappa = config.resolved_kappa(model)
-    m1, n1 = model.mobility_m.upper, model.mobility_n.upper
-    L_phi = m1 * (params.B * lam ** 2 + params.A * kappa * lam)
-    L_sigma = n1 * params.D * lam
+    return (model.mobility_m * (params.B * lam ** 2 + params.A * kappa * lam),
+            model.mobility_n * params.D * lam)
+
+
+def _implicit_factors(basis: SpectralBasis, model: TumourModel,
+                      config: StepperConfig, dt: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """1 + dt L per mode (_linear_rates): the IMEX damping of a step of
+    length dt, a constant of (basis, model, config, dt)."""
+    L_phi, L_sigma = _linear_rates(basis, model, config)
     return 1.0 + dt * L_phi, 1.0 + dt * L_sigma
 
 

@@ -12,6 +12,7 @@ dynamics.run like any other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -300,32 +301,39 @@ class MMSResult:
 
 
 def manufactured_solution_study(orders, dts, model: TumourModel,
-                                ms: ManufacturedSolution | None = None,
-                                domain: sp.Domain | None = None,
-                                T: float = 0.1,
-                                dt_space: float = 5e-4,
-                                modes_time: int = 6) -> MMSResult:
-    """Spatial in-span exactness and temporal first-order rate.
+                                T: float = 0.1) -> MMSResult:
+    """Spatial in-span exactness and temporal first-order rate of the
+    default manufactured solution on the unit interval.
 
     orders are maximal resolved wavenumbers; the basis for order k has
-    k + 1 modes.  Spatial errors use the RK4 stepper at a small fixed
-    dt; temporal errors use the IMEX stepper on a resolving basis.
+    k + 1 modes.  Spatial errors use the RK4 stepper at a step stable on
+    the finest basis; temporal errors use the IMEX stepper on 6 modes.
     """
-    if ms is None:
-        ms = ManufacturedSolution.default()
-    if domain is None:
-        domain = sp.Domain("interval", (1.0,))
+    ms = ManufacturedSolution.default()
+    domain = sp.Domain("interval", (1.0,))
     orders = tuple(int(k) for k in orders)
     dts = tuple(float(dt) for dt in dts)
 
+    # at least 200 RK4 steps, and enough that dt times the stiffest linear
+    # rate on the finest basis is at most 2.5 (RK4 is stable on the
+    # negative real axis down to about -2.79); more than 100 times 200
+    # steps is refused before any run
+    config = StepperConfig(dt=T, scheme="rk4-explicit")
+    finest = sp.build_basis(domain, max(orders, default=0) + 1)
+    rate = max(L.max() for L in dyn._linear_rates(finest, model, config))
+    n_space = max(200, math.ceil(T * rate / 2.5))
+    if n_space > 20_000:
+        raise dyn.StepFailureError(
+            f"the spatial study needs {n_space} RK4 steps, more than 20000",
+            t=0.0)
+    config = replace(config, dt=T / n_space)
     spatial_errors = []
     for k in orders:
         basis = sp.build_basis(domain, k + 1)
-        config = StepperConfig(dt=dt_space, scheme="rk4-explicit")
         spatial_errors.append(run_manufactured(ms, basis, model, config, T))
     spatial_errors = np.asarray(spatial_errors)
 
-    basis_t = sp.build_basis(domain, modes_time)
+    basis_t = sp.build_basis(domain, 6)
     temporal_errors = []
     for dt in dts:
         config = StepperConfig(dt=dt)

@@ -86,30 +86,6 @@ class Potential:
         )
 
 
-@dataclass(frozen=True)
-class Mobility:
-    """Bounded positive mobility coefficient."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    lower: float
-    upper: float
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        return self.func(t)
-
-    @staticmethod
-    def constant(value: float) -> "Mobility":
-        """value at every point of t, as a read-only zero-stride view
-        of one float, so no grid array is stored."""
-        value = float(value)
-        one = np.array(value)
-        one.flags.writeable = False
-        # the view built directly: np.broadcast_to costs several times more
-        return Mobility(lambda t: np.ndarray(np.shape(t), float, one, 0,
-                                             (0,) * np.ndim(t)),
-                        lower=value, upper=value)
-
-
 def interpolation_h(phi: np.ndarray) -> np.ndarray:
     """h(phi) = (1 + clamp(phi, -1, 1)) / 2; h(-1) = 0, h(1) = 1."""
     return 0.5 * (1.0 + np.clip(phi, -1.0, 1.0))
@@ -204,8 +180,8 @@ class TumourModel:
 
     params: ModelParams
     potential: Potential
-    mobility_m: Mobility
-    mobility_n: Mobility
+    mobility_m: float
+    mobility_n: float
     sources: SourceModel
     sigma_inf: float
     gamma_v: FieldCoeffs | None = None
@@ -293,8 +269,7 @@ def solve_darcy(grad_phi: tuple[GridField, ...], mu_g: GridField,
 
 
 def evaluate_sources(phi_g: GridField, mu_g: GridField, sigma_g: GridField,
-                     sources: SourceModel, debug: bool = False
-                     ) -> tuple[GridField, GridField]:
+                     sources: SourceModel) -> tuple[GridField, GridField]:
     """Pointwise reaction terms on a shared grid.
 
     When S has the same reaction law as Gamma_phi (the Hawkins closure),
@@ -309,11 +284,6 @@ def evaluate_sources(phi_g: GridField, mu_g: GridField, sigma_g: GridField,
         S = gamma_phi
     else:
         S = sp._unchecked(GridField, grid, sources.S(phi, mu, sigma))
-    if debug:
-        bound = sources.R0 * (1.0 + np.abs(phi) + np.abs(mu) + np.abs(sigma))
-        excess = np.abs(gamma_phi.values) + np.abs(S.values) - bound
-        if np.any(excess > 1e-12 * (1.0 + bound)):
-            raise ValueError("source growth bound violated on the grid")
     return gamma_phi, S
 
 
@@ -385,7 +355,7 @@ class ValidationReport:
 
 
 def validate_assumptions(params: ModelParams, potential: Potential,
-                         mobility_m: Mobility, mobility_n: Mobility,
+                         mobility_m: float, mobility_n: float,
                          sources: SourceModel,
                          gamma_v_zero: bool = True,
                          check_sign_condition: bool = False,
@@ -408,12 +378,10 @@ def validate_assumptions(params: ModelParams, potential: Potential,
     rep.add("A1 positive constants", not bad,
             detail="all strictly positive" if not bad else f"nonpositive: {bad}")
 
+    # constant mobilities: each is its own lower and upper bound
     for label, mob in (("m", mobility_m), ("n", mobility_n)):
-        vals = mob(t)
-        ok = (mob.lower > 0 and np.all(vals >= mob.lower - 1e-12)
-              and np.all(vals <= mob.upper + 1e-12))
-        rep.add(f"A2 mobility {label} bounds", ok,
-                detail=f"{mob.lower} <= {label} <= {mob.upper}")
+        rep.add(f"A2 mobility {label} bounds", mob > 0,
+                detail=f"{mob} <= {label} <= {mob}")
 
     # a constant coefficient comes back as a float: broadcast each to
     # the sample grid, where a failure's witness is looked up

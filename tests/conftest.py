@@ -30,8 +30,8 @@ def make_model(params=None, sources="hawkins", f0=0.1,
     return md.TumourModel(
         params=params,
         potential=potential,
-        mobility_m=md.Mobility.constant(m),
-        mobility_n=md.Mobility.constant(n),
+        mobility_m=m,
+        mobility_n=n,
         sources=source_model,
         sigma_inf=sigma_inf,
         gamma_v=gamma_v,

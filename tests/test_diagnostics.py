@@ -74,7 +74,7 @@ class TestEnergyValues:
 
 
 class TestSingleModeOracle:
-    def setup_linear(self, kappa=2.0):
+    def setup_linear(self, kappa=2.0, m=1.0, n=1.0):
         pot = md.Potential(
             kind="linear-test",
             psi=lambda t: 0.5 * kappa * t * t,
@@ -82,24 +82,33 @@ class TestSingleModeOracle:
             d2psi=lambda t: np.full_like(np.asarray(t, float), kappa),
             R1=0.125, R2=1.0)
         params = make_params(K=0.0, chi=0.0, b=0.0)
-        model = make_model(params, sources="zero", potential=pot)
+        model = make_model(params, sources="zero", potential=pot, m=m, n=n)
         return params, model, kappa
 
     def test_energy_and_dissipation_closed_form(self):
-        # one mode alpha_m: E = (A kappa + B lam)/2 alpha^2 and the only
-        # dissipation channel is |grad mu|^2 = lam (A kappa + B lam)^2 alpha^2
-        params, model, kappa = self.setup_linear()
-        basis = sp.build_basis(sp.Domain("interval", (1.0,)), 6)
-        data = np.zeros(basis.n_modes)
-        data[2] = 0.4
-        state = dyn.SimState(0.0, sp.FieldCoeffs(basis, data),
-                             sp.constant_field(basis, 0.0))
-        lam = basis.eigenvalues[2]
-        coef = params.A * kappa + params.B * lam
-        bd = dg.energy(dyn.derive(state, model))
-        assert abs(bd.total - 0.5 * coef * 0.4 ** 2) < 1e-12
-        assert abs(bd.diss_mu - lam * coef ** 2 * 0.4 ** 2) < 1e-10
-        assert abs(bd.power + bd.dissipation) < 1e-12  # no work terms
+        # one mode alpha_m: E = (A kappa + B lam)/2 alpha^2 and the
+        # dissipation is m |grad mu|^2 = m lam (A kappa + B lam)^2 alpha^2;
+        # with one nutrient mode gamma_1 too, E gains D/2 gamma^2 and the
+        # nutrient channel n |D grad sigma|^2 = n D^2 lam_1 gamma^2, at
+        # unequal mobilities so that each must weight its own channel
+        for m, n, g in ((1.0, 1.0, 0.0), (0.7, 1.3, 0.3)):
+            params, model, kappa = self.setup_linear(m=m, n=n)
+            basis = sp.build_basis(sp.Domain("interval", (1.0,)), 6)
+            data = np.zeros(basis.n_modes)
+            data[2] = 0.4
+            gdata = np.zeros(basis.n_modes)
+            gdata[1] = g
+            state = dyn.SimState(0.0, sp.FieldCoeffs(basis, data),
+                                 sp.FieldCoeffs(basis, gdata))
+            lam, lam1 = basis.eigenvalues[2], basis.eigenvalues[1]
+            coef = params.A * kappa + params.B * lam
+            bd = dg.energy(dyn.derive(state, model))
+            assert abs(bd.total - 0.5 * coef * 0.4 ** 2
+                       - 0.5 * params.D * g ** 2) < 1e-12
+            assert abs(bd.diss_mu - m * lam * coef ** 2 * 0.4 ** 2) < 1e-10
+            assert abs(bd.diss_nutrient
+                       - n * params.D ** 2 * lam1 * g ** 2) < 1e-10
+            assert abs(bd.power + bd.dissipation) < 1e-12  # no work terms
 
 
 class TestEnergyIdentity:

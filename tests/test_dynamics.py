@@ -77,11 +77,6 @@ class TestProjection:
                 lambda x: np.full_like(x, np.nan),
                 lambda x: np.zeros_like(x), interval_basis)
 
-    def test_basis_mismatch_rejected(self, interval_basis, rect_basis):
-        c = sp.constant_field(interval_basis, 1.0)
-        with pytest.raises(sp.BasisMismatchError):
-            dyn.project_initial_data(c, c, rect_basis)
-
 
 class TestRhs:
     def test_double_well_equilibrium(self, interval_basis):
@@ -116,11 +111,15 @@ class TestRhs:
         assert abs(da[0]) < 1e-13
         assert abs(dgm[0]) < 1e-13
 
-    @pytest.mark.parametrize("seed, K", [
-        *(pytest.param(seed, 1.0, id=f"{seed}") for seed in range(5)),
-        *(pytest.param(seed, 0.0, id=f"{seed}-K0") for seed in range(5)),
+    @pytest.mark.parametrize("seed, K, m, n", [
+        *(pytest.param(seed, 1.0, 1.0, 1.0, id=f"{seed}")
+          for seed in range(5)),
+        *(pytest.param(seed, 0.0, 1.0, 1.0, id=f"{seed}-K0")
+          for seed in range(5)),
+        # unequal mobilities: each must weight its own equation's flux
+        pytest.param(0, 1.0, 0.7, 1.3, id="0-m0.7-n1.3"),
     ])
-    def test_matches_dense_oracle_1d(self, seed, K):
+    def test_matches_dense_oracle_1d(self, seed, K, m, n):
         basis = sp.build_basis(sp.Domain("interval", (1.0,)), 8)
         if K == 0.0:
             # a zero-mean volume source, which K = 0 must never divide by K
@@ -129,7 +128,7 @@ class TestRhs:
             gv = sp.FieldCoeffs(basis, data)
             model = make_model(make_params(K=0.0), gamma_v=gv)
         else:
-            model = make_model()
+            model = make_model(m=m, n=n)
         state = random_state(basis, seed, scale=0.3)
         da, dgm = dyn.rhs(dyn.derive(state, model))
         ops = dyn.dense_galerkin_operators(state, model)
@@ -617,8 +616,7 @@ class TestMemberAxis:
         sb = dyn.step_imex(fb, config)
         for i, (state, member) in enumerate(zip(states, alone)):
             f = dyn.derive(state, member)
-            for name in ("phi_g", "sigma_g", "mu_g", "gamma_phi", "S",
-                         "m_g", "n_g"):
+            for name in ("phi_g", "sigma_g", "mu_g", "gamma_phi", "S"):
                 assert same_bits(getattr(fb, name).values[i],
                                  getattr(f, name).values), name
             for name in ("grad_phi", "grad_N_sigma", "grad_mu", "v"):

@@ -613,6 +613,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "regime:" in out
 
+    def test_validate_reports_the_mobility_bounds(self, tmp_path, capsys):
+        spec = json.loads(REFERENCE.read_text())
+        spec["mobility"] = {"m": 0.7, "n": 1.3}
+        path = self.write_config(tmp_path, spec)
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "[PASS] A2 mobility m bounds: 0.7 <= m <= 0.7" in lines
+        assert "[PASS] A2 mobility n bounds: 1.3 <= n <= 1.3" in lines
+
     def test_run_writes_outputs(self, tmp_path):
         path = self.write_config(tmp_path)
         out = tmp_path / "out"
@@ -890,17 +899,42 @@ def test_numerical_failure_prints_one_line_and_writes_nothing(tmp_path,
     assert not out.exists()
 
 
-def test_mms_blow_up_prints_one_line(tmp_path, capsys):
-    # B = 1 passes validate, but the manufactured RK4 runs leave the
-    # float range
+def _mms(tmp_path, section, key, value):
+    """Run `chdarcy mms` on the reference config with one value changed."""
     spec = json.loads(REFERENCE.read_text())
-    spec["params"]["B"] = 1.0
+    spec[section][key] = value
     cfg = tmp_path / "mms.json"
     cfg.write_text(json.dumps(spec))
-    assert cli.main(["mms", "--config", str(cfg)]) == cli.EXIT_NUMERICAL
+    return cli.main(["mms", "--config", str(cfg)])
+
+
+def test_mms_blow_up_prints_one_line(tmp_path, capsys):
+    # f0 = 1e3 passes validate, but the IMEX runs of the temporal study
+    # leave the float range
+    assert _mms(tmp_path, "sources", "f0", 1e3) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert re.fullmatch(r"numerical failure at t=[^\n]*\n", err)
     assert "Traceback" not in err
+
+
+def test_mms_spatial_step_follows_the_model(tmp_path, capsys):
+    # at B = 0.1 a fixed RK4 step of 5e-4 is unstable on the order-5
+    # basis: the runs stay finite but the resolved error reads 2e-1
+    assert _mms(tmp_path, "params", "B", 0.1) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    resolved = re.search(r"resolved spatial error: (\S+)", out).group(1)
+    assert float(resolved) < 1e-10
+
+
+def test_mms_refuses_a_spatial_study_too_stiff_to_step(tmp_path, capsys,
+                                                       count_calls):
+    # A = 1e4 would need about 330 000 RK4 steps per basis: refused at
+    # t = 0 with one line, before any run is stepped
+    runs = count_calls(ex, "run_manufactured")
+    assert _mms(tmp_path, "params", "A", 1e4) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical failure at t=0\.0: [^\n]*\n", err)
+    assert not runs
 
 
 def test_resume_from_a_state_that_cannot_be_evaluated(tmp_path, capsys):

@@ -95,18 +95,6 @@ class TestSources:
         assert same_bits(gamma_phi.values, s.gamma_phi(*args))
         assert same_bits(S.values, s.S(*args))
 
-    def test_growth_bound_enforced_in_debug(self, interval_basis):
-        grid = sp.default_grid(interval_basis)
-        shape = grid.npoints
-        f = lambda v: sp.GridField(grid, np.full(shape, v))
-        bad = md.SourceModel(
-            "bad", lambda p, s: np.exp(10 * np.abs(p)),
-            lambda p, s: np.zeros_like(p),
-            lambda p, s: np.zeros_like(p), lambda p, s: np.zeros_like(p),
-            R0=1.0)
-        with pytest.raises(ValueError):
-            md.evaluate_sources(f(5.0), f(0.0), f(0.0), bad, debug=True)
-
 
 class TestInterpolation:
     def test_h_clamps(self):
@@ -244,8 +232,7 @@ class TestValidation:
         params = make_params()
         sources = md.SourceModel.proliferation(0.5, 0.2, 0.5)
         pot = md.Potential.quadratic()
-        rep = md.validate_assumptions(params, pot, md.Mobility.constant(1.0),
-                                      md.Mobility.constant(1.0), sources)
+        rep = md.validate_assumptions(params, pot, 1.0, 1.0, sources)
         assert rep.regime == "case1"
         assert rep.passed
 
@@ -265,9 +252,6 @@ class TestValidation:
 
     def test_constant_closures_store_no_grid_array(self):
         phi = np.zeros((3, 40, 30))
-        m = md.Mobility.constant(2.0)(phi)
-        assert m.shape == phi.shape and m.strides == (0, 0, 0)
-        assert not m.flags.writeable and np.all(m == 2.0)
         zero = md.SourceModel.zero()
         assert zero.theta_phi(phi, phi) == 0.0
         assert same_bits(zero.gamma_phi(phi, -phi - 1.0, phi),
