@@ -107,7 +107,8 @@ def _cmd_validate(args) -> int:
 
 def _write_outputs(out: Path, collector, state, config_hash):
     out.mkdir(parents=True, exist_ok=True)
-    cio.write_diagnostics_csv(collector.records, out / "diagnostics.csv")
+    cio.write_diagnostics_csv((r.row() for r in collector.records),
+                              out / "diagnostics.csv")
     cio.write_field_snapshot(state, out / "final.snap")
     cio.write_checkpoint(
         cio.Checkpoint(config_hash, state, collector.accumulators()),
@@ -118,9 +119,14 @@ def _write_outputs(out: Path, collector, state, config_hash):
 def _cmd_run(args) -> int:
     """run from the initial data, or resume from a checkpoint: only the
     start state, the collector's history and observing the start differ."""
+    resume = args.command == "resume"
+    if resume and (Path(args.out).resolve()
+                   == Path(args.checkpoint).resolve().parent):
+        # its outputs would replace the run it continues
+        raise cf.ConfigError(["--out: a resume may not write into the "
+                              "directory of its checkpoint"])
     config = _load_config(args)
     basis = config.build_basis()
-    resume = args.command == "resume"
     if resume:
         try:
             ck = cio.read_checkpoint(args.checkpoint, basis)

@@ -1,9 +1,10 @@
-"""Runtime-checkable identities and bounds for simulator trajectories.
+"""The energy ledger and the per-snapshot diagnostics of a run.
 
-Everything here is a pure function of simulation snapshots: the energy
-ledger and its balance identity, per-step mass laws, residuals of the
-weak-form equations, pointwise consistency of the rescaled pressures,
-the integral-form Gronwall envelope, and time-aggregated norm suites.
+energy is the ledger of one evaluated state.  DiagnosticsCollector
+observes a run's snapshots and records, for each, the ledger, the
+masses and norms, the running time-integrals of the dissipation, and
+the defects of the mass laws and of the energy identity over the
+interval before it: the rows of diagnostics.csv.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import dynamics as dyn
 from . import spectral as sp
 from .dynamics import SimState, StateFields
 from .model import TumourModel
-from .spectral import FieldCoeffs, GridField
+from .spectral import FieldCoeffs
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def energy(f: StateFields) -> EnergyBreakdown:
     diss_darcy = 0.0 if f.no_flow else f.v_sq / params.K
     diss_boundary = params.D * params.b * float(gamma.data @ f.M_gamma)
 
-    # N_sigma of model.nutrient_free_energy_density, the one part read here
+    # N_sigma, the sigma-derivative of the nutrient free energy density
     N_sigma = params.D * f.sigma_g.values + params.chi * (1.0 - f.phi_g.values)
     work_phi_source = grid.integrate(f.gamma_phi.values * f.mu_g.values)
     work_nutrient_source = -grid.integrate(f.S.values * N_sigma)
@@ -116,20 +117,6 @@ def energy(f: StateFields) -> EnergyBreakdown:
     )
 
 
-@dataclass
-class ResidualSeries:
-    times: np.ndarray       # interval midpoints or snapshot times
-    residuals: np.ndarray
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.residuals))) if len(self.residuals) else 0.0
-
-    @property
-    def integral_abs(self) -> float:
-        return float(np.sum(np.abs(self.residuals)))
-
-
 def _energy_defect(dt: float, e0: EnergyBreakdown,
                    e1: EnergyBreakdown) -> float:
     """Defect of the energy balance over an interval of length dt:
@@ -147,41 +134,6 @@ def _mass_defect(dt: float, c0: FieldCoeffs, c1: FieldCoeffs,
     return (c1.data[0] - c0.data[0]) * vol_root - dt * rate
 
 
-def energy_identity_residual(states: list[SimState], model: TumourModel
-                             ) -> ResidualSeries:
-    """Per-interval defect of the energy balance (_energy_defect).
-
-    First order in dt for the IMEX scheme, zero at equilibria.
-    """
-    if len(states) < 2:
-        raise ValueError("need at least two snapshots")
-    breakdowns = [energy(dyn.derive(s, model)) for s in states]
-    times = np.array([s.t for s in states])
-    res = np.empty(len(states) - 1)
-    for n in range(len(res)):
-        res[n] = _energy_defect(times[n + 1] - times[n], breakdowns[n],
-                                breakdowns[n + 1])
-    mid = 0.5 * (times[:-1] + times[1:])
-    return ResidualSeries(mid, res)
-
-
-@dataclass
-class MassBalance:
-    times: np.ndarray
-    phi_residuals: np.ndarray
-    sigma_residuals: np.ndarray
-    scale_phi: float
-    scale_sigma: float
-
-    @property
-    def max_rel_phi(self) -> float:
-        return float(np.max(np.abs(self.phi_residuals))) / self.scale_phi
-
-    @property
-    def max_rel_sigma(self) -> float:
-        return float(np.max(np.abs(self.sigma_residuals))) / self.scale_sigma
-
-
 def _mass_rates(f: StateFields) -> tuple[float, float]:
     """Exact rates of the total masses, by the constant test function."""
     state, params = f.state, f.model.params
@@ -196,316 +148,18 @@ def _mass_rates(f: StateFields) -> tuple[float, float]:
     return rate_phi, rate_sigma
 
 
-def mass_balance_residuals(states: list[SimState], model: TumourModel
-                           ) -> MassBalance:
-    """Defects of the two mass laws over each recorded interval
-    (_mass_defect).
-
-    Exact (to roundoff) for the IMEX stepper when snapshots are taken
-    every step, because the constant mode sees no implicit damping.
-    """
-    if len(states) < 2:
-        raise ValueError("need at least two snapshots")
-    times = np.array([s.t for s in states])
-    r_phi, r_sigma = np.empty(len(states) - 1), np.empty(len(states) - 1)
-    for i, (s0, s1) in enumerate(zip(states, states[1:])):
-        dt = times[i + 1] - times[i]
-        rate_phi, rate_sigma = _mass_rates(dyn.derive(s0, model))
-        r_phi[i] = _mass_defect(dt, s0.alpha, s1.alpha, rate_phi)
-        r_sigma[i] = _mass_defect(dt, s0.gamma, s1.gamma, rate_sigma)
-    masses = np.array([(s.alpha.data[0], s.gamma.data[0]) for s in states]) \
-        * np.sqrt(states[0].basis.domain.volume)
-    scale_phi, scale_sigma = np.maximum(1.0, np.max(np.abs(masses), axis=0))
-    return MassBalance(0.5 * (times[:-1] + times[1:]), r_phi, r_sigma,
-                       float(scale_phi), float(scale_sigma))
-
-
-@dataclass
-class WeakResidual:
-    equation: str
-    mode: int
-    integrated: float   # sum |r| dt over intervals (evolution equations)
-    max_abs: float      # max |r| over snapshots (algebraic relations)
-
-
-def weak_residual(states: list[SimState], j: int, equation: str,
-                  model: TumourModel) -> WeakResidual:
-    """Residual of one weak-form equation against test function j.
-
-    Evolution equations (phi, sigma) difference the stored coefficients
-    in time and are O(dt); the algebraic relations (mu, pressure,
-    velocity) are re-evaluated on a 4x oversampled grid and should hold
-    to roundoff at every snapshot.
-    """
-    basis = states[0].basis
-    if not (0 <= j < basis.n_modes):
-        raise IndexError(f"test index {j} outside 0..{basis.n_modes - 1}")
-    if equation not in ("phi", "mu", "sigma", "pressure", "velocity"):
-        raise ValueError(f"unknown equation {equation!r}")
-    times = np.array([s.t for s in states])
-
-    if equation in ("phi", "sigma"):
-        res = np.empty(len(states) - 1)
-        for n in range(len(res)):
-            dt = times[n + 1] - times[n]
-            da, dg = dyn.rhs(dyn.derive(states[n], model))
-            rate = da[j] if equation == "phi" else dg[j]
-            left = states[n].alpha if equation == "phi" else states[n].gamma
-            right = states[n + 1].alpha if equation == "phi" else states[n + 1].gamma
-            res[n] = (right.data[j] - left.data[j]) / dt - rate
-        dts = np.diff(times)
-        return WeakResidual(equation, j, float(np.sum(np.abs(res) * dts)),
-                            float(np.max(np.abs(res))))
-
-    max_abs = 0.0
-    grid4 = basis.quadrature_grid(oversample=4.0)
-    for state in states:
-        der = dyn.derive(state, model)
-        eff = der.model
-        params = eff.params
-        phi4 = sp.to_grid(state.alpha, grid4)
-        if equation == "mu":
-            psi4 = sp.to_coeffs(GridField(grid4, eff.potential.dpsi(phi4.values)))
-            expect = (params.A * psi4.data[j]
-                      + params.B * basis.eigenvalues[j] * state.alpha.data[j]
-                      - params.chi * state.gamma.data[j])
-            r = der.mu.data[j] - expect
-        elif equation == "pressure":
-            if der.no_flow:  # K = 0: no Gamma_v / K to form
-                r = der.p.data[j]
-            else:
-                grad_phi4 = sp.gradient_on_grid(state.alpha, grid4)
-                drive4 = (sp.to_grid(der.mu, grid4).values
-                          + params.chi * sp.to_grid(state.gamma, grid4).values)
-                F4 = tuple(GridField(grid4, drive4 * g.values) for g in grad_phi4)
-                rhs_j = -sp.divergence_to_coeffs(F4).data[j]
-                if eff.gamma_v is not None:
-                    rhs_j += eff.gamma_v.data[j] / params.K
-                if j == 0:
-                    rhs_j = 0.0
-                r = basis.eigenvalues[j] * der.p.data[j] - rhs_j
-        else:  # velocity, pointwise on the grid where v lives
-            if der.no_flow:
-                r = max(float(np.max(np.abs(vi.values))) for vi in der.v)
-            else:
-                grad_p = sp.gradient_on_grid(der.p, der.grid)
-                drive = der.mu_g.values + params.chi * der.sigma_g.values
-                r = max(
-                    float(np.max(np.abs(
-                        vi.values + params.K * (gp.values - drive * gphi.values)
-                    )))
-                    for vi, gp, gphi in zip(der.v, grad_p, der.grad_phi)
-                )
-        max_abs = max(max_abs, abs(r))
-    return WeakResidual(equation, j, max_abs, max_abs)
-
-
-@dataclass
-class PressureReformulations:
-    q: GridField
-    p_hat: GridField
-    p_tilde: GridField
-    lambda_v: tuple[GridField, GridField, GridField]
-    max_spread: float
-
-
-def pressure_reformulations(state: SimState, model: TumourModel
-                            ) -> PressureReformulations:
-    """The three rescaled pressures and the Darcy work density.
-
-    lambda_v = p - mu phi - (D/2) sigma^2 is evaluated through each of
-    the rescaled pressures; all three routes must agree pointwise.
-    """
-    f = dyn.derive(state, model)
-    eff, params, grid = f.model, f.model.params, f.grid
-    phi = f.phi_g.values
-    sigma = f.sigma_g.values
-    mu = f.mu_g.values
-    p = sp.to_grid(f.p, grid).values
-    grad_sq = sum(g.values ** 2 for g in f.grad_phi)
-
-    interface = params.A * eff.potential.psi(phi) + 0.5 * params.B * grad_sq
-    q = p - interface
-    p_hat = p + 0.5 * params.D * sigma ** 2 + params.chi * sigma * (1.0 - phi)
-    p_tilde = p - 0.5 * params.D * sigma ** 2 - mu * phi
-
-    lam0 = q + interface - 0.5 * params.D * sigma ** 2 - mu * phi
-    lam1 = (p_hat - mu * phi - params.D * sigma ** 2
-            - params.chi * sigma * (1.0 - phi))
-    lam2 = p_tilde
-
-    spread = max(
-        float(np.max(np.abs(lam0 - lam1))),
-        float(np.max(np.abs(lam0 - lam2))),
-        float(np.max(np.abs(lam1 - lam2))),
-    )
-    g = grid
-    return PressureReformulations(
-        q=GridField(g, q), p_hat=GridField(g, p_hat), p_tilde=GridField(g, p_tilde),
-        lambda_v=(GridField(g, lam0), GridField(g, lam1), GridField(g, lam2)),
-        max_spread=spread,
-    )
-
-
-@dataclass
-class GronwallInput:
-    t: np.ndarray
-    alpha: np.ndarray   # additive bound
-    beta: np.ndarray    # exponential rate, nonnegative
-    u: np.ndarray       # monitored quantity
-    v: np.ndarray       # monitored dissipation density, nonnegative
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        for name in ("alpha", "beta", "u", "v"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != self.t.shape:
-                raise ValueError(f"{name} must match the time grid")
-            setattr(self, name, arr)
-        if np.any(self.beta < 0):
-            raise ValueError("beta must be nonnegative")
-        if np.any(self.v < 0):
-            raise ValueError("v must be nonnegative")
-
-
-@dataclass
-class GronwallEnvelope:
-    t: np.ndarray
-    bound: np.ndarray
-    monitored: np.ndarray  # u(s) + int_0^s v
-    satisfied: bool
-    margin: float          # min over samples of bound - monitored
-
-
 def trapezoid(y, x) -> float:
     """Trapezoid rule, term for term as scipy.integrate.trapezoid."""
     y, x = np.asarray(y), np.asarray(x)
     return np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0)
 
 
-def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Integral over [x_i, x_{i+1}] of the parabola through points i,
-    i+1 and i+2, for irregular spacing (Cartwright, J. Math. Sci. Math.
-    Educ. 12(2), eq. 8).  On reversed input it gives the second halves.
-    """
-    x21, x32 = dx[:-1], dx[1:]
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    coeff1 = 3 - x21_x31
-    coeff2 = 3 + x21x21_x31x32 + x21_x31
-    coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
-
-
-def _cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral from x[0], 0 at x[0]: composite Simpson for
-    three or more points, trapezoid for two.  Term for term as
-    scipy.integrate.cumulative_simpson(y, x=x, initial=0).
-    """
-    dx = np.diff(x)
-    if len(y) < 3:
-        parts = dx * (y[1:] + y[:-1]) / 2.0
-    else:
-        first = _simpson_first_halves(y, dx)
-        second = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
-        parts = np.empty(len(dx))
-        parts[:-1:2] = first[::2]
-        parts[1::2] = second[::2]
-        parts[-1] = second[-1]  # the last interval has no point after it
-    # + 0.0 as scipy adds `initial`, which turns a -0.0 sum into 0.0
-    return np.concatenate(([0.0], np.cumsum(parts) + 0.0))
-
-
-def gronwall_envelope(g: GronwallInput, tol: float = 1e-9) -> GronwallEnvelope:
-    """Integral-form Gronwall bound sampled on the input grid:
-
-        u(s) + int_0^s v  <=  alpha(s) + int_0^s beta(tau) alpha(tau)
-                                          exp(int_tau^s beta) dtau.
-
-    The nested exponential integral is evaluated with an integrating
-    factor, so only cumulative quadratures are needed.
-    """
-    B = _cumulative(g.beta, g.t)
-    inner = g.beta * g.alpha * np.exp(-B)
-    bound = g.alpha + np.exp(B) * _cumulative(inner, g.t)
-    monitored = g.u + _cumulative(g.v, g.t)
-    margin = float(np.min(bound - monitored))
-    return GronwallEnvelope(g.t, bound, monitored, margin >= -tol, margin)
-
-
-@dataclass
-class FieldNorms:
-    linf_l2: float
-    l2_h1: float
-    l85_h1: float
-
-
-@dataclass
-class NormSuite:
-    phi: FieldNorms
-    sigma: FieldNorms
-    mu: FieldNorms
-    p: FieldNorms
-    v_l2l2: float
-    v_l2l2_scaled: float      # K^{-1/2} |v|_{L2(L2)}
-    dv_l2: np.ndarray | None  # per-snapshot |Dv|, optional
-
-
-def _field_norms(times, l2s, h1s) -> FieldNorms:
-    l2s = np.asarray(l2s)
-    h1s = np.asarray(h1s)
-    return FieldNorms(
-        linf_l2=float(np.max(l2s)),
-        l2_h1=float(np.sqrt(trapezoid(h1s ** 2, times))),
-        l85_h1=float(trapezoid(h1s ** (8.0 / 5.0), times) ** (5.0 / 8.0)),
-    )
-
-
-def velocity_norms(times, velocities, K: float) -> tuple[float, float]:
-    """|v|_{L2(L2)} over the snapshots (trapezoid in time) and its
-    rescaling K^{-1/2} |v|_{L2(L2)}, which is 0 when K = 0."""
-    v_sq = [v[0].grid.integrate(sum(vi.values ** 2 for vi in v))
-            for v in velocities]
-    return velocity_time_norms(times, v_sq, K)
-
-
 def velocity_time_norms(times, v_sq, K: float) -> tuple[float, float]:
-    """velocity_norms from the snapshots' |v|^2 integrals."""
+    """|v|_{L2(L2)} over the snapshots (trapezoid in time), from their
+    |v|^2 integrals, and its rescaling K^{-1/2} |v|_{L2(L2)}, which is 0
+    when K = 0."""
     v_l2l2 = float(np.sqrt(trapezoid(v_sq, times)))
     return v_l2l2, (v_l2l2 / np.sqrt(K) if K > 0 else 0.0)
-
-
-def norm_suite(states: list[SimState], model: TumourModel,
-               velocity_gradient: bool = False) -> NormSuite:
-    """Time-aggregated norms of the solution quintuple over a window."""
-    times = np.array([s.t for s in states])
-    acc = {name: ([], []) for name in ("phi", "sigma", "mu", "p")}
-    velocities = []
-    dv = [] if velocity_gradient else None
-    for state in states:
-        der = dyn.derive(state, model)
-        for name, coeffs in (("phi", state.alpha), ("sigma", state.gamma),
-                             ("mu", der.mu), ("p", der.p)):
-            acc[name][0].append(sp.norm(coeffs))
-            acc[name][1].append(sp.norm(coeffs, "H1"))
-        velocities.append(der.v)
-        if velocity_gradient:
-            total = 0.0
-            for vi in der.v:
-                ci = sp.to_coeffs(vi)
-                total += sp.inner_product(ci, ci, "H1-seminorm")
-            dv.append(np.sqrt(total))
-    v_l2l2, scaled = velocity_norms(times, velocities, model.params.K)
-    return NormSuite(
-        phi=_field_norms(times, *acc["phi"]),
-        sigma=_field_norms(times, *acc["sigma"]),
-        mu=_field_norms(times, *acc["mu"]),
-        p=_field_norms(times, *acc["p"]),
-        v_l2l2=v_l2l2,
-        v_l2l2_scaled=scaled,
-        dv_l2=np.asarray(dv) if velocity_gradient else None,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ nutrient; the chemical potential, pressure, and velocity are derived
 algebraically each step.  Two steppers are provided: a stabilized
 first-order IMEX scheme whose implicit operator is diagonal in the
 eigenbasis, and an explicit RK4 oracle for cross-checks at small steps.
-A dense-quadrature operator assembly serves as the brute-force oracle
-for the matrix-free right-hand side.
 
 A state may hold several members on one basis and time grid (leading
 axes of the coefficient arrays, with K, chi and b given per member in
@@ -94,7 +92,7 @@ def project_initial_data(phi0, sigma0, basis: SpectralBasis
                          ) -> tuple[FieldCoeffs, FieldCoeffs]:
     """L2 projection of initial fields onto the truncated basis; phi0 and
     sigma0 are callables of the grid coordinates."""
-    grid = sp.default_grid(basis)
+    grid = basis.default_grid
 
     def project(f, name):
         vals = np.asarray(f(*grid.meshgrid()), dtype=float)
@@ -176,7 +174,7 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
     At K = 0 p and v are exact zeros and no Darcy system is solved.
     """
     basis = state.basis
-    grid = sp.default_grid(basis)
+    grid = basis.default_grid
     phi_g = sp.to_grid(state.alpha, grid)
     sigma_g = sp.to_grid(state.gamma, grid)
     grad_phi = sp.gradient_on_grid(state.alpha, grid)
@@ -248,111 +246,6 @@ def rhs(f: StateFields) -> tuple[np.ndarray, np.ndarray]:
     if model.forcing is not None:
         fa, fg = model.forcing(state.t)
         return dalpha + fa, dgamma + fg
-    return dalpha, dgamma
-
-
-@dataclass
-class DenseGalerkinOperators:
-    """All Galerkin matrices and vectors at a state, by dense quadrature."""
-
-    S: np.ndarray        # stiffness, diagonal eigenvalues
-    S_m: np.ndarray      # mobility-weighted stiffness for the order parameter
-    S_n: np.ndarray      # mobility-weighted stiffness for the nutrient
-    C: np.ndarray        # convection matrix at the state's velocity
-    M_bdry: np.ndarray
-    R_phi: np.ndarray
-    R_S: np.ndarray
-    psi_vec: np.ndarray  # projections of psi'(phi)
-    Sigma_vec: np.ndarray
-    beta: np.ndarray     # chemical potential coefficients
-    p: FieldCoeffs
-    v: tuple[GridField, ...]
-
-
-def dense_galerkin_operators(state: SimState, model: TumourModel,
-                             oversample: float = 4.0) -> DenseGalerkinOperators:
-    """Assemble every operator on an oversampled grid; the rhs oracle."""
-    params = model.params
-    basis = state.basis
-    grid = basis.quadrature_grid(oversample=oversample)
-    W = grid.W
-
-    phi_g = sp.to_grid(state.alpha, grid).values
-    sigma_g = sp.to_grid(state.gamma, grid).values
-    grad_phi = [g.values for g in sp.gradient_on_grid(state.alpha, grid)]
-
-    k = basis.n_modes
-    nflat = int(np.prod(grid.npoints))
-    Wf = W.reshape(nflat)
-    # nodal values and gradients of every basis function, spatially flattened
-    basis_vals = np.empty((k, nflat))
-    basis_grads = [np.empty((k, nflat)) for _ in range(basis.dim)]
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = 1.0
-        cj = FieldCoeffs(basis, e)
-        basis_vals[j] = sp.to_grid(cj, grid).values.reshape(nflat)
-        for d, comp in enumerate(sp.gradient_on_grid(cj, grid)):
-            basis_grads[d][j] = comp.values.reshape(nflat)
-
-    stiffness = sum((gb * Wf) @ gb.T for gb in basis_grads)
-    S = np.diag(basis.eigenvalues)
-    S_m = model.mobility_m * stiffness
-    S_n = model.mobility_n * stiffness
-
-    psi_vec = basis_vals @ (Wf * model.potential.dpsi(phi_g).reshape(nflat))
-    beta = params.A * psi_vec + params.B * basis.eigenvalues * state.alpha.data \
-        - params.chi * state.gamma.data
-    mu_g = (basis_vals.T @ beta).reshape(grid.npoints)
-
-    # Darcy on the dense grid; at K = 0 nothing to solve (no Gamma_v / K)
-    if _no_flow(model):
-        p = FieldCoeffs(basis, np.zeros(k))
-        v_vals = [np.zeros(nflat) for _ in range(basis.dim)]
-    else:
-        drive = (mu_g + params.chi * sigma_g).reshape(nflat)
-        forcing = [drive * g.reshape(nflat) for g in grad_phi]
-        rhs_p = sum(gb @ (Wf * f) for gb, f in zip(basis_grads, forcing))
-        if model.gamma_v is not None:
-            rhs_p = rhs_p + model.gamma_v.data / params.K
-        rhs_p[0] = 0.0
-        p = sp.inverse_neumann_laplacian(FieldCoeffs(basis, rhs_p))
-        grad_p = [gb.T @ p.data for gb in basis_grads]
-        v_vals = [-params.K * (gp - f) for gp, f in zip(grad_p, forcing)]
-    v = tuple(GridField(grid, vv.reshape(grid.npoints)) for vv in v_vals)
-
-    C = sum(
-        (gb * (Wf * vv)) @ basis_vals.T
-        for gb, vv in zip(basis_grads, v_vals)
-    )
-
-    gamma_phi_g = model.sources.gamma_phi(phi_g, mu_g, sigma_g)
-    S_vals = model.sources.S(phi_g, mu_g, sigma_g)
-    R_phi = basis_vals @ (Wf * gamma_phi_g.reshape(nflat))
-    R_S = basis_vals @ (Wf * S_vals.reshape(nflat))
-
-    M_bdry = sp.boundary_mass_matrix(basis)
-    Sigma_vec = model.sigma_inf * basis.boundary_vector
-
-    return DenseGalerkinOperators(
-        S=S, S_m=S_m, S_n=S_n, C=C, M_bdry=M_bdry, R_phi=R_phi, R_S=R_S,
-        psi_vec=psi_vec, Sigma_vec=Sigma_vec, beta=beta, p=p, v=v,
-    )
-
-
-def dense_rhs(state: SimState, model: TumourModel,
-              ops: DenseGalerkinOperators | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side assembled from the dense operators."""
-    if ops is None:
-        ops = dense_galerkin_operators(state, model)
-    params = model.params
-    dalpha = -ops.S_m @ ops.beta + ops.R_phi + ops.C @ state.alpha.data
-    dgamma = (-ops.S_n @ (params.D * state.gamma.data
-                          - params.chi * state.alpha.data)
-              - ops.R_S + ops.C @ state.gamma.data
-              - params.b * ops.M_bdry @ state.gamma.data
-              + params.b * ops.Sigma_vec)
     return dalpha, dgamma
 
 

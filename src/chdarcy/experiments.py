@@ -199,39 +199,6 @@ class ManufacturedSolution:
         # phi* = cos(pi x) e^{-t}, sigma* = cos(2 pi x) e^{-t} / 2
         return ManufacturedSolution(((1, 1.0),), ((2, 0.5),))
 
-    @staticmethod
-    def equilibrium(value: float = 1.0) -> "ManufacturedSolution":
-        return ManufacturedSolution(((0, value),), ((0, 0.0),), decay=0.0)
-
-    @staticmethod
-    def from_callables(phi_fn, sigma_fn, basis: SpectralBasis,
-                       decay: float = 1.0,
-                       tol: float = 1e-10) -> "ManufacturedSolution":
-        """Extract amplitudes by projection; reject off-span data.
-
-        Anything with a nonzero normal derivative (a sine component, say)
-        leaves a projection residual and is refused.
-        """
-        if basis.dim != 1:
-            raise ValueError("manufactured solutions are one-dimensional")
-        grid = basis.quadrature_grid(oversample=4.0)
-        x = grid.nodes[0]
-        L = basis.domain.lengths[0]
-        amps = []
-        for fn in (phi_fn, sigma_fn):
-            vals = np.asarray(fn(x), dtype=float)
-            c = sp.to_coeffs(sp.GridField(grid, vals))
-            back = sp.to_grid(c, grid).values
-            if np.max(np.abs(back - vals)) > tol * max(1.0, np.max(np.abs(vals))):
-                raise ValueError(
-                    "manufactured field is not Neumann-compatible within the basis"
-                )
-            a = [(0, float(c.data[0]) / np.sqrt(L))]
-            a += [(m, float(c.data[m]) * np.sqrt(2.0 / L))
-                  for m in range(1, basis.modes[0])]
-            amps.append(tuple((m, v) for m, v in a if abs(v) > 1e-14))
-        return ManufacturedSolution(amps[0], amps[1], decay=decay)
-
     def max_wavenumber(self) -> int:
         ms = [m for m, _ in self.phi_amplitudes + self.sigma_amplitudes]
         return max(ms) if ms else 0

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spectral as sp
-from .diagnostics import CSV_COLUMNS, DiagnosticsRecord
+from .diagnostics import CSV_COLUMNS
 from .dynamics import SimState
 from .spectral import FieldCoeffs, SpectralBasis
 
@@ -43,10 +43,10 @@ def _write_csv(path, header, rows, what: str) -> None:
         raise OSError(f"writing {what} {path}: {exc}") from exc
 
 
-def write_diagnostics_csv(records, path) -> None:
-    _write_csv(path, CSV_COLUMNS, (
-        map(_fmt, rec.row() if isinstance(rec, DiagnosticsRecord) else rec)
-        for rec in records), "diagnostics CSV")
+def write_diagnostics_csv(rows, path) -> None:
+    """One line per row of CSV_COLUMNS values (DiagnosticsRecord.row)."""
+    _write_csv(path, CSV_COLUMNS, (map(_fmt, row) for row in rows),
+               "diagnostics CSV")
 
 
 SWEEP_COLUMNS = ("value", "v_l2l2", "v_scaled", "diff_phi", "diff_sigma",

@@ -2,9 +2,9 @@
 
 Covers the constants and structural hypotheses on the potential, the
 mobilities, and the source terms, plus the pointwise operators: chemical
-potential, Darcy subsystem, reaction sources, and the nutrient free
-energy density.  Hypotheses are validated by dense sampling on a box,
-reported rather than raised.
+potential, Darcy subsystem, reaction sources, and the free energy.
+Hypotheses are validated by dense sampling on a box, reported rather
+than raised.
 """
 
 from __future__ import annotations
@@ -285,18 +285,6 @@ def evaluate_sources(phi_g: GridField, mu_g: GridField, sigma_g: GridField,
     else:
         S = sp._unchecked(GridField, grid, sources.S(phi, mu, sigma))
     return gamma_phi, S
-
-
-def nutrient_free_energy_density(phi_g: GridField, sigma_g: GridField,
-                                 params: ModelParams
-                                 ) -> tuple[GridField, GridField, GridField]:
-    """N = (D/2) sigma^2 + chi sigma (1 - phi) and its partial derivatives."""
-    phi, sigma = phi_g.values, sigma_g.values
-    N = 0.5 * params.D * sigma ** 2 + params.chi * sigma * (1.0 - phi)
-    N_sigma = params.D * sigma + params.chi * (1.0 - phi)
-    N_phi = -params.chi * sigma
-    g = phi_g.grid
-    return GridField(g, N), GridField(g, N_sigma), GridField(g, N_phi)
 
 
 def free_energy(phi: FieldCoeffs, sigma: FieldCoeffs, phi_g: GridField,

@@ -178,11 +178,6 @@ class SpectralBasis:
         )
 
 
-def default_grid(basis: SpectralBasis) -> "QuadratureGrid":
-    """Shared dealiased grid for a basis, kept for the basis's life."""
-    return basis.default_grid
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     basis: SpectralBasis
@@ -417,38 +412,6 @@ def gradient_on_grid(c: FieldCoeffs, g: QuadratureGrid) -> tuple[GridField, ...]
 def divergence_to_coeffs(components: tuple[GridField, ...]) -> FieldCoeffs:
     """Weak divergence: j-th coefficient is -int g . grad(w_j)."""
     return weak_form(None, components)
-
-
-def inverse_neumann_laplacian(c: FieldCoeffs) -> FieldCoeffs:
-    """Diagonal inverse of -Laplacian on the mean-zero subspace."""
-    size = np.abs(c.data)
-    violated = size[..., 0] > MEAN_ZERO_TOL * size.max(axis=-1, initial=1.0)
-    if _any_member(violated):
-        raise ZeroMeanViolationError(
-            f"constant-mode coefficient {c.data[..., 0][violated].flat[0]:.3e}"
-            " violates the mean-zero precondition"
-        )
-    lam = c.basis.eigenvalues
-    out = np.divide(c.data, lam, out=np.zeros_like(c.data), where=lam > 0)
-    return FieldCoeffs(c.basis, out)
-
-
-def boundary_mass_matrix(basis: SpectralBasis) -> np.ndarray:
-    """M[j, i] = int_{boundary} w_i w_j, assembled in closed form.
-
-    Dense n_modes x n_modes reference for boundary_mass_apply; the
-    solver never forms it.
-    """
-    if basis.dim == 1:
-        (left, right), = basis.traces_1d
-        return np.outer(left, left) + np.outer(right, right)
-    (lx, rx), (ly, ry) = basis.traces_1d
-    kx, ky = basis.modes
-    Bx = np.outer(lx, lx) + np.outer(rx, rx)  # traces at x = 0 and x = Lx
-    By = np.outer(ly, ly) + np.outer(ry, ry)
-    # Edge x = const contributes trace_x * delta_{n n'}; likewise for y.
-    M = np.kron(Bx, np.eye(ky)) + np.kron(np.eye(kx), By)
-    return M
 
 
 def boundary_mass_apply(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:

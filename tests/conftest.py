@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chdarcy import diagnostics as dg
 from chdarcy import dynamics as dyn
 from chdarcy import model as md
 from chdarcy import spectral as sp
@@ -54,6 +55,16 @@ def same_bits(a, b) -> bool:
 def trajectory(initial, config, model, T, **kw) -> list:
     """The states of a run's snapshots, in order; dynamics.run keeps none."""
     return [f.state for f in dyn.snapshots(initial, config, model, T, **kw)]
+
+
+def collected(states, model) -> list:
+    """The DiagnosticsCollector's records of states observed in turn,
+    each through its evaluation dyn.derive(state, model): the rows a run
+    writes, for a list of states that need not come from one run."""
+    collector = dg.DiagnosticsCollector(model)
+    for s in states:
+        collector.observe(dyn.derive(s, model))
+    return collector.records
 
 
 def traced_peak(fn, *args, **kwargs) -> int:

@@ -9,7 +9,8 @@ from chdarcy import dynamics as dyn
 from chdarcy import model as md
 from chdarcy import spectral as sp
 
-from conftest import (make_model, make_params, random_state, same_bits,
+import oracles
+from conftest import (collected, make_model, make_params, random_state,
                       trajectory)
 
 
@@ -117,8 +118,8 @@ class TestEnergyIdentity:
         config = dyn.StepperConfig(dt=1e-3)
         traj = trajectory(constant_state(interval_basis, 1.0, 0.0),
                           config, model, 0.01)
-        res = dg.energy_identity_residual(traj, model)
-        assert res.max_abs < 1e-13
+        records = collected(traj, model)[1:]
+        assert max(abs(r.res_energy_identity) for r in records) < 1e-13
 
     def test_first_order_in_dt(self, interval_basis):
         model = make_model()
@@ -128,16 +129,11 @@ class TestEnergyIdentity:
         def integral(dt):
             config = dyn.StepperConfig(dt=dt)
             traj = trajectory(state.copy(), config, model, T)
-            return dg.energy_identity_residual(traj, model).integral_abs
+            records = collected(traj, model)[1:]
+            return np.sum(np.abs([r.res_energy_identity for r in records]))
 
         ratio = integral(1e-3) / integral(5e-4)
         assert 1.5 < ratio < 2.7
-
-    def test_needs_two_snapshots(self, interval_basis):
-        model = make_model()
-        traj = [random_state(interval_basis, 1)]
-        with pytest.raises(ValueError):
-            dg.energy_identity_residual(traj, model)
 
 
 class TestMassBalance:
@@ -148,9 +144,13 @@ class TestMassBalance:
         config = dyn.StepperConfig(dt=1e-3)
         traj = trajectory(constant_state(interval_basis, 1.0, 0.2),
                           config, model, 0.05)
-        mb = dg.mass_balance_residuals(traj, model)
-        assert mb.max_rel_phi < 1e-13
-        assert mb.max_rel_sigma < 1e-13
+        records = collected(traj, model)
+        scale_phi = max(1.0, max(abs(r.mass_phi) for r in records))
+        scale_sigma = max(1.0, max(abs(r.mass_sigma) for r in records))
+        assert max(abs(r.res_mass_phi) for r in records[1:]) / scale_phi \
+            < 1e-13
+        assert max(abs(r.res_mass_sigma) for r in records[1:]) / scale_sigma \
+            < 1e-13
         masses = [s.gamma.data[0] for s in traj]
         assert masses[-1] > masses[0]
 
@@ -164,8 +164,10 @@ class TestMassBalance:
         traj[-1] = dyn.SimState(traj[-1].t,
                                 sp.FieldCoeffs(interval_basis, bad),
                                 traj[-1].gamma)
-        mb = dg.mass_balance_residuals(traj, model)
-        assert mb.max_rel_phi > 1e-4
+        records = collected(traj, model)
+        scale_phi = max(1.0, max(abs(r.mass_phi) for r in records))
+        assert max(abs(r.res_mass_phi) for r in records[1:]) / scale_phi \
+            > 1e-4
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +188,7 @@ class TestWeakResiduals:
         model, out = traj_pair
         traj, _ = out[1e-3]
         for j in (0, 3):
-            r = dg.weak_residual(traj, j, equation, model)
+            r = oracles.weak_residual(traj, j, equation, model)
             assert r.max_abs < 1e-9
 
     @pytest.mark.parametrize("equation", ["phi", "sigma"])
@@ -194,7 +196,8 @@ class TestWeakResiduals:
         model, out = traj_pair
         vals = {}
         for dt, (traj, _) in out.items():
-            vals[dt] = dg.weak_residual(traj, 3, equation, model).integrated
+            vals[dt] = oracles.weak_residual(traj, 3, equation,
+                                             model).integrated
         ratio = vals[1e-3] / vals[5e-4]
         assert 1.5 < ratio < 2.7
 
@@ -204,28 +207,29 @@ class TestWeakResiduals:
         traj = trajectory(random_state(interval_basis, 1), config, model,
                           0.002)
         with pytest.raises(IndexError):
-            dg.weak_residual(traj, 99, "phi", model)
+            oracles.weak_residual(traj, 99, "phi", model)
         with pytest.raises(ValueError):
-            dg.weak_residual(traj, 0, "vorticity", model)
+            oracles.weak_residual(traj, 0, "vorticity", model)
 
 
 class TestPressureReformulations:
     def test_routes_agree_on_random_states(self, rect_basis):
         model = make_model()
         for seed in range(5):
-            ref = dg.pressure_reformulations(random_state(rect_basis, seed),
-                                             model)
+            ref = oracles.pressure_reformulations(
+                random_state(rect_basis, seed), model)
             assert ref.max_spread < 1e-9
 
     def test_lambda_v_equals_rescaled_pressure(self, interval_basis):
         # the third route is the rescaled pressure itself
         model = make_model()
-        ref = dg.pressure_reformulations(random_state(interval_basis, 9), model)
+        ref = oracles.pressure_reformulations(
+            random_state(interval_basis, 9), model)
         assert np.array_equal(ref.lambda_v[2].values, ref.p_tilde.values)
 
     def test_trivial_state(self, interval_basis):
         model = make_model(make_params(b=0.0), sources="zero")
-        ref = dg.pressure_reformulations(
+        ref = oracles.pressure_reformulations(
             dyn.SimState(0.0, sp.constant_field(interval_basis, 1.0),
                          sp.constant_field(interval_basis, 0.0)), model)
         assert ref.max_spread < 1e-13
@@ -236,26 +240,27 @@ class TestGronwall:
     def test_exponential_solution_saturates_bound(self):
         t = np.linspace(0.0, 2.0, 4001)
         alpha0, beta0 = 1.5, 0.8
-        g = dg.GronwallInput(t=t, alpha=np.full_like(t, alpha0),
-                             beta=np.full_like(t, beta0),
-                             u=alpha0 * np.exp(beta0 * t),
-                             v=np.zeros_like(t))
-        env = dg.gronwall_envelope(g)
+        g = oracles.GronwallInput(t=t, alpha=np.full_like(t, alpha0),
+                                  beta=np.full_like(t, beta0),
+                                  u=alpha0 * np.exp(beta0 * t),
+                                  v=np.zeros_like(t))
+        env = oracles.gronwall_envelope(g)
         assert env.satisfied
         assert np.max(np.abs(env.bound - env.monitored)) < 1e-9
 
     def test_zero_rate_reduces_to_additive_bound(self):
         t = np.linspace(0.0, 1.0, 101)
-        g = dg.GronwallInput(t=t, alpha=2.0 + t, beta=np.zeros_like(t),
-                             u=np.ones_like(t), v=np.zeros_like(t))
-        env = dg.gronwall_envelope(g)
+        g = oracles.GronwallInput(t=t, alpha=2.0 + t, beta=np.zeros_like(t),
+                                  u=np.ones_like(t), v=np.zeros_like(t))
+        env = oracles.gronwall_envelope(g)
         assert np.allclose(env.bound, 2.0 + t, atol=1e-13)
 
     def test_violation_reported(self):
         t = np.linspace(0.0, 1.0, 101)
-        g = dg.GronwallInput(t=t, alpha=np.ones_like(t), beta=np.zeros_like(t),
-                             u=np.full_like(t, 3.0), v=np.zeros_like(t))
-        env = dg.gronwall_envelope(g)
+        g = oracles.GronwallInput(t=t, alpha=np.ones_like(t),
+                                  beta=np.zeros_like(t),
+                                  u=np.full_like(t, 3.0), v=np.zeros_like(t))
+        env = oracles.gronwall_envelope(g)
         assert not env.satisfied
         assert env.margin < -1.0
 
@@ -263,9 +268,11 @@ class TestGronwall:
         t = np.linspace(0.0, 1.0, 11)
         ones = np.ones_like(t)
         with pytest.raises(ValueError):
-            dg.GronwallInput(t=t, alpha=ones, beta=-ones, u=ones, v=0 * ones)
+            oracles.GronwallInput(t=t, alpha=ones, beta=-ones, u=ones,
+                                  v=0 * ones)
         with pytest.raises(ValueError):
-            dg.GronwallInput(t=t, alpha=ones, beta=0 * ones, u=ones, v=-ones)
+            oracles.GronwallInput(t=t, alpha=ones, beta=0 * ones, u=ones,
+                                  v=-ones)
 
 
 class TestTrapezoid:
@@ -280,19 +287,6 @@ class TestTrapezoid:
 
 
 class TestCumulative:
-    def test_matches_scipy_bit_for_bit(self):
-        from scipy.integrate import cumulative_simpson
-        rng = np.random.default_rng(5)
-        sizes = list(range(2, 130)) + [255, 256, 1001, 4096, 9999, 10000]
-        for n in sizes:
-            y = rng.standard_normal(n)
-            for x in (np.linspace(0.0, 2.0, n),
-                      np.cumsum(rng.random(n) + 1e-3)):
-                ours = dg._cumulative(y, x)
-                ref = cumulative_simpson(y, x=x, initial=0.0)
-                assert ours.shape == ref.shape, n
-                assert ours.tobytes() == ref.tobytes(), n
-
     def test_runtime_dependencies_are_numpy_only(self):
         text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
         runtime = text.split("dependencies = [", 1)[1].split("]", 1)[0]
@@ -305,7 +299,7 @@ class TestNormSuite:
         config = dyn.StepperConfig(dt=1e-3)
         traj = trajectory(constant_state(interval_basis, 1.0, 0.0),
                           config, model, 0.01)
-        ns = dg.norm_suite(traj, model)
+        ns = oracles.norm_suite(traj, model)
         assert ns.v_l2l2 < 1e-13
         assert abs(ns.phi.linf_l2 - 1.0) < 1e-13
 
@@ -314,7 +308,7 @@ class TestNormSuite:
         model = make_model(params)
         config = dyn.StepperConfig(dt=1e-3)
         traj = trajectory(random_state(rect_basis, 33), config, model, 0.005)
-        ns = dg.norm_suite(traj, model)
+        ns = oracles.norm_suite(traj, model)
         assert abs(ns.v_l2l2_scaled - ns.v_l2l2 / np.sqrt(0.25)) < 1e-13
 
     def test_velocity_gradient_optional(self, interval_basis):
@@ -322,8 +316,8 @@ class TestNormSuite:
         config = dyn.StepperConfig(dt=1e-3)
         traj = trajectory(random_state(interval_basis, 34), config, model,
                           0.005)
-        assert dg.norm_suite(traj, model).dv_l2 is None
-        ns = dg.norm_suite(traj, model, velocity_gradient=True)
+        assert oracles.norm_suite(traj, model).dv_l2 is None
+        ns = oracles.norm_suite(traj, model, velocity_gradient=True)
         assert ns.dv_l2 is not None and len(ns.dv_l2) == len(traj)
 
 
@@ -414,25 +408,3 @@ class TestOneLedger:
         assert len(collector.records) == n + 1
         # one per evaluated state, plus the basis's boundary vector
         assert len(calls) == (n + 1) + 1
-
-    def test_trajectory_residuals_equal_the_collector_columns(self):
-        basis = sp.build_basis(sp.Domain("rectangle", (1.5, 0.8)), (8, 6))
-        model = make_model(make_params(b=0.3))  # Hawkins sources
-        config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model)
-        traj = []
-
-        def observer(fields):
-            collector.observe(fields)
-            traj.append(fields.state)
-
-        dyn.run(random_state(basis, 21, scale=0.1), config, model, 0.02,
-                observer=observer)
-        rows = collector.records[1:]
-        mb = dg.mass_balance_residuals(traj, model)
-        ei = dg.energy_identity_residual(traj, model)
-        assert same_bits(mb.phi_residuals, [r.res_mass_phi for r in rows])
-        assert same_bits(mb.sigma_residuals,
-                         [r.res_mass_sigma for r in rows])
-        assert same_bits(ei.residuals,
-                         [r.res_energy_identity for r in rows])

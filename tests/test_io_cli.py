@@ -60,7 +60,7 @@ class TestDiagnosticsCsv:
     def test_round_trip_is_bit_exact(self, interval_basis, tmp_path):
         records = self.collect(interval_basis)
         path = tmp_path / "diag.csv"
-        cio.write_diagnostics_csv(records, path)
+        cio.write_diagnostics_csv([r.row() for r in records], path)
         rows = cio.read_diagnostics_csv(path)
         assert len(rows) == len(records)
         for rec, row in zip(records, rows):
@@ -685,6 +685,22 @@ class TestCli:
                          "--out", str(tmp_path / "r")])
         assert code == cli.EXIT_CONFIG
 
+    def test_resume_into_its_checkpoint_directory_is_refused(self, tmp_path,
+                                                             capsys):
+        # its outputs would replace the run it continues
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(out)]) == cli.EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        for target in (out, out / "." / ".." / "o"):
+            code = cli.main(["resume", "--config", str(cfg),
+                             "--checkpoint", str(out / "checkpoint.ckpt"),
+                             "--out", str(target)])
+            assert code == cli.EXIT_CONFIG
+            assert "config error: --out:" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_resume_missing_checkpoint_is_io_failure(self, tmp_path):
         cfg = self.write_config(tmp_path)
         code = cli.main(["resume", "--config", str(cfg),
@@ -740,9 +756,17 @@ class TestCli:
 REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, chdarcy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+@pytest.mark.parametrize("module", ["cli", "config", "diagnostics",
+                                    "dynamics", "experiments", "io",
+                                    "model", "spectral"])
+def test_cli_import_leaves_scipy_out(module):
+    # the tests' directory is on the path, so a package module that
+    # imported the oracles would find them and show here
+    env = _src_env()
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+    code = (f"import sys, chdarcy.{module}; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] in ('scipy', 'oracles')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
