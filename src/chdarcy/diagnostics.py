@@ -159,7 +159,7 @@ def velocity_time_norms(times, v_sq, K: float) -> tuple[float, float]:
     |v|^2 integrals, and its rescaling K^{-1/2} |v|_{L2(L2)}, which is 0
     when K = 0."""
     v_l2l2 = float(np.sqrt(trapezoid(v_sq, times)))
-    return v_l2l2, (v_l2l2 / np.sqrt(K) if K > 0 else 0.0)
+    return v_l2l2, (float(v_l2l2 / np.sqrt(K)) if K > 0 else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,8 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
+    if cadence < 1:
+        raise ValueError("cadence must be at least 1")
     n_steps = int(round(T / config.dt))
     config = replace(config, kappa=config.resolved_kappa(model))
     if config.scheme == "imex1":

@@ -4,7 +4,10 @@ and rate fitting.
 The sweep drives the permeability (with b = K) or the chemotaxis
 strength (with b = chi) toward zero and compares each member trajectory
 against the corresponding limit system run on the same basis, initial
-data, time grid and stepper.  The manufactured-solution study verifies
+data, time grid and stepper.  The limit run advances in lockstep with
+the members, so a sweep keeps a few scalars per member and snapshot and
+no state: its memory does not grow by a state per snapshot.  The
+manufactured-solution study verifies
 spatial in-span exactness and the first-order temporal rate of the IMEX
 scheme; its forcing is a term of the model, so its runs are stepped by
 dynamics.run like any other.
@@ -62,6 +65,8 @@ class SweepSpec:
         if self.parameter not in ("K", "chi"):
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         vals = tuple(float(v) for v in self.values)
+        if not vals:
+            raise ValueError("a sweep needs at least one value")
         if not all(np.isfinite(vals)):
             raise ValueError("sweep values must be finite")
         if any(v <= 0 for v in vals):
@@ -97,18 +102,28 @@ def _time_norm(diffs, times, comparison: str) -> float:
     return float(np.sqrt(dg.trapezoid(diffs ** 2, times)))
 
 
+class _MemberFailure(Exception):
+    """A member run's StepFailureError, raised once the limit run it was
+    stepped with has ended, so that it is never taken for a failure of
+    the limit run itself."""
+
+
 def sweep(spec: SweepSpec, model: TumourModel,
           initial: SimState) -> list[SweepRow]:
     """Members with parameter = b = value, each against the limit run,
     the model at parameter = b = 0: K = 0 is the zero-velocity limit and
     chi = 0 the limit without chemotaxis or active transport.
 
-    The limit run's snapshot states, collected by its observer, are the
-    reference.  The members then advance together as one batched state,
-    each snapshot reduced on arrival, so no member trajectory is kept.
-    If the batch fails, each member is re-run alone, and one that blows
-    up gets its failed row while the others go on.  Every run steps
-    with spec.stepper; a limit run that fails raises.
+    The limit run is advanced in lockstep with the members, which step
+    together as one batched state: at each of its snapshots the limit
+    run's observer pulls the batch's next snapshot and reduces it on
+    arrival.  What a sweep keeps per snapshot is its time and three
+    scalars per member (two differences and the |v|^2 integral), never
+    a state of the limit run or of a member.  If the batch fails, each
+    member is re-run alone in lockstep with a fresh limit run, so the
+    limit run is stepped once more per member on that path; a member
+    that blows up gets its failed row while the others go on.  Every run
+    steps with spec.stepper; a limit run that fails raises.
     """
     parameter = spec.parameter
     if parameter == "K" and model.gamma_v is not None:
@@ -118,47 +133,63 @@ def sweep(spec: SweepSpec, model: TumourModel,
         return model.with_params(
             model.params.with_(**{parameter: value, "b": value}))
 
-    limit = []
-    dyn.run(initial.copy(), spec.stepper, at(0.0), spec.T,
-            observer=lambda f: limit.append(f.state), cadence=spec.cadence)
+    limit = at(0.0)
     values = np.array(spec.values)
-    members = at(values)
     batch = SimState(initial.t, *(
         FieldCoeffs(initial.basis, np.tile(c.data, (len(values), 1)))
         for c in (initial.alpha, initial.gamma)))
     try:
-        return _member_rows(spec, spec.values, members, batch, limit)
-    except dyn.StepFailureError:
+        return _lockstep_rows(spec, spec.values, at(values), batch, limit,
+                              initial)
+    except _MemberFailure:
         pass
     rows = []
     for value in spec.values:
         try:
-            rows += _member_rows(spec, (value,), at(value), initial.copy(),
-                                 limit)
-        except dyn.StepFailureError as exc:
+            rows += _lockstep_rows(spec, (value,), at(value), initial.copy(),
+                                   limit, initial)
+        except _MemberFailure as exc:
             rows.append(SweepRow(value, np.nan, np.nan, np.nan, np.nan,
                                  failed=str(exc)))
     return rows
 
 
-def _member_rows(spec: SweepSpec, values: tuple[float, ...],
-                 members: TumourModel, initial: SimState,
-                 limit: list[SimState]) -> list[SweepRow]:
+def _lockstep_rows(spec: SweepSpec, values: tuple[float, ...],
+                   members: TumourModel, batch: SimState,
+                   limit: TumourModel, initial: SimState) -> list[SweepRow]:
     """One row per value: the members' run (batched, or one member
-    alone), each snapshot reduced against the limit run's on arrival."""
+    alone) pulled snapshot by snapshot by the observer of a limit run
+    from `initial`, each reduced against the limit's snapshot on arrival.
+
+    A member failure stops the pulling but not the limit run, so a
+    limit run that fails later still raises its own StepFailureError;
+    the member failure is raised as _MemberFailure after the limit run.
+    """
+    pending = dyn.snapshots(batch, spec.stepper, members, spec.T,
+                            cadence=spec.cadence)
     times, diff_phi, diff_sigma, v_sq = [], [], [], []
-    refs = iter(limit)
-    for f in dyn.snapshots(initial, spec.stepper, members, spec.T,
-                           cadence=spec.cadence):
-        ref = next(refs)
+    failure = []
+
+    def reduce(ref):
+        if failure:
+            return
+        try:
+            f = next(pending)
+        except dyn.StepFailureError as exc:
+            failure.append(exc)
+            return
         times.append(f.state.t)
-        diff_phi.append(_snapshot_difference(f.state.alpha, ref.alpha,
+        diff_phi.append(_snapshot_difference(f.state.alpha, ref.state.alpha,
                                              spec.comparison))
-        diff_sigma.append(_snapshot_difference(f.state.gamma, ref.gamma,
+        diff_sigma.append(_snapshot_difference(f.state.gamma, ref.state.gamma,
                                                spec.comparison))
         v_sq.append(f.grid.integrate_members(
             sum(vi.values ** 2 for vi in f.v)))
-        del f  # not kept while the members step on
+
+    dyn.run(initial.copy(), spec.stepper, limit, spec.T, observer=reduce,
+            cadence=spec.cadence)
+    if failure:
+        raise _MemberFailure(str(failure[0])) from failure[0]
     # one contiguous row of snapshot values per member
     diff_phi, diff_sigma, v_sq = (
         np.stack(x, axis=-1).reshape(len(values), -1)

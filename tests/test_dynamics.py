@@ -702,6 +702,14 @@ class TestSnapshots:
                               observe_initial=False)
         assert list(snaps) == []
 
+    @pytest.mark.parametrize("cadence", [0, -1])
+    def test_refuses_a_cadence_below_one(self, interval_basis, cadence):
+        snaps = dyn.snapshots(random_state(interval_basis, 48),
+                              dyn.StepperConfig(dt=1e-3), make_model(), 0.01,
+                              cadence=cadence)
+        with pytest.raises(ValueError, match="cadence"):
+            next(snaps)
+
     def test_implicit_factors_built_once_per_step_length(self, interval_basis,
                                                          monkeypatch):
         lengths = []

@@ -7,7 +7,8 @@ from chdarcy import experiments as ex
 from chdarcy import spectral as sp
 
 import oracles
-from conftest import make_model, make_params, random_state, trajectory
+from conftest import (make_model, make_params, random_state, traced_peak,
+                      trajectory)
 
 
 class TestFitRate:
@@ -52,6 +53,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             ex.SweepSpec("K", (1.0, 0.5), IMEX, T=0.01, comparison="L9")
 
+    def test_rejects_no_values(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            ex.SweepSpec("K", (), IMEX, T=0.01)
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -71,6 +76,8 @@ class TestSweeps:
         assert diffs[0] > diffs[1] > diffs[2] > 0
         vels = [r.v_l2l2 for r in rows]
         assert vels[0] > vels[1] > vels[2] > 0
+        for r in rows:
+            assert type(r.v_l2l2) is float and type(r.v_scaled) is float
 
     def test_chemotaxis_differences_decrease(self, setup):
         _, model, initial = setup
@@ -79,6 +86,27 @@ class TestSweeps:
         assert all(r.failed is None for r in rows)
         diffs = [max(r.diff_phi, r.diff_sigma) for r in rows]
         assert diffs[0] > diffs[1] > diffs[2] > 0
+
+    def test_memory_does_not_grow_by_a_state_per_snapshot(self):
+        # the limit run advances in lockstep with the members, so 350
+        # more snapshots add only their per-member scalars (about 150
+        # KiB); keeping each limit state (2.25 KiB on this basis) would
+        # add about 1.1 MiB.  The bound is half a state per snapshot
+        basis = sp.build_basis(sp.Domain("rectangle", (1.0, 1.5)), (12, 12))
+        model = make_model()
+        initial = random_state(basis, 62, scale=0.1)
+        config = dyn.StepperConfig(dt=1e-4)
+
+        def spec(n_steps):
+            return ex.SweepSpec("K", (0.25, 0.0625), config,
+                                T=n_steps * config.dt)
+
+        rows = ex.sweep(spec(10), model, initial)  # first-use caches
+        assert all(r.failed is None for r in rows)
+        short, long = (traced_peak(ex.sweep, spec(n), model, initial)
+                       for n in (50, 400))
+        state = 2 * 8 * basis.n_modes
+        assert long - short <= 350 * state / 2, (short, long)
 
     def test_permeability_sweep_rejects_volume_source(self, setup):
         basis, model, initial = setup
@@ -179,6 +207,17 @@ class TestSweepTables:
             expected = member_by_member(spec, model, initial)
         assert rows[0].failed and all(r.failed is None for r in rows[1:])
         assert table(rows) == table(expected)
+
+    def test_limit_run_failing_after_every_member_still_raises(self):
+        # RK4 beyond its stability bound: both members blow up before the
+        # limit run does, and the limit run's failure is still raised,
+        # as it is when the limit run fails first
+        basis = sp.build_basis(sp.Domain("interval", (1.0,)), 8)
+        initial = random_state(basis, 61, scale=0.15)
+        stepper = dyn.StepperConfig(dt=2e-3, scheme="rk4-explicit")
+        spec = ex.SweepSpec("K", (1e6, 1e5), stepper, T=0.2)
+        with np.errstate(all="ignore"), pytest.raises(dyn.StepFailureError):
+            ex.sweep(spec, make_model(), initial)
 
 
 class TestManufacturedSolution:

@@ -1076,6 +1076,26 @@ def test_failing_limit_run_exits_as_run_does(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "resume", "sweep-k", "sweep-chi"])
+def test_commands_step_through_the_run_attribute(tmp_path, count_calls,
+                                                 command):
+    # perfbench ends a command's setup_s at its first entry into
+    # dynamics.run, found through the module attribute; a command that
+    # stepped without it would be counted as failed
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(small_config()))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "resume":
+        half = tmp_path / "half.json"
+        half.write_text(json.dumps(small_config(T=0.005)))
+        assert cli.main(["run", "--config", str(half),
+                         "--out", str(tmp_path / "half")]) == cli.EXIT_OK
+        argv += ["--checkpoint", str(tmp_path / "half" / "checkpoint.ckpt")]
+    runs = count_calls(dyn, "run")
+    assert cli.main(argv) == cli.EXIT_OK
+    assert runs
+
+
 COMMANDS =["validate", "run", "resume", "sweep-k", "sweep-chi", "mms"]
 
 
