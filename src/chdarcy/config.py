@@ -1,17 +1,24 @@
 """JSON run configuration: schema validation and run assembly.
 
-The schema is strict: unknown keys anywhere are reported with their
-path, every numeric constraint on the model constants is re-checked at
-load through validate_assumptions, and initial data comes from a small
-set of named analytic profiles so Neumann compatibility holds by
-construction.
+The schema is one table, _SCHEMA: each key with its kind, bound and
+default, each written once.  One walker checks a config against it and
+reports every missing, unknown (under strict), wrong-typed or
+out-of-range key by its path; nothing is coerced, so no key takes a
+boolean for a number.  The rules that relate keys (the domain, the mode
+counts against the dimension, a cosine mode inside the basis, the step
+count, K = 0 and the no-flow limit) are checked after the walk, on
+values each of which is valid.  Every numeric constraint on the model
+constants is re-checked at load through validate_assumptions, and
+initial data comes from a small set of named analytic profiles so
+Neumann compatibility holds by construction.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +96,7 @@ class RunConfig:
             sources = md.SourceModel.zero()
         elif spec["kind"] == "hawkins":
             sources = md.SourceModel.hawkins(
-                spec["f0"], self.params,
-                interpolated=spec.get("interpolated", False))
+                spec["f0"], self.params, interpolated=spec["interpolated"])
         else:
             sources = md.SourceModel.proliferation(
                 spec["lambda_p"], spec["lambda_a"], spec["lambda_c"])
@@ -113,10 +119,10 @@ class RunConfig:
         if spec["kind"] == "zero":
             return None
         # cosine profile: zero-mean by construction (no constant mode)
-        mode = tuple(spec["mode"])
+        mode = spec["mode"]
         data = np.zeros(basis.n_modes)
         flat = int(np.ravel_multi_index(mode, basis.modes))
-        data[flat] = _cosine_coefficient(float(spec["amplitude"]), mode,
+        data[flat] = _cosine_coefficient(spec["amplitude"], mode,
                                          basis.domain.lengths)
         return FieldCoeffs(basis, data)
 
@@ -168,14 +174,14 @@ def _cosine_coefficient(amplitude: float, mode, lengths) -> float:
 
 
 def _profile_values(spec: dict, basis: SpectralBasis, seed: int):
+    """An initial profile from its checked spec; a random one without a
+    seed of its own draws from `seed`."""
     kind = spec["kind"]
     if kind == "constant":
-        value = float(spec["value"])
+        value = spec["value"]
         return lambda *coords: np.full_like(np.asarray(coords[0], float), value)
     if kind == "cosine":
-        mean = float(spec.get("mean", 0.0))
-        amplitude = float(spec["amplitude"])
-        mode = tuple(spec["mode"])
+        mean, amplitude, mode = spec["mean"], spec["amplitude"], spec["mode"]
         lengths = basis.domain.lengths
 
         def cosine(*coords):
@@ -187,18 +193,16 @@ def _profile_values(spec: dict, basis: SpectralBasis, seed: int):
 
         return cosine
     if kind == "tanh-front":
-        center = float(spec["center"])
-        width = float(spec["width"])
+        center, width = spec["center"], spec["width"]
 
         def front(*coords):
             return np.tanh((coords[0] - center) / width)
 
         return front
     # random: seeded low-mode cosine mixture, reproducible across runs
-    amplitude = float(spec["amplitude"])
-    cutoff = int(spec.get("cutoff", 4))
-    rng = np.random.default_rng(int(spec.get("seed", seed)))
-    shape = tuple(min(cutoff, k) for k in basis.modes)
+    amplitude = spec["amplitude"]
+    rng = np.random.default_rng(seed if spec["seed"] is None else spec["seed"])
+    shape = tuple(min(spec["cutoff"], k) for k in basis.modes)
     weights = rng.standard_normal(shape)
     lengths = basis.domain.lengths
 
@@ -217,23 +221,84 @@ def _profile_values(spec: dict, basis: SpectralBasis, seed: int):
 # ---------------------------------------------------------------------------
 # schema checking
 
-_PROFILE_KEYS = {
-    "constant": ({"kind", "value"}, {"kind", "value"}),
-    "cosine": ({"kind", "amplitude", "mode"}, {"kind", "amplitude", "mode", "mean"}),
-    "tanh-front": ({"kind", "center", "width"}, {"kind", "center", "width"}),
-    "random": ({"kind", "amplitude"}, {"kind", "amplitude", "cutoff", "seed"}),
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """One key of the schema: a kind, the kind's argument, and a default
+    (a field without one is required).  The argument is a number's sign
+    (None, "positive" or "nonnegative"), an int's minimum, a choice's
+    strings, whether a cosine "mode" needs a nonzero entry, an object's
+    {key: _Field}, or a variant's {kind: {key: _Field}} picked by the
+    section's "kind"; "bool", "numbers" (a list) and "modes" (an int or
+    a list of ints) take none.  An absent object or variant is checked
+    as its default, which fills in its own keys' defaults."""
+    kind: str
+    arg: object = None
+    default: object = _REQUIRED
+
+
+_STEPPER = {f.name: f.default for f in fields(StepperConfig)}
+_NUMBER = _Field("number")
+_POSITIVE = _Field("number", "positive")
+_NONNEGATIVE = _Field("number", "nonnegative")
+
+_PROFILES = {
+    "constant": {"value": _NUMBER},
+    "cosine": {"amplitude": _NUMBER, "mode": _Field("mode", False),
+               "mean": _Field("number", None, 0.0)},
+    "tanh-front": {"center": _NUMBER, "width": _POSITIVE},
+    # a random profile without a seed of its own takes the run's
+    "random": {"amplitude": _NUMBER, "cutoff": _Field("int", 1, 4),
+               "seed": _Field("int", 0, None)},
 }
 
-_SOURCE_KEYS = {
-    "zero": ({"kind"}, {"kind"}),
-    "hawkins": ({"kind", "f0"}, {"kind", "f0", "interpolated"}),
-    "proliferation": ({"kind", "lambda_p", "lambda_a", "lambda_c"},
-                      {"kind", "lambda_p", "lambda_a", "lambda_c"}),
+_SCHEMA = {
+    "domain": _Field("object", {
+        "kind": _Field("choice", ("interval", "rectangle")),
+        "lengths": _Field("numbers")}),
+    "modes": _Field("modes"),
+    "dt": _POSITIVE,
+    "T": _NONNEGATIVE,
+    "scheme": _Field("object", {
+        "name": _Field("choice", StepperConfig.SCHEMES, _STEPPER["scheme"]),
+        "kappa": _Field("number", "positive", _STEPPER["kappa"]),
+        "energy_guard": _Field("bool", None, _STEPPER["energy_guard"]),
+        "tol_E": _Field("number", "nonnegative", _STEPPER["tol_E"]),
+        "max_halvings": _Field("int", 0, _STEPPER["max_halvings"]),
+    }, {}),
+    "params": _Field("object", {
+        "A": _POSITIVE, "B": _POSITIVE, "K": _NONNEGATIVE, "D": _POSITIVE,
+        "chi": _NONNEGATIVE, "b": _NONNEGATIVE}),
+    "potential": _Field("choice", ("quartic-double-well", "quadratic")),
+    "mobility": _Field("object", dict.fromkeys(
+        ("m", "n"), _Field("number", "positive", 1.0)), {}),
+    "sources": _Field("variant", {
+        "zero": {},
+        "hawkins": {"f0": _NONNEGATIVE,
+                    "interpolated": _Field("bool", None, False)},
+        "proliferation": dict.fromkeys(("lambda_p", "lambda_a", "lambda_c"),
+                                       _NONNEGATIVE)}),
+    "gamma_v": _Field("variant", {
+        "zero": {},
+        "cosine": {"amplitude": _NUMBER, "mode": _Field("mode", True)},
+    }, {"kind": "zero"}),
+    "sigma_inf": _Field("variant", {"constant": {"value": _NUMBER}},
+                        {"kind": "constant", "value": 0.0}),
+    "initial": _Field("object", dict.fromkeys(
+        ("phi", "sigma"), _Field("variant", _PROFILES))),
+    "limit_mode": _Field("choice", tuple(md.LIMIT_PARAMETER), "none"),
+    "cadence": _Field("int", 1, 1),
+    "seed": _Field("int", 0, 0),
 }
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _float(v) -> float:
@@ -245,6 +310,10 @@ def _float(v) -> float:
 
 
 class _Checker:
+    """Walks a config along _SCHEMA and records one violation, by path,
+    per key that is missing, unknown (under strict), wrong-typed or out
+    of range."""
+
     def __init__(self, strict: bool):
         self.strict = strict
         self.violations: list[str] = []
@@ -252,56 +321,81 @@ class _Checker:
     def fail(self, path: str, message: str):
         self.violations.append(f"{path}: {message}")
 
-    def keys(self, obj: dict, path: str, required: set, optional: set = frozenset()):
-        for k in sorted(required):
-            if k not in obj:
-                self.fail(path, f"missing key '{k}'")
+    def walk(self, schema: dict, obj, path: str) -> dict | None:
+        """The checked section, its defaults filled in."""
+        if not isinstance(obj, dict):
+            return self.fail(path, "must be an object")
         if self.strict:
-            for k in obj:
-                if k not in required and k not in optional:
-                    self.fail(f"{path}.{k}", "unknown key")
+            for key in obj:
+                if key not in schema:
+                    self.fail(f"{path}.{key}", "unknown key")
+        tree = {}
+        for key, field in schema.items():
+            if key in obj:
+                tree[key] = self.value(field, obj[key], f"{path}.{key}")
+            elif field.default is _REQUIRED:
+                self.fail(path, f"missing key '{key}'")
+            else:
+                tree[key] = (self.value(field, field.default, f"{path}.{key}")
+                             if field.kind in ("object", "variant")
+                             else field.default)
+        return tree
 
-    def number(self, obj: dict, key: str, path: str, positive=False,
-               nonnegative=False) -> float | None:
-        if key not in obj:
-            return None
-        v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.fail(f"{path}.{key}", "must be a number")
-            return None
-        v = _float(v)
-        if not math.isfinite(v):
-            self.fail(f"{path}.{key}", "must be finite")
-            return None
-        if positive and v <= 0:
-            self.fail(f"{path}.{key}", "must be positive")
-        if nonnegative and v < 0:
-            self.fail(f"{path}.{key}", "must be nonnegative")
-        return v
-
-    def integer(self, obj: dict, key: str, path: str, default: int,
-                minimum: int) -> int:
-        v = obj.get(key, default)
-        if not _is_int(v) or v < minimum:
-            self.fail(f"{path}.{key}", f"must be an int >= {minimum}")
-            return default
-        return v
-
-    def boolean(self, obj: dict, key: str, path: str, default: bool) -> bool:
-        v = obj.get(key, default)
-        if not isinstance(v, bool):
-            self.fail(f"{path}.{key}", "must be true or false")
-            return default
-        return v
-
-    def choice(self, obj: dict, key: str, path: str, allowed) -> str | None:
-        if key not in obj:
-            return None
-        v = obj[key]
-        if not isinstance(v, str) or v not in allowed:
-            self.fail(f"{path}.{key}", f"must be one of {sorted(allowed)}")
-            return None
-        return v
+    def value(self, field: _Field, v, path: str):
+        """v checked as field, in the form the run uses; None where it
+        is invalid."""
+        kind, arg, _ = field
+        if kind == "object":
+            return self.walk(arg, v, path)
+        if kind == "variant":
+            if not isinstance(v, dict):
+                return self.fail(path, "must be an object")
+            if "kind" not in v:
+                return self.fail(path, "missing key 'kind'")
+            if not isinstance(v["kind"], str) or v["kind"] not in arg:
+                return self.fail(f"{path}.kind",
+                                 f"must be one of {sorted(arg)}")
+            kinds = _Field("choice", tuple(arg))
+            return self.walk({"kind": kinds, **arg[v["kind"]]}, v, path)
+        if kind == "number":
+            if not _is_number(v):
+                return self.fail(path, "must be a number")
+            v = _float(v)
+            if not math.isfinite(v):
+                return self.fail(path, "must be finite")
+            if arg == "positive" and v <= 0 or arg == "nonnegative" and v < 0:
+                return self.fail(path, f"must be {arg}")
+            return v
+        if kind == "int":
+            return v if _is_int(v) and v >= arg else self.fail(
+                path, f"must be an int >= {arg}")
+        if kind == "bool":
+            return v if isinstance(v, bool) else self.fail(
+                path, "must be true or false")
+        if kind == "choice":
+            return v if isinstance(v, str) and v in arg else self.fail(
+                path, f"must be one of {sorted(arg)}")
+        if kind == "numbers":
+            if isinstance(v, list) and all(_is_number(x) for x in v):
+                return tuple(_float(x) for x in v)
+            return self.fail(path, "must be a list of numbers")
+        if kind == "modes":
+            counts = [v] if _is_int(v) else v
+            if not (isinstance(counts, list) and counts
+                    and all(_is_int(m) for m in counts)):
+                return self.fail(path, "must be an int or list of ints")
+            if min(counts) < 1:
+                return self.fail(path, "mode counts must be >= 1")
+            if max(counts) > MAX_MODES:
+                return self.fail(path, f"mode counts must be <= {MAX_MODES}")
+            return v if _is_int(v) else tuple(v)
+        # a cosine's mode: nonnegative ints, under arg with one nonzero
+        if (isinstance(v, list) and all(_is_int(m) and m >= 0 for m in v)
+                and (any(v) or not arg)):
+            return tuple(v)
+        return self.fail(path, "must be nonnegative ints" + (
+            " with at least one nonzero (zero-mean requirement)" if arg
+            else ""))
 
 
 def parse_config(text: str, strict: bool = True) -> RunConfig:
@@ -315,231 +409,75 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         raise ConfigError(["$: top level must be an object"])
 
     ck = _Checker(strict)
-    top_required = {"domain", "modes", "dt", "T", "params", "potential",
-                    "sources", "initial"}
-    top_optional = {"scheme", "mobility", "gamma_v", "sigma_inf",
-                    "limit_mode", "cadence", "output_dir", "seed"}
-    ck.keys(raw, "$", top_required, top_optional)
-    if ck.violations and any("missing key" in v for v in ck.violations):
+    tree = ck.walk(_SCHEMA, raw, "$")
+    if ck.violations:
         raise ConfigError(ck.violations)
 
-    dom_spec = raw.get("domain", {})
-    domain = None
-    if isinstance(dom_spec, dict):
-        ck.keys(dom_spec, "$.domain", {"kind", "lengths"})
-        kind = ck.choice(dom_spec, "kind", "$.domain", {"interval", "rectangle"})
-        lengths = dom_spec.get("lengths")
-        numbers = isinstance(lengths, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in lengths)
-        if kind and numbers:
-            try:
-                domain = sp.Domain(kind, tuple(_float(x) for x in lengths))
-            except sp.InvalidDomainError as exc:  # count, sign or range
-                ck.fail("$.domain.lengths", str(exc))
-        elif kind and "lengths" in dom_spec:
-            ck.fail("$.domain.lengths", "must be a list of numbers")
-    else:
-        ck.fail("$.domain", "must be an object")
-
-    modes_spec = raw.get("modes")
-    if _is_int(modes_spec):
-        modes = (modes_spec,) * (domain.dim if domain else 1)
-    elif (isinstance(modes_spec, list) and modes_spec
-          and all(_is_int(m) for m in modes_spec)):
-        modes = tuple(modes_spec)
-    else:
-        ck.fail("$.modes", "must be an int or list of ints")
-        modes = ()
-    if modes and any(m < 1 for m in modes):
-        ck.fail("$.modes", "mode counts must be >= 1")
-    if modes and any(m > MAX_MODES for m in modes):
-        ck.fail("$.modes", f"mode counts must be <= {MAX_MODES}")
-    if domain and modes and len(modes) != domain.dim:
+    # rules across fields, on values each of which is valid
+    try:
+        domain = sp.Domain(tree["domain"]["kind"], tree["domain"]["lengths"])
+    except sp.InvalidDomainError as exc:  # count, sign or range
+        raise ConfigError([f"$.domain.lengths: {exc}"])
+    modes = tree["modes"]
+    if _is_int(modes):
+        modes = (modes,) * domain.dim
+    elif len(modes) != domain.dim:
         ck.fail("$.modes", f"expected {domain.dim} entries")
 
-    dt = ck.number(raw, "dt", "$", positive=True)
-    T = ck.number(raw, "T", "$", nonnegative=True)
+    dt, T = tree["dt"], tree["T"]
     # a T / dt that overflows to inf is refused here too
-    if dt is not None and T is not None and dt > 0 and T / dt > MAX_STEPS:
+    if T / dt > MAX_STEPS:
         ck.fail("$.T", f"T / dt, the step count, must be <= {MAX_STEPS}")
 
-    scheme_spec = raw.get("scheme", {})
-    scheme, kappa, energy_guard, tol_E, max_halvings = "imex1", None, False, 0.0, 8
-    if isinstance(scheme_spec, dict):
-        ck.keys(scheme_spec, "$.scheme", set(),
-                {"name", "kappa", "energy_guard", "tol_E", "max_halvings"})
-        scheme = ck.choice(scheme_spec, "name", "$.scheme",
-                           {"imex1", "rk4-explicit"}) or "imex1"
-        kappa = ck.number(scheme_spec, "kappa", "$.scheme", positive=True)
-        energy_guard = ck.boolean(scheme_spec, "energy_guard", "$.scheme",
-                                  False)
-        tol_E = ck.number(scheme_spec, "tol_E", "$.scheme", nonnegative=True) or 0.0
-        max_halvings = ck.integer(scheme_spec, "max_halvings", "$.scheme",
-                                  8, minimum=0)
-    else:
-        ck.fail("$.scheme", "must be an object")
+    params = ModelParams(**tree["params"])
+    limit_mode = tree["limit_mode"]
+    if params.K == 0 and limit_mode != "no-flow":
+        ck.fail("$.params.K", "K = 0 requires limit_mode 'no-flow'")
 
-    limit_mode = ck.choice(raw, "limit_mode", "$",
-                           md.LIMIT_PARAMETER) or "none"
-
-    params_spec = raw.get("params", {})
-    params = None
-    if isinstance(params_spec, dict):
-        ck.keys(params_spec, "$.params", {"A", "B", "K", "D", "chi", "b"})
-        vals = {}
-        for name in ("A", "B", "D"):
-            vals[name] = ck.number(params_spec, name, "$.params", positive=True)
-        for name in ("K", "chi", "b"):
-            vals[name] = ck.number(params_spec, name, "$.params", nonnegative=True)
-        if all(v is not None for v in vals.values()):
-            try:
-                params = ModelParams(**vals)
-            except ValueError as exc:
-                ck.fail("$.params", str(exc))
-        if params is not None and params.K == 0 and limit_mode != "no-flow":
-            ck.fail("$.params.K", "K = 0 requires limit_mode 'no-flow'")
-    else:
-        ck.fail("$.params", "must be an object")
-
-    potential_kind = ck.choice(raw, "potential", "$",
-                               {"quartic-double-well", "quadratic"})
-    if potential_kind is None and "potential" in raw:
-        pass  # already reported
-    elif "potential" not in raw:
-        ck.fail("$.potential", "missing")
-
-    mob_spec = raw.get("mobility", {"m": 1.0, "n": 1.0})
-    mobility_m = mobility_n = 1.0
-    if isinstance(mob_spec, dict):
-        ck.keys(mob_spec, "$.mobility", set(), {"m", "n"})
-        mobility_m = ck.number(mob_spec, "m", "$.mobility", positive=True) or 1.0
-        mobility_n = ck.number(mob_spec, "n", "$.mobility", positive=True) or 1.0
-    else:
-        ck.fail("$.mobility", "must be an object")
-
-    source_spec = raw.get("sources", {})
-    if isinstance(source_spec, dict):
-        kind = ck.choice(source_spec, "kind", "$.sources", set(_SOURCE_KEYS))
-        if kind:
-            req, opt = _SOURCE_KEYS[kind]
-            ck.keys(source_spec, "$.sources", req, opt)
-            for key in sorted(req | opt):
-                if key in ("kind", "interpolated"):
-                    continue
-                ck.number(source_spec, key, "$.sources", nonnegative=True)
-            if "interpolated" in opt:
-                ck.boolean(source_spec, "interpolated", "$.sources", False)
-        elif "kind" not in source_spec:
-            ck.fail("$.sources.kind", "missing key 'kind'")
-    else:
-        ck.fail("$.sources", "must be an object")
-
-    gamma_v_spec = raw.get("gamma_v", {"kind": "zero"})
-    if isinstance(gamma_v_spec, dict):
-        gk = ck.choice(gamma_v_spec, "kind", "$.gamma_v", {"zero", "cosine"})
-        if gk == "cosine":
-            ck.keys(gamma_v_spec, "$.gamma_v", {"kind", "amplitude", "mode"})
-            amplitude = ck.number(gamma_v_spec, "amplitude", "$.gamma_v")
-            mode = gamma_v_spec.get("mode")
-            if (not isinstance(mode, list) or not mode
-                    or not all(isinstance(m, int) and m >= 0 for m in mode)
-                    or all(m == 0 for m in mode)):
-                ck.fail("$.gamma_v.mode",
-                        "must be nonnegative ints with at least one nonzero "
-                        "(zero-mean requirement)")
-            elif modes and (len(mode) != len(modes)
-                            or any(m >= k for m, k in zip(mode, modes))):
-                ck.fail("$.gamma_v.mode", "outside the basis")
-            elif domain and amplitude is not None and not math.isfinite(
-                    _cosine_coefficient(amplitude, mode, domain.lengths)):
-                ck.fail("$.gamma_v.amplitude", "too large for the domain")
-            # at K = 0 no Darcy system is solved: div v = Gamma_v cannot
-            # hold with v = 0, so a volume source would be dropped unread
-            if limit_mode == "no-flow" and amplitude:
-                ck.fail("$.gamma_v", "the no-flow limit (K = 0, v = 0) "
-                        "needs a zero volume source")
-        else:
-            ck.keys(gamma_v_spec, "$.gamma_v", {"kind"})
-    else:
-        ck.fail("$.gamma_v", "must be an object")
-
-    sigma_inf_spec = raw.get("sigma_inf", {"kind": "constant", "value": 0.0})
-    sigma_inf_value = 0.0
-    if isinstance(sigma_inf_spec, dict):
-        ck.keys(sigma_inf_spec, "$.sigma_inf", {"kind", "value"})
-        ck.choice(sigma_inf_spec, "kind", "$.sigma_inf", {"constant"})
-        sigma_inf_value = ck.number(sigma_inf_spec, "value", "$.sigma_inf") or 0.0
-    else:
-        ck.fail("$.sigma_inf", "must be an object")
-
-    initial_spec = raw.get("initial", {})
-    initial_phi = {"kind": "constant", "value": 0.0}
-    initial_sigma = {"kind": "constant", "value": 0.0}
-    if isinstance(initial_spec, dict):
-        ck.keys(initial_spec, "$.initial", {"phi", "sigma"})
-        for name in ("phi", "sigma"):
-            prof = initial_spec.get(name)
-            path = f"$.initial.{name}"
-            if not isinstance(prof, dict):
-                ck.fail(path, "must be an object")
-                continue
-            pk = ck.choice(prof, "kind", path, set(_PROFILE_KEYS))
-            if pk:
-                req, opt = _PROFILE_KEYS[pk]
-                ck.keys(prof, path, req, opt)
-                nums = {key: ck.number(prof, key, path, positive=key == "width")
-                        for key in sorted((req | opt) - {"kind", "mode",
-                                                         "cutoff", "seed"})}
-                if pk == "random":
-                    ck.integer(prof, "cutoff", path, 4, minimum=1)
-                    ck.integer(prof, "seed", path, 0, minimum=0)
-                if pk == "cosine":
-                    mode = prof.get("mode")
-                    if (not isinstance(mode, list)
-                            or not all(isinstance(m, int) and m >= 0 for m in mode)):
-                        ck.fail(f"{path}.mode", "must be nonnegative ints")
-                    elif modes and (len(mode) != len(modes)
-                                    or any(m >= k for m, k in zip(mode, modes))):
-                        ck.fail(f"{path}.mode", "outside the basis")
-                    # the profile is bounded by |mean| + |amplitude|
-                    if not math.isfinite(abs(nums["mean"] or 0.0)
-                                         + abs(nums["amplitude"] or 0.0)):
-                        ck.fail(path, "|mean| + |amplitude| leaves the "
-                                      "float range")
-                if name == "phi":
-                    initial_phi = prof
-                else:
-                    initial_sigma = prof
-            elif "kind" not in prof:
-                ck.fail(f"{path}.kind", "missing key 'kind'")
-    else:
-        ck.fail("$.initial", "must be an object")
-
-    cadence = ck.integer(raw, "cadence", "$", 1, minimum=1)
-    seed = ck.integer(raw, "seed", "$", 0, minimum=0)
-    if "output_dir" in raw and not isinstance(raw["output_dir"], str):
-        ck.fail("$.output_dir", "must be a string")
+    gamma_v, initial = tree["gamma_v"], tree["initial"]
+    cosines = {"$.gamma_v": gamma_v, "$.initial.phi": initial["phi"],
+               "$.initial.sigma": initial["sigma"]}
+    for path, spec in cosines.items():
+        if "mode" in spec and (len(spec["mode"]) != len(modes) or any(
+                m >= k for m, k in zip(spec["mode"], modes))):
+            ck.fail(f"{path}.mode", "outside the basis")
+    if gamma_v["kind"] == "cosine":
+        if not math.isfinite(_cosine_coefficient(
+                gamma_v["amplitude"], gamma_v["mode"], domain.lengths)):
+            ck.fail("$.gamma_v.amplitude", "too large for the domain")
+        # at K = 0 no Darcy system is solved: div v = Gamma_v cannot
+        # hold with v = 0, so a volume source would be dropped unread
+        if limit_mode == "no-flow" and gamma_v["amplitude"]:
+            ck.fail("$.gamma_v", "the no-flow limit (K = 0, v = 0) "
+                    "needs a zero volume source")
+    for name in ("phi", "sigma"):
+        # a cosine profile is bounded by |mean| + |amplitude|
+        if initial[name]["kind"] == "cosine" and not math.isfinite(
+                abs(initial[name]["mean"]) + abs(initial[name]["amplitude"])):
+            ck.fail(f"$.initial.{name}",
+                    "|mean| + |amplitude| leaves the float range")
 
     if ck.violations:
         raise ConfigError(ck.violations)
 
+    scheme = tree["scheme"]
     config = RunConfig(
         raw=raw, domain=domain, modes=modes, dt=dt, T=T,
-        scheme=scheme, kappa=kappa, energy_guard=energy_guard,
-        tol_E=tol_E, max_halvings=max_halvings,
-        params=params, potential_kind=potential_kind,
-        mobility_m=mobility_m, mobility_n=mobility_n,
-        source_spec=source_spec, gamma_v_spec=gamma_v_spec,
-        sigma_inf_value=sigma_inf_value,
-        initial_phi=initial_phi, initial_sigma=initial_sigma,
-        limit_mode=limit_mode, cadence=cadence, seed=seed,
+        scheme=scheme["name"], kappa=scheme["kappa"],
+        energy_guard=scheme["energy_guard"], tol_E=scheme["tol_E"],
+        max_halvings=scheme["max_halvings"],
+        params=params, potential_kind=tree["potential"],
+        mobility_m=tree["mobility"]["m"], mobility_n=tree["mobility"]["n"],
+        source_spec=tree["sources"], gamma_v_spec=gamma_v,
+        sigma_inf_value=tree["sigma_inf"]["value"],
+        initial_phi=initial["phi"], initial_sigma=initial["sigma"],
+        limit_mode=limit_mode, cadence=tree["cadence"], seed=tree["seed"],
     )
 
     # structural hypotheses on the model pieces; no basis is built
     report = md.validate_assumptions(
         **config._hypothesis_parts(),
-        gamma_v_zero=gamma_v_spec["kind"] == "zero",
+        gamma_v_zero=gamma_v["kind"] == "zero",
         allow_limit_modes=limit_mode != "none",
     )
     config.validation = report

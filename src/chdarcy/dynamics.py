@@ -59,8 +59,10 @@ class SimState:
 
 @dataclass
 class StepperConfig:
+    SCHEMES = ("imex1", "rk4-explicit")  # a class constant, not a field
+
     dt: float
-    scheme: str = "imex1"  # "imex1" | "rk4-explicit"
+    scheme: str = "imex1"
     kappa: float | None = None  # None: sup |psi''| on [-1.2, 1.2]
     energy_guard: bool = False
     tol_E: float = 0.0          # absolute slack allowed per guarded step
@@ -69,7 +71,7 @@ class StepperConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.scheme not in ("imex1", "rk4-explicit"):
+        if self.scheme not in self.SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def resolved_kappa(self, model: TumourModel) -> float:

@@ -58,7 +58,6 @@ class SweepSpec:
     values: tuple[float, ...]   # strictly decreasing, positive, finite
     stepper: StepperConfig      # of the limit run and of every member
     T: float
-    comparison: str = "Linf-L2"  # | "L2-H1"
     cadence: int = 1
 
     def __post_init__(self):
@@ -73,13 +72,14 @@ class SweepSpec:
             raise ValueError("sweep values must be positive")
         if any(nxt >= prev for prev, nxt in zip(vals[:-1], vals[1:])):
             raise ValueError("sweep values must be strictly decreasing")
-        if self.comparison not in ("Linf-L2", "L2-H1"):
-            raise ValueError(f"unknown comparison norm {self.comparison!r}")
         object.__setattr__(self, "values", vals)
 
 
 @dataclass
 class SweepRow:
+    """One member: its velocity norms, and the largest L2 distance over
+    the snapshots of its phi and sigma to the limit run's."""
+
     value: float
     v_l2l2: float
     v_scaled: float   # K^{-1/2} |v|_{L2(L2)} for K-sweeps, same for chi
@@ -88,18 +88,9 @@ class SweepRow:
     failed: str | None = None
 
 
-def _snapshot_difference(a: FieldCoeffs, b: FieldCoeffs, comparison: str):
-    """Norm of a - b at one snapshot, one value per member of a."""
-    kind = "L2" if comparison == "Linf-L2" else "H1"
-    return sp.norm(FieldCoeffs(a.basis, a.data - b.data), kind)
-
-
-def _time_norm(diffs, times, comparison: str) -> float:
-    """Snapshot differences aggregated in time: max, or L2 by trapezoid."""
-    diffs = np.asarray(diffs)
-    if comparison == "Linf-L2":
-        return float(np.max(diffs))
-    return float(np.sqrt(dg.trapezoid(diffs ** 2, times)))
+def _snapshot_difference(a: FieldCoeffs, b: FieldCoeffs):
+    """L2 norm of a - b at one snapshot, one value per member of a."""
+    return sp.norm(FieldCoeffs(a.basis, a.data - b.data), "L2")
 
 
 class _MemberFailure(Exception):
@@ -179,10 +170,8 @@ def _lockstep_rows(spec: SweepSpec, values: tuple[float, ...],
             failure.append(exc)
             return
         times.append(f.state.t)
-        diff_phi.append(_snapshot_difference(f.state.alpha, ref.state.alpha,
-                                             spec.comparison))
-        diff_sigma.append(_snapshot_difference(f.state.gamma, ref.state.gamma,
-                                               spec.comparison))
+        diff_phi.append(_snapshot_difference(f.state.alpha, ref.state.alpha))
+        diff_sigma.append(_snapshot_difference(f.state.gamma, ref.state.gamma))
         v_sq.append(f.grid.integrate_members(
             sum(vi.values ** 2 for vi in f.v)))
 
@@ -202,8 +191,8 @@ def _lockstep_rows(spec: SweepSpec, values: tuple[float, ...],
             value=value,
             v_l2l2=v_l2l2,
             v_scaled=v_scaled,
-            diff_phi=_time_norm(diff_phi[j], times, spec.comparison),
-            diff_sigma=_time_norm(diff_sigma[j], times, spec.comparison),
+            diff_phi=float(np.max(diff_phi[j])),
+            diff_sigma=float(np.max(diff_sigma[j])),
         ))
     return rows
 

@@ -400,14 +400,20 @@ class TestConfigFaults:
         (("domain", "lengths"), ["1.5", True]),
         (("dt",), 10 ** 400),
         (("domain", "lengths"), [10 ** 400, 1.0]),
+        (("initial", "phi", "mode"), [True, True]),
+        (("gamma_v", "mode"), [True, False]),
     ], ids=["dt-nan", "dt-inf", "T-minus-inf", "K-nan", "lengths-object",
             "max-halvings-string", "max-halvings-negative", "seed-negative",
             "modes-empty", "potential-list", "profile-amplitude-string",
             "energy-guard-string", "interpolated-string",
             "lengths-string-and-bool", "dt-beyond-float-range",
-            "lengths-beyond-float-range"])
+            "lengths-beyond-float-range", "profile-mode-bools",
+            "volume-source-mode-bools"])
     def test_rejected_with_path(self, path, value):
         spec = _reference_spec()
+        if path[0] == "gamma_v":  # a volume source whose mode is spoilt
+            spec["gamma_v"] = {"kind": "cosine", "amplitude": 0.1,
+                               "mode": [1, 0]}
         _set(spec, path, value)
         with pytest.raises(cf.ConfigError) as err:
             cf.parse_config(json.dumps(spec))
@@ -601,6 +607,66 @@ def test_mutated_reference_config_parses_or_raises_config_error(data):
         pass
 
 
+def _schema_slots(schema, path=(), sections=()):
+    """Every key path of a config schema, with its field and the sections
+    that make it live: each variant's keys under each of its kinds, that
+    kind's section holding a valid value in every required key."""
+    valid = {"number": lambda f: 0.5, "int": lambda f: f.arg,
+             "bool": lambda f: False, "mode": lambda f: [1, 1]}
+    for key, field in schema.items():
+        where = path + (key,)
+        yield where, field, sections
+        if field.kind == "object":
+            yield from _schema_slots(field.arg, where, sections)
+        elif field.kind == "variant":
+            yield where + ("kind",), cf._Field("choice", ()), sections
+            for kind, fields in field.arg.items():
+                section = {"kind": kind}
+                section.update((k, valid[f.kind](f)) for k, f in fields.items()
+                               if f.default is cf._REQUIRED)
+                yield from _schema_slots(fields, where,
+                                         sections + ((where, section),))
+
+
+_SCHEMA_SLOTS = list(_schema_slots(cf._SCHEMA))
+
+# wrong-typed values per kind; a boolean is among the draws of every int
+# and mode slot
+_WRONG = {
+    "number": ["1.5", True, None, [], {}, math.nan],
+    "int": [True, False, 1.5, "1", None],
+    "bool": [0, 1, "true", None],
+    "choice": [1, True, None, "no-such", []],
+    "numbers": [1.0, [True, 1.0], ["1", 1.0], None],
+    "modes": [True, [True, True], [6.0, 6], "6", None],
+    "mode": [True, [True, True], [True, False], [1.5, 1], "1", None],
+    "object": [True, 1, [], "x", None],
+    "variant": [True, 1, [], "x", None],
+}
+
+
+def test_schema_slots_reach_every_variant():
+    keys = {path[-1] for path, _, _ in _SCHEMA_SLOTS}
+    assert {"cutoff", "seed", "width", "lambda_p", "lambda_a", "lambda_c",
+            "kappa", "max_halvings", "interpolated"} <= keys
+    assert {field.kind for _, field, _ in _SCHEMA_SLOTS} == set(_WRONG)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_wrong_typed_schema_value_is_refused_by_path(data):
+    path, field, sections = data.draw(st.sampled_from(_SCHEMA_SLOTS))
+    value = data.draw(st.sampled_from(_WRONG[field.kind]))
+    spec = _reference_spec()
+    for where, section in sections:
+        _set(spec, where, section)
+    _set(spec, path, value)
+    with pytest.raises(cf.ConfigError) as err:
+        cf.parse_config(json.dumps(spec))
+    name = "$." + ".".join(path)
+    assert any(v.startswith(name + ":") for v in err.value.violations)
+
+
 class TestCli:
     def write_config(self, tmp_path, spec=None):
         path = tmp_path / "run.json"
@@ -612,6 +678,26 @@ class TestCli:
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "regime:" in out
+
+    def test_validate_output_of_the_reference_config(self, capsys):
+        assert cli.main(["validate", "--config", str(REFERENCE)]
+                        ) == cli.EXIT_OK
+        assert capsys.readouterr().out == (
+            "regime: case2\n"
+            "[PASS] A1 positive constants: all strictly positive\n"
+            "[PASS] A2 mobility m bounds: 1.0 <= m <= 1.0\n"
+            "[PASS] A2 mobility n bounds: 1.0 <= n <= 1.0\n"
+            "[PASS] A3 theta bounded by R0\n"
+            "[PASS] A3 theta_S bounded by R0\n"
+            "[PASS] A3 lambda_phi linear growth\n"
+            "[PASS] A3 lambda_S linear growth\n"
+            "[PASS] A3 theta_phi nonnegative\n"
+            "[PASS] A5 psi nonnegative\n"
+            "[PASS] A5 psi lower bound: psi >= 0.125*t^2 - 0.140625\n"
+            "[PASS] A5 growth regime: classified as case2; presets are one "
+            "admissible choice of the interpolation functions\n"
+            "[PASS] A5 chemotaxis smallness A > 2 chi^2 / (D R1): A = 1.0, "
+            "2 chi^2/(D R1) = 0.04\n")
 
     def test_validate_reports_the_mobility_bounds(self, tmp_path, capsys):
         spec = json.loads(REFERENCE.read_text())
