@@ -52,13 +52,8 @@ class RunConfig:
     raw: dict
     domain: sp.Domain
     modes: tuple[int, ...]
-    dt: float
     T: float
-    scheme: str
-    kappa: float | None
-    energy_guard: bool
-    tol_E: float
-    max_halvings: int
+    stepper: StepperConfig
     params: ModelParams
     potential_kind: str
     mobility_m: float
@@ -127,14 +122,8 @@ class RunConfig:
         return FieldCoeffs(basis, data)
 
     def build_stepper(self) -> StepperConfig:
-        return StepperConfig(
-            dt=self.dt,
-            scheme=self.scheme,
-            kappa=self.kappa,
-            energy_guard=self.energy_guard,
-            tol_E=self.tol_E,
-            max_halvings=self.max_halvings,
-        )
+        """The run's stepper, built once by parse_config."""
+        return self.stepper
 
     def build_initial_state(self, basis: SpectralBasis) -> SimState:
         phi0 = _profile_values(self.initial_phi, basis, self.seed)
@@ -462,10 +451,11 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
 
     scheme = tree["scheme"]
     config = RunConfig(
-        raw=raw, domain=domain, modes=modes, dt=dt, T=T,
-        scheme=scheme["name"], kappa=scheme["kappa"],
-        energy_guard=scheme["energy_guard"], tol_E=scheme["tol_E"],
-        max_halvings=scheme["max_halvings"],
+        raw=raw, domain=domain, modes=modes, T=T,
+        stepper=StepperConfig(
+            dt=dt, scheme=scheme["name"], kappa=scheme["kappa"],
+            energy_guard=scheme["energy_guard"], tol_E=scheme["tol_E"],
+            max_halvings=scheme["max_halvings"]),
         params=params, potential_kind=tree["potential"],
         mobility_m=tree["mobility"]["m"], mobility_n=tree["mobility"]["n"],
         source_spec=tree["sources"], gamma_v_spec=gamma_v,

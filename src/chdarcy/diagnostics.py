@@ -75,23 +75,22 @@ def energy(f: StateFields) -> EnergyBreakdown:
     total = psi_part + gradient_part + nutrient_part + chemotaxis_part
 
     diss_mu = float((W * eff.mobility_m
-                     * sum(g.values ** 2 for g in f.grad_mu)).sum())
+                     * sum(g ** 2 for g in f.grad_mu)).sum())
     diss_nutrient = float((W * eff.mobility_n
-                           * sum(g.values ** 2 for g in f.grad_N_sigma)).sum())
+                           * sum(g ** 2 for g in f.grad_N_sigma)).sum())
     diss_darcy = 0.0 if f.no_flow else f.v_sq / params.K
     diss_boundary = params.D * params.b * float(gamma.data @ f.M_gamma)
 
     # N_sigma, the sigma-derivative of the nutrient free energy density
-    N_sigma = params.D * f.sigma_g.values + params.chi * (1.0 - f.phi_g.values)
-    work_phi_source = grid.integrate(f.gamma_phi.values * f.mu_g.values)
-    work_nutrient_source = -grid.integrate(f.S.values * N_sigma)
+    N_sigma = params.D * f.sigma_g + params.chi * (1.0 - f.phi_g)
+    work_phi_source = grid.integrate(f.gamma_phi * f.mu_g)
+    work_nutrient_source = -grid.integrate(f.S * N_sigma)
 
     work_volume_source = 0.0
     if eff.gamma_v is not None and not f.no_flow:
-        gv = sp.to_grid(eff.gamma_v, grid).values
-        p_g = sp.to_grid(f.p, grid).values
-        lam_v = (p_g - f.mu_g.values * f.phi_g.values
-                 - 0.5 * params.D * f.sigma_g.values ** 2)
+        gv = sp.to_grid(eff.gamma_v, grid)
+        p_g = sp.to_grid(f.p, grid)
+        lam_v = p_g - f.mu_g * f.phi_g - 0.5 * params.D * f.sigma_g ** 2
         work_volume_source = grid.integrate(gv * lam_v)
 
     # boundary work, exact in the truncated basis: traces of the series
@@ -137,10 +136,10 @@ def _mass_defect(dt: float, c0: FieldCoeffs, c1: FieldCoeffs,
 def _mass_rates(f: StateFields) -> tuple[float, float]:
     """Exact rates of the total masses, by the constant test function."""
     state, params = f.state, f.model.params
-    rate_phi = f.grid.integrate(f.gamma_phi.values)
+    rate_phi = f.grid.integrate(f.gamma_phi)
     # S is Gamma_phi itself when the two reaction laws are equal
     consumed = (rate_phi if f.S is f.gamma_phi
-                else f.grid.integrate(f.S.values))
+                else f.grid.integrate(f.S))
     rate_sigma = -consumed + params.b * (
         f.model.sigma_inf * state.basis.domain.boundary_measure
         - float(state.gamma.data @ state.basis.boundary_vector)

@@ -2,9 +2,12 @@
 
 The unknowns are the coefficient vectors of the order parameter and the
 nutrient; the chemical potential, pressure, and velocity are derived
-algebraically each step.  Two steppers are provided: a stabilized
-first-order IMEX scheme whose implicit operator is diagonal in the
-eigenbasis, and an explicit RK4 oracle for cross-checks at small steps.
+algebraically each step.  derive evaluates a state once into
+StateFields, whose grid values are plain arrays on its one grid, the
+basis's default grid, which is passed explicitly to every transform.
+Two steppers are provided: a stabilized first-order IMEX scheme whose
+implicit operator is diagonal in the eigenbasis, and an explicit RK4
+oracle for cross-checks at small steps.
 
 A state may hold several members on one basis and time grid (leading
 axes of the coefficient arrays, with K, chi and b given per member in
@@ -23,7 +26,7 @@ import numpy as np
 from . import model as md
 from . import spectral as sp
 from .model import TumourModel
-from .spectral import FieldCoeffs, GridField, QuadratureGrid, SpectralBasis
+from .spectral import FieldCoeffs, QuadratureGrid, SpectralBasis
 
 
 class StepFailureError(Exception):
@@ -102,7 +105,7 @@ def project_initial_data(phi0, sigma0, basis: SpectralBasis
         if not np.all(np.isfinite(vals)):
             raise NonFiniteInitialData(name)
         try:
-            return sp.to_coeffs(GridField(grid, vals))
+            return sp.to_coeffs(grid, vals)
         except sp.SpectralError:  # finite values, overflowing coefficients
             raise NonFiniteInitialData(name) from None
 
@@ -127,17 +130,17 @@ class StateFields:
     model: TumourModel
     no_flow: bool        # K = 0: p and v are identically zero
     grid: QuadratureGrid
-    phi_g: GridField
-    sigma_g: GridField
-    mu_g: GridField
-    grad_phi: tuple[GridField, ...]
-    grad_mu: tuple[GridField, ...]
+    phi_g: np.ndarray
+    sigma_g: np.ndarray
+    mu_g: np.ndarray
+    grad_phi: tuple[np.ndarray, ...]
+    grad_mu: tuple[np.ndarray, ...]
     mu: FieldCoeffs
     p: FieldCoeffs
-    v: tuple[GridField, ...]
-    gamma_phi: GridField  # Gamma_phi on the grid
-    S: GridField          # nutrient consumption; gamma_phi itself when equal
-    grad_N_sigma: tuple[GridField, ...]  # D grad(sigma) - chi grad(phi)
+    v: tuple[np.ndarray, ...]
+    gamma_phi: np.ndarray  # Gamma_phi on the grid
+    S: np.ndarray          # nutrient consumption; gamma_phi itself when equal
+    grad_N_sigma: tuple[np.ndarray, ...]  # D grad(sigma) - chi grad(phi)
     M_gamma: np.ndarray   # int_bdry sigma w_j, the boundary mass times gamma
 
     @cached_property
@@ -146,13 +149,14 @@ class StateFields:
         on first use: the energy guard and the ledger share them."""
         state, model = self.state, self.model
         return md.free_energy(state.alpha, state.gamma, self.phi_g,
-                              self.sigma_g, model.params, model.potential)
+                              self.sigma_g, self.grid, model.params,
+                              model.potential)
 
     @cached_property
     def v_sq(self) -> float:
         """int |v|^2 of a single member, computed on first use: the
         ledger's Darcy dissipation and the observer's |v| share it."""
-        return self.grid.integrate(sum(vi.values ** 2 for vi in self.v))
+        return self.grid.integrate(sum(vi ** 2 for vi in self.v))
 
 
 def _no_flow(model: TumourModel) -> bool:
@@ -180,22 +184,19 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
     phi_g = sp.to_grid(state.alpha, grid)
     sigma_g = sp.to_grid(state.gamma, grid)
     grad_phi = sp.gradient_on_grid(state.alpha, grid)
-    mu = md.chemical_potential(state.alpha, state.gamma, phi_g, model.params,
-                               model.potential)
+    mu = md.chemical_potential(state.alpha, state.gamma, phi_g, grid,
+                               model.params, model.potential)
     mu_g = sp.to_grid(mu, grid)
     no_flow = _no_flow(model)
     if no_flow:
         members = state.alpha.data.shape[:-1]
-        p = sp._unchecked(FieldCoeffs, basis,
-                          np.zeros(members + (basis.n_modes,)))
-        v = tuple(sp._unchecked(GridField, grid,
-                                np.zeros(members + grid.npoints))
-                  for _ in range(basis.dim))
+        p = sp._unchecked(basis, np.zeros(members + (basis.n_modes,)))
+        v = tuple(np.zeros(members + grid.npoints) for _ in range(basis.dim))
     else:
-        p, v = md.solve_darcy(grad_phi, mu_g, sigma_g, model.gamma_v,
+        p, v = md.solve_darcy(grid, grad_phi, mu_g, sigma_g, model.gamma_v,
                               model.params)
     gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, model.sources)
-    chi = sp._per_member(model.params.chi, phi_g.values)
+    chi = sp._per_member(model.params.chi, phi_g)
     return StateFields(
         state=state, model=model, no_flow=no_flow, grid=grid,
         phi_g=phi_g, sigma_g=sigma_g, mu_g=mu_g,
@@ -203,8 +204,7 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
         grad_mu=sp.gradient_on_grid(mu, grid),
         mu=mu, p=p, v=v, gamma_phi=gamma_phi, S=S,
         grad_N_sigma=tuple(
-            sp._unchecked(GridField, grid,
-                          model.params.D * gs.values - chi * gp.values)
+            model.params.D * gs - chi * gp
             for gs, gp in zip(sp.gradient_on_grid(state.gamma, grid),
                               grad_phi)),
         M_gamma=sp.boundary_mass_apply(basis, state.gamma.data),
@@ -219,26 +219,22 @@ def rhs(f: StateFields) -> tuple[np.ndarray, np.ndarray]:
     A model forcing is added last, at the state's time.
     """
     state, model, params = f.state, f.model, f.model.params
-    grid = f.grid
 
     def project(source, mobility, gradients, transported):
         """int source w_j - int (mobility grad - transported v).grad(w_j);
         the fluxes die with this call, before the next equation's."""
-        flux = [mobility * g.values for g in gradients]
+        flux = [mobility * g for g in gradients]
         if not f.no_flow:
             for F, vi in zip(flux, f.v):
-                F -= transported * vi.values
-        return sp.weak_form(
-            source, tuple(sp._unchecked(GridField, grid, F)
-                          for F in flux)).data
+                F -= transported * vi
+        return sp.weak_form(f.grid, source, tuple(flux)).data
 
     # d/dt alpha_j = int Gamma_phi w_j - int (m grad(mu) - phi v).grad(w_j)
-    dalpha = project(f.gamma_phi, model.mobility_m, f.grad_mu, f.phi_g.values)
+    dalpha = project(f.gamma_phi, model.mobility_m, f.grad_mu, f.phi_g)
     # d/dt gamma_j = -int S w_j
     #               - int (n (D grad(sigma) - chi grad(phi)) - sigma v).grad(w_j)
     #               + b int_bdry (sigma_inf - sigma) w_j
-    dgamma = project(sp._unchecked(GridField, grid, -f.S.values),
-                     model.mobility_n, f.grad_N_sigma, f.sigma_g.values)
+    dgamma = project(-f.S, model.mobility_n, f.grad_N_sigma, f.sigma_g)
     # in a batch, a member with b = 0 next to members with b != 0 gets
     # 0 * (...) added: its rates are unchanged up to the sign of a zero
     if sp._any_member(params.b != 0.0):
@@ -353,7 +349,7 @@ def step_imex(f: StateFields, config: StepperConfig,
             continue  # non-finite substep counts as a rejected interval
         E1 = sum(md.free_energy(sub.alpha, sub.gamma,
                                 sp.to_grid(sub.alpha, grid),
-                                sp.to_grid(sub.gamma, grid),
+                                sp.to_grid(sub.gamma, grid), grid,
                                 model.params, model.potential))
         if E1 <= E0 + config.tol_E:
             return sub

@@ -5,8 +5,9 @@ The sweep drives the permeability (with b = K) or the chemotaxis
 strength (with b = chi) toward zero and compares each member trajectory
 against the corresponding limit system run on the same basis, initial
 data, time grid and stepper.  The limit run advances in lockstep with
-the members, so a sweep keeps a few scalars per member and snapshot and
-no state: its memory does not grow by a state per snapshot.  The
+the members, so a sweep keeps a time per snapshot, one scalar per member
+and snapshot, and no state: its memory does not grow by a state per
+snapshot.  The
 manufactured-solution study verifies
 spatial in-span exactness and the first-order temporal rate of the IMEX
 scheme; its forcing is a term of the model, so its runs are stepped by
@@ -108,13 +109,14 @@ def sweep(spec: SweepSpec, model: TumourModel,
     The limit run is advanced in lockstep with the members, which step
     together as one batched state: at each of its snapshots the limit
     run's observer pulls the batch's next snapshot and reduces it on
-    arrival.  What a sweep keeps per snapshot is its time and three
-    scalars per member (two differences and the |v|^2 integral), never
-    a state of the limit run or of a member.  If the batch fails, each
-    member is re-run alone in lockstep with a fresh limit run, so the
-    limit run is stepped once more per member on that path; a member
-    that blows up gets its failed row while the others go on.  Every run
-    steps with spec.stepper; a limit run that fails raises.
+    arrival.  What a sweep keeps per snapshot is its time and one scalar
+    per member (the |v|^2 integral), never a state of the limit run or
+    of a member; the differences are kept as running maxima.  If the
+    batch fails, each member is re-run alone in lockstep with a fresh
+    limit run, so the limit run is stepped once more per member on that
+    path; a member that blows up gets its failed row while the others go
+    on.  Every run steps with spec.stepper; a limit run that fails
+    raises.
     """
     parameter = spec.parameter
     if parameter == "K" and model.gamma_v is not None:
@@ -158,7 +160,9 @@ def _lockstep_rows(spec: SweepSpec, values: tuple[float, ...],
     """
     pending = dyn.snapshots(batch, spec.stepper, members, spec.T,
                             cadence=spec.cadence)
-    times, diff_phi, diff_sigma, v_sq = [], [], [], []
+    times, v_sq = [], []
+    # the largest differences so far, one per member
+    max_phi, max_sigma = np.full((2, len(values)), -np.inf)
     failure = []
 
     def reduce(ref):
@@ -170,19 +174,19 @@ def _lockstep_rows(spec: SweepSpec, values: tuple[float, ...],
             failure.append(exc)
             return
         times.append(f.state.t)
-        diff_phi.append(_snapshot_difference(f.state.alpha, ref.state.alpha))
-        diff_sigma.append(_snapshot_difference(f.state.gamma, ref.state.gamma))
+        np.maximum(max_phi, _snapshot_difference(
+            f.state.alpha, ref.state.alpha), out=max_phi)
+        np.maximum(max_sigma, _snapshot_difference(
+            f.state.gamma, ref.state.gamma), out=max_sigma)
         v_sq.append(f.grid.integrate_members(
-            sum(vi.values ** 2 for vi in f.v)))
+            sum(vi ** 2 for vi in f.v)))
 
     dyn.run(initial.copy(), spec.stepper, limit, spec.T, observer=reduce,
             cadence=spec.cadence)
     if failure:
         raise _MemberFailure(str(failure[0])) from failure[0]
     # one contiguous row of snapshot values per member
-    diff_phi, diff_sigma, v_sq = (
-        np.stack(x, axis=-1).reshape(len(values), -1)
-        for x in (diff_phi, diff_sigma, v_sq))
+    v_sq = np.stack(v_sq, axis=-1).reshape(len(values), -1)
     K = np.broadcast_to(members.params.K, len(values))
     rows = []
     for j, value in enumerate(values):
@@ -191,8 +195,8 @@ def _lockstep_rows(spec: SweepSpec, values: tuple[float, ...],
             value=value,
             v_l2l2=v_l2l2,
             v_scaled=v_scaled,
-            diff_phi=float(np.max(diff_phi[j])),
-            diff_sigma=float(np.max(diff_sigma[j])),
+            diff_phi=float(max_phi[j]),
+            diff_sigma=float(max_sigma[j]),
         ))
     return rows
 

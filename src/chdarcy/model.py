@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectral as sp
-from .spectral import FieldCoeffs, GridField
+from .spectral import FieldCoeffs, QuadratureGrid
 
 
 @dataclass(frozen=True)
@@ -207,33 +207,33 @@ class TumourModel:
 
 
 def chemical_potential(phi: FieldCoeffs, sigma: FieldCoeffs,
-                       phi_g: GridField, params: ModelParams,
+                       phi_g: np.ndarray, grid: QuadratureGrid,
+                       params: ModelParams,
                        potential: Potential) -> FieldCoeffs:
     """mu = A P_k[psi'(phi)] + B (-Laplacian) phi - chi sigma, in coefficients.
 
     The stiffness term is diagonal in the eigenbasis; psi'(phi) is
-    evaluated pseudospectrally from phi_g, phi on a grid of its basis,
-    and projected back.  mu is checked as a new FieldCoeffs, so a finite
-    phi whose potential overflows raises SpectralError here.
+    evaluated pseudospectrally from phi_g, phi on grid, a grid of its
+    basis, and projected back.  mu is checked as a new FieldCoeffs, so a
+    finite phi whose potential overflows raises SpectralError here.
     """
     sp._check_same_basis(phi, sigma)
     basis = phi.basis
-    if phi_g.grid.basis is not basis:
+    if grid.basis is not basis:
         raise sp.BasisMismatchError("phi_g lives on a grid of another basis")
-    psi_prime = sp.to_coeffs(
-        sp._unchecked(GridField, phi_g.grid, potential.dpsi(phi_g.values)))
+    psi_prime = sp.to_coeffs(grid, potential.dpsi(phi_g))
     data = (params.A * psi_prime.data
             + params.B * basis.eigenvalues * phi.data
             - sp._per_member(params.chi, sigma.data) * sigma.data)
     return FieldCoeffs(basis, data)
 
 
-def solve_darcy(grad_phi: tuple[GridField, ...], mu_g: GridField,
-                sigma_g: GridField, gamma_v: FieldCoeffs | None,
-                params: ModelParams
-                ) -> tuple[FieldCoeffs, tuple[GridField, ...]]:
+def solve_darcy(grid: QuadratureGrid, grad_phi: tuple[np.ndarray, ...],
+                mu_g: np.ndarray, sigma_g: np.ndarray,
+                gamma_v: FieldCoeffs | None, params: ModelParams
+                ) -> tuple[FieldCoeffs, tuple[np.ndarray, ...]]:
     """Pressure Poisson solve and Darcy velocity, from grad(phi), mu and
-    sigma on one grid.
+    sigma on grid.
 
     p = (-Laplacian_N)^{-1}( Gamma_v / K - div((mu + chi sigma) grad phi) )
     with zero mean, and v = -K (grad p - (mu + chi sigma) grad phi) on
@@ -241,15 +241,11 @@ def solve_darcy(grad_phi: tuple[GridField, ...], mu_g: GridField,
     divided by the eigenvalues directly; the fields built from the inputs
     are not checked again.
     """
-    grid = mu_g.grid
     basis = grid.basis
-    if any(f.grid is not grid for f in (*grad_phi, sigma_g)):
-        raise sp.BasisMismatchError("grid fields live on different grids")
-    chi = sp._per_member(params.chi, sigma_g.values)
-    drive = mu_g.values + chi * sigma_g.values
-    forcing = tuple(sp._unchecked(GridField, grid, drive * comp.values)
-                    for comp in grad_phi)
-    rhs = -sp.divergence_to_coeffs(forcing).data  # -<div F, w_j>
+    chi = sp._per_member(params.chi, sigma_g)
+    drive = mu_g + chi * sigma_g
+    forcing = tuple(drive * comp for comp in grad_phi)
+    rhs = -sp.divergence_to_coeffs(grid, forcing).data  # -<div F, w_j>
     if gamma_v is not None:
         scale = max(1.0, float(np.max(np.abs(gamma_v.data))))
         if abs(gamma_v.data[0]) > sp.MEAN_ZERO_TOL * scale:
@@ -257,46 +253,39 @@ def solve_darcy(grad_phi: tuple[GridField, ...], mu_g: GridField,
         rhs = rhs + gamma_v.data / sp._per_member(params.K, rhs)
     rhs[..., 0] = 0.0
     lam = basis.eigenvalues
-    p = sp._unchecked(FieldCoeffs, basis, np.divide(
+    p = sp._unchecked(basis, np.divide(
         rhs, lam, out=np.zeros_like(rhs), where=lam > 0))
     grad_p = sp.gradient_on_grid(p, grid)
     K = sp._per_member(params.K, drive)
-    v = tuple(
-        sp._unchecked(GridField, grid, -K * (gp.values - f.values))
-        for gp, f in zip(grad_p, forcing)
-    )
+    v = tuple(-K * (gp - f) for gp, f in zip(grad_p, forcing))
     return p, v
 
 
-def evaluate_sources(phi_g: GridField, mu_g: GridField, sigma_g: GridField,
-                     sources: SourceModel) -> tuple[GridField, GridField]:
-    """Pointwise reaction terms on a shared grid.
+def evaluate_sources(phi: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
+                     sources: SourceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise reaction terms from phi, mu and sigma on one grid.
 
     When S has the same reaction law as Gamma_phi (the Hawkins closure),
-    it is evaluated once and the one GridField is returned for both.
+    it is evaluated once and the one array is returned for both.
     """
-    phi, mu, sigma = phi_g.values, mu_g.values, sigma_g.values
-    grid = phi_g.grid
-    gamma_phi = sp._unchecked(GridField, grid,
-                              sources.gamma_phi(phi, mu, sigma))
+    gamma_phi = sources.gamma_phi(phi, mu, sigma)
     if (sources.lambda_S is sources.lambda_phi
             and sources.theta_S is sources.theta_phi):
-        S = gamma_phi
-    else:
-        S = sp._unchecked(GridField, grid, sources.S(phi, mu, sigma))
-    return gamma_phi, S
+        return gamma_phi, gamma_phi
+    return gamma_phi, sources.S(phi, mu, sigma)
 
 
-def free_energy(phi: FieldCoeffs, sigma: FieldCoeffs, phi_g: GridField,
-                sigma_g: GridField, params: ModelParams, potential: Potential
+def free_energy(phi: FieldCoeffs, sigma: FieldCoeffs, phi_g: np.ndarray,
+                sigma_g: np.ndarray, grid: QuadratureGrid,
+                params: ModelParams, potential: Potential
                 ) -> tuple[float, float, float, float]:
-    """The four parts of E(phi, sigma), as in diagnostics.EnergyBreakdown."""
-    grid = phi_g.grid
+    """The four parts of E(phi, sigma), as in diagnostics.EnergyBreakdown;
+    phi_g and sigma_g are phi and sigma on grid."""
     return (
-        params.A * grid.integrate(potential.psi(phi_g.values)),
+        params.A * grid.integrate(potential.psi(phi_g)),
         0.5 * params.B * sp.inner_product(phi, phi, "H1-seminorm"),
         0.5 * params.D * sp.inner_product(sigma, sigma),
-        params.chi * grid.integrate(sigma_g.values * (1.0 - phi_g.values)),
+        params.chi * grid.integrate(sigma_g * (1.0 - phi_g)),
     )
 
 

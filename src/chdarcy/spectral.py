@@ -7,6 +7,11 @@ eigenvalues adding.  All quadrature is the uniform midpoint rule, which
 integrates products of resolved cosine modes exactly, so the transforms
 below are projections rather than approximations.
 
+Fields are FieldCoeffs, the unknowns of the Galerkin scheme.  Values on
+a quadrature grid are the intermediates of a projection and are plain
+arrays; every transform takes the grid they live on as an argument, and
+to_coeffs is where values from outside the program are checked.
+
 Coefficient vectors and grid values may carry leading member axes:
 data of shape (..., n_modes) and values of shape (..., *npoints) hold
 one field per member, and every transform, product and reduction here
@@ -242,36 +247,17 @@ class FieldCoeffs:
         return self.data.reshape(self.data.shape[:-1] + self.basis.modes)
 
 
-@dataclass(eq=False)
-class GridField:
-    """Nodal values of shape (..., *npoints): one field per member."""
+def _unchecked(basis: SpectralBasis, data: np.ndarray) -> FieldCoeffs:
+    """FieldCoeffs(basis, data) without the checks of its __post_init__.
 
-    grid: QuadratureGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        npoints = self.grid.npoints
-        if self.values.shape[-len(npoints):] != npoints:
-            raise BasisMismatchError(
-                f"grid values shape {self.values.shape} does not match grid "
-                f"{self.grid.npoints}"
-            )
-
-
-def _unchecked(cls, owner, array: np.ndarray):
-    """cls(owner, array) for cls FieldCoeffs or GridField, without the
-    checks of its __post_init__.
-
-    For the intermediates of one evaluation: transform outputs and the
-    fields derive, rhs and the Darcy solve build from them.  array must
-    be a float array of the right shape; finiteness is checked where a
-    state is made, not on each intermediate.
+    For the coefficients an evaluation builds from its own grid values:
+    weak_form's output and the pressure.  data must be a float array of
+    shape (..., n_modes); finiteness is checked where a state is made,
+    not on each intermediate.
     """
-    obj = object.__new__(cls)
-    owner_name, array_name = cls.__match_args__
-    setattr(obj, owner_name, owner)
-    setattr(obj, array_name, array)
+    obj = object.__new__(FieldCoeffs)
+    obj.basis = basis
+    obj.data = data
     return obj
 
 
@@ -345,73 +331,74 @@ def build_basis(domain: Domain, modes_per_dim) -> SpectralBasis:
     )
 
 
-def to_grid(c: FieldCoeffs, g: QuadratureGrid) -> GridField:
+def to_grid(c: FieldCoeffs, g: QuadratureGrid) -> np.ndarray:
     """Synthesis: evaluate the cosine series at the grid nodes."""
     if g.basis is not c.basis:
         raise BasisMismatchError("grid was built for a different basis")
     if c.basis.dim == 1:
-        vals = _along_first_axis(g.synth[0], c.data, 1)
-    else:
-        vals = g.synth[0] @ c.tensor() @ g.synth[1].T
-    return _unchecked(GridField, g, vals)
+        return _along_first_axis(g.synth[0], c.data, 1)
+    return g.synth[0] @ c.tensor() @ g.synth[1].T
 
 
-def weak_form(source: GridField | None,
-              flux: tuple[GridField, ...] = ()) -> FieldCoeffs:
+def weak_form(g: QuadratureGrid, source: np.ndarray | None,
+              flux: tuple[np.ndarray, ...] = ()) -> FieldCoeffs:
     """Galerkin projection: j-th coefficient is int s w_j - int F . grad(w_j).
 
-    The one analysis kernel: an equation's source and flux are tested
-    against every w_j in a single pass over the grid.  With the
-    zero-normal-flux basis the flux part is the weak divergence, the
+    The one analysis kernel: an equation's source and flux, values on g,
+    are tested against every w_j in a single pass over the grid.  With
+    the zero-normal-flux basis the flux part is the weak divergence, the
     integration-by-parts partner of gradient_on_grid.
     """
-    g = source.grid if source is not None else flux[0].grid
     if flux and len(flux) != g.dim:
         raise BasisMismatchError(
             f"{len(flux)} components for a {g.dim}-dimensional grid"
         )
-    for comp in flux:
-        if comp.grid is not g:
-            raise BasisMismatchError("vector components on mismatched grids")
     S, D, W, dim = g.synth, g.deriv, g.W, g.dim
     # source and x-flux are tested in x together, so on a rectangle they
     # share one y-transform
-    rows = (_along_first_axis(S[0].T, W * source.values, dim)
+    rows = (_along_first_axis(S[0].T, W * source, dim)
             if source is not None else None)
     if flux:
-        fx = _along_first_axis(D[0].T, W * flux[0].values, dim)
+        fx = _along_first_axis(D[0].T, W * flux[0], dim)
         rows = -fx if rows is None else rows - fx
     if dim == 1:
-        return _unchecked(FieldCoeffs, g.basis, rows)
+        return _unchecked(g.basis, rows)
     data = rows @ S[1]
     if flux:
-        data -= S[0].T @ (W * flux[1].values) @ D[1]
-    return _unchecked(FieldCoeffs, g.basis,
-                      data.reshape(data.shape[:-2] + (-1,)))
+        data -= S[0].T @ (W * flux[1]) @ D[1]
+    return _unchecked(g.basis, data.reshape(data.shape[:-2] + (-1,)))
 
 
-def to_coeffs(f: GridField) -> FieldCoeffs:
-    """Analysis: L2 projection of nodal data onto the basis via quadrature;
-    coefficients that leave the float range raise SpectralError."""
-    return FieldCoeffs(f.grid.basis, weak_form(f).data)
+def to_coeffs(g: QuadratureGrid, values) -> FieldCoeffs:
+    """Analysis: L2 projection of values on g, of shape (..., *npoints),
+    onto the basis via quadrature.  A wrong shape raises
+    BasisMismatchError, and coefficients that leave the float range
+    raise SpectralError."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[-len(g.npoints):] != g.npoints:
+        raise BasisMismatchError(
+            f"grid values shape {values.shape} does not match grid "
+            f"{g.npoints}"
+        )
+    return FieldCoeffs(g.basis, weak_form(g, values).data)
 
 
-def gradient_on_grid(c: FieldCoeffs, g: QuadratureGrid) -> tuple[GridField, ...]:
+def gradient_on_grid(c: FieldCoeffs, g: QuadratureGrid
+                     ) -> tuple[np.ndarray, ...]:
     """Exact derivative of the cosine series, evaluated at the nodes."""
     if g.basis is not c.basis:
         raise BasisMismatchError("grid was built for a different basis")
     if c.basis.dim == 1:
-        return (_unchecked(GridField, g,
-                           _along_first_axis(g.deriv[0], c.data, 1)),)
+        return (_along_first_axis(g.deriv[0], c.data, 1),)
     C = c.tensor()
-    gx = g.deriv[0] @ C @ g.synth[1].T
-    gy = g.synth[0] @ C @ g.deriv[1].T
-    return (_unchecked(GridField, g, gx), _unchecked(GridField, g, gy))
+    return (g.deriv[0] @ C @ g.synth[1].T, g.synth[0] @ C @ g.deriv[1].T)
 
 
-def divergence_to_coeffs(components: tuple[GridField, ...]) -> FieldCoeffs:
-    """Weak divergence: j-th coefficient is -int g . grad(w_j)."""
-    return weak_form(None, components)
+def divergence_to_coeffs(g: QuadratureGrid,
+                         components: tuple[np.ndarray, ...]) -> FieldCoeffs:
+    """Weak divergence: j-th coefficient is -int F . grad(w_j), for the
+    vector field F with the given components on g."""
+    return weak_form(g, None, components)
 
 
 def boundary_mass_apply(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:

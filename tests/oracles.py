@@ -22,7 +22,7 @@ from chdarcy import spectral as sp
 from chdarcy.dynamics import SimState
 from chdarcy.experiments import ManufacturedSolution
 from chdarcy.model import ModelParams, TumourModel
-from chdarcy.spectral import FieldCoeffs, GridField, SpectralBasis
+from chdarcy.spectral import FieldCoeffs, SpectralBasis
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ class DenseGalerkinOperators:
     Sigma_vec: np.ndarray
     beta: np.ndarray     # chemical potential coefficients
     p: FieldCoeffs
-    v: tuple[GridField, ...]
+    v: tuple[np.ndarray, ...]
 
 
 def dense_galerkin_operators(state: SimState, model: TumourModel,
@@ -89,9 +89,9 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
     grid = basis.quadrature_grid(oversample=oversample)
     W = grid.W
 
-    phi_g = sp.to_grid(state.alpha, grid).values
-    sigma_g = sp.to_grid(state.gamma, grid).values
-    grad_phi = [g.values for g in sp.gradient_on_grid(state.alpha, grid)]
+    phi_g = sp.to_grid(state.alpha, grid)
+    sigma_g = sp.to_grid(state.gamma, grid)
+    grad_phi = sp.gradient_on_grid(state.alpha, grid)
 
     k = basis.n_modes
     nflat = int(np.prod(grid.npoints))
@@ -103,9 +103,9 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
         e = np.zeros(k)
         e[j] = 1.0
         cj = FieldCoeffs(basis, e)
-        basis_vals[j] = sp.to_grid(cj, grid).values.reshape(nflat)
+        basis_vals[j] = sp.to_grid(cj, grid).reshape(nflat)
         for d, comp in enumerate(sp.gradient_on_grid(cj, grid)):
-            basis_grads[d][j] = comp.values.reshape(nflat)
+            basis_grads[d][j] = comp.reshape(nflat)
 
     stiffness = sum((gb * Wf) @ gb.T for gb in basis_grads)
     S = np.diag(basis.eigenvalues)
@@ -131,7 +131,7 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
         p = inverse_neumann_laplacian(FieldCoeffs(basis, rhs_p))
         grad_p = [gb.T @ p.data for gb in basis_grads]
         v_vals = [-params.K * (gp - f) for gp, f in zip(grad_p, forcing)]
-    v = tuple(GridField(grid, vv.reshape(grid.npoints)) for vv in v_vals)
+    v = tuple(vv.reshape(grid.npoints) for vv in v_vals)
 
     C = sum(
         (gb * (Wf * vv)) @ basis_vals.T
@@ -171,16 +171,15 @@ def dense_rhs(state: SimState, model: TumourModel,
 # ---------------------------------------------------------------------------
 # pointwise and weak-form identities
 
-def nutrient_free_energy_density(phi_g: GridField, sigma_g: GridField,
+def nutrient_free_energy_density(phi: np.ndarray, sigma: np.ndarray,
                                  params: ModelParams
-                                 ) -> tuple[GridField, GridField, GridField]:
-    """N = (D/2) sigma^2 + chi sigma (1 - phi) and its partial derivatives."""
-    phi, sigma = phi_g.values, sigma_g.values
+                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """N = (D/2) sigma^2 + chi sigma (1 - phi) and its partial derivatives,
+    from phi and sigma on a grid."""
     N = 0.5 * params.D * sigma ** 2 + params.chi * sigma * (1.0 - phi)
     N_sigma = params.D * sigma + params.chi * (1.0 - phi)
     N_phi = -params.chi * sigma
-    g = phi_g.grid
-    return GridField(g, N), GridField(g, N_sigma), GridField(g, N_phi)
+    return N, N_sigma, N_phi
 
 
 @dataclass
@@ -228,7 +227,7 @@ def weak_residual(states: list[SimState], j: int, equation: str,
         params = eff.params
         phi4 = sp.to_grid(state.alpha, grid4)
         if equation == "mu":
-            psi4 = sp.to_coeffs(GridField(grid4, eff.potential.dpsi(phi4.values)))
+            psi4 = sp.to_coeffs(grid4, eff.potential.dpsi(phi4))
             expect = (params.A * psi4.data[j]
                       + params.B * basis.eigenvalues[j] * state.alpha.data[j]
                       - params.chi * state.gamma.data[j])
@@ -238,10 +237,10 @@ def weak_residual(states: list[SimState], j: int, equation: str,
                 r = der.p.data[j]
             else:
                 grad_phi4 = sp.gradient_on_grid(state.alpha, grid4)
-                drive4 = (sp.to_grid(der.mu, grid4).values
-                          + params.chi * sp.to_grid(state.gamma, grid4).values)
-                F4 = tuple(GridField(grid4, drive4 * g.values) for g in grad_phi4)
-                rhs_j = -sp.divergence_to_coeffs(F4).data[j]
+                drive4 = (sp.to_grid(der.mu, grid4)
+                          + params.chi * sp.to_grid(state.gamma, grid4))
+                F4 = tuple(drive4 * g for g in grad_phi4)
+                rhs_j = -sp.divergence_to_coeffs(grid4, F4).data[j]
                 if eff.gamma_v is not None:
                     rhs_j += eff.gamma_v.data[j] / params.K
                 if j == 0:
@@ -249,13 +248,13 @@ def weak_residual(states: list[SimState], j: int, equation: str,
                 r = basis.eigenvalues[j] * der.p.data[j] - rhs_j
         else:  # velocity, pointwise on the grid where v lives
             if der.no_flow:
-                r = max(float(np.max(np.abs(vi.values))) for vi in der.v)
+                r = max(float(np.max(np.abs(vi))) for vi in der.v)
             else:
                 grad_p = sp.gradient_on_grid(der.p, der.grid)
-                drive = der.mu_g.values + params.chi * der.sigma_g.values
+                drive = der.mu_g + params.chi * der.sigma_g
                 r = max(
                     float(np.max(np.abs(
-                        vi.values + params.K * (gp.values - drive * gphi.values)
+                        vi + params.K * (gp - drive * gphi)
                     )))
                     for vi, gp, gphi in zip(der.v, grad_p, der.grad_phi)
                 )
@@ -265,10 +264,10 @@ def weak_residual(states: list[SimState], j: int, equation: str,
 
 @dataclass
 class PressureReformulations:
-    q: GridField
-    p_hat: GridField
-    p_tilde: GridField
-    lambda_v: tuple[GridField, GridField, GridField]
+    q: np.ndarray
+    p_hat: np.ndarray
+    p_tilde: np.ndarray
+    lambda_v: tuple[np.ndarray, np.ndarray, np.ndarray]
     max_spread: float
 
 
@@ -281,11 +280,11 @@ def pressure_reformulations(state: SimState, model: TumourModel
     """
     f = dyn.derive(state, model)
     eff, params, grid = f.model, f.model.params, f.grid
-    phi = f.phi_g.values
-    sigma = f.sigma_g.values
-    mu = f.mu_g.values
-    p = sp.to_grid(f.p, grid).values
-    grad_sq = sum(g.values ** 2 for g in f.grad_phi)
+    phi = f.phi_g
+    sigma = f.sigma_g
+    mu = f.mu_g
+    p = sp.to_grid(f.p, grid)
+    grad_sq = sum(g ** 2 for g in f.grad_phi)
 
     interface = params.A * eff.potential.psi(phi) + 0.5 * params.B * grad_sq
     q = p - interface
@@ -302,10 +301,8 @@ def pressure_reformulations(state: SimState, model: TumourModel
         float(np.max(np.abs(lam0 - lam2))),
         float(np.max(np.abs(lam1 - lam2))),
     )
-    g = grid
     return PressureReformulations(
-        q=GridField(g, q), p_hat=GridField(g, p_hat), p_tilde=GridField(g, p_tilde),
-        lambda_v=(GridField(g, lam0), GridField(g, lam1), GridField(g, lam2)),
+        q=q, p_hat=p_hat, p_tilde=p_tilde, lambda_v=(lam0, lam1, lam2),
         max_spread=spread,
     )
 
@@ -405,7 +402,7 @@ def norm_suite(states: list[SimState], model: TumourModel,
         if velocity_gradient:
             total = 0.0
             for vi in der.v:
-                ci = sp.to_coeffs(vi)
+                ci = sp.to_coeffs(der.grid, vi)
                 total += sp.inner_product(ci, ci, "H1-seminorm")
             dv.append(np.sqrt(total))
     v_l2l2, scaled = dg.velocity_time_norms(times, v_sq, model.params.K)
@@ -443,8 +440,8 @@ def from_callables(phi_fn, sigma_fn, basis: SpectralBasis,
     amps = []
     for fn in (phi_fn, sigma_fn):
         vals = np.asarray(fn(x), dtype=float)
-        c = sp.to_coeffs(sp.GridField(grid, vals))
-        back = sp.to_grid(c, grid).values
+        c = sp.to_coeffs(grid, vals)
+        back = sp.to_grid(c, grid)
         if np.max(np.abs(back - vals)) > tol * max(1.0, np.max(np.abs(vals))):
             raise ValueError(
                 "manufactured field is not Neumann-compatible within the basis"

@@ -41,7 +41,7 @@ class TestProjection:
             lambda x: np.cos(np.pi * x), lambda x: np.zeros_like(x),
             interval_basis)
         x = grid.nodes[0]
-        err = np.max(np.abs(sp.to_grid(alpha, grid).values - np.cos(np.pi * x)))
+        err = np.max(np.abs(sp.to_grid(alpha, grid) - np.cos(np.pi * x)))
         assert err < 1e-13
 
     def test_tanh_front_error_decreases_with_modes(self):
@@ -54,7 +54,7 @@ class TestProjection:
                 phi0, lambda x: np.zeros_like(x), basis)
             dense = basis.quadrature_grid(oversample=6.0)
             x = dense.nodes[0]
-            diff = sp.to_grid(alpha, dense).values - phi0(x)
+            diff = sp.to_grid(alpha, dense) - phi0(x)
             errors.append(np.sqrt(dense.integrate(diff ** 2)))
         assert errors[0] > errors[1] > errors[2]
 
@@ -141,7 +141,7 @@ class TestRhs:
             f = dyn.derive(state, model)
             for p, v in ((f.p, f.v), (ops.p, ops.v)):
                 assert np.all(p.data == 0.0)
-                assert all(np.all(vi.values == 0.0) for vi in v)
+                assert all(np.all(vi == 0.0) for vi in v)
 
     def test_robin_term_tracks_length_across_recycled_bases(self):
         # Bases are built and dropped in turn, so their ids get reused;
@@ -179,7 +179,7 @@ class TestRhs:
         model = make_model()
         state = random_state(rect_basis, 23)
         der = dyn.derive(state, model)
-        div_v = sp.divergence_to_coeffs(der.v)
+        div_v = sp.divergence_to_coeffs(der.grid, der.v)
         assert np.max(np.abs(div_v.data)) < 1e-11
 
         data = np.zeros(rect_basis.n_modes)
@@ -188,14 +188,14 @@ class TestRhs:
         model_gv = make_model(gamma_v=gv)
         state2 = random_state(rect_basis, 24)
         der2 = dyn.derive(state2, model_gv)
-        div_v2 = sp.divergence_to_coeffs(der2.v)
+        div_v2 = sp.divergence_to_coeffs(der2.grid, der2.v)
         assert np.max(np.abs(div_v2.data - gv.data)) < 1e-11
 
     def test_no_flow_skips_darcy(self, interval_basis):
         model = make_model(make_params(K=0.0))
         state = random_state(interval_basis, 3)
         der = dyn.derive(state, model)
-        assert all(np.all(vi.values == 0.0) for vi in der.v)
+        assert all(np.all(vi == 0.0) for vi in der.v)
 
     def test_batch_mixing_k_zero_and_k_positive_is_an_error(
             self, interval_basis):
@@ -493,8 +493,7 @@ class TestEvaluationBudget:
         for f, g in zip(seen, snaps):
             assert isinstance(f, dyn.StateFields)
             assert f.state.t == g.state.t
-            assert all(same_bits(a.values, b.values)
-                       for a, b in zip(f.v, g.v))
+            assert all(same_bits(a, b) for a, b in zip(f.v, g.v))
 
     def test_run_resolves_kappa_once(self, interval_basis):
         calls = []
@@ -550,8 +549,7 @@ class TestEvaluationBudget:
         assert len(snaps) == 4
         for f in snaps:
             expect = dyn.derive(f.state.copy(), model).v
-            assert all(np.array_equal(a.values, b.values)
-                       for a, b in zip(f.v, expect))
+            assert all(np.array_equal(a, b) for a, b in zip(f.v, expect))
 
 
 class TestRunFailures:
@@ -618,10 +616,9 @@ class TestMemberAxis:
         for i, (state, member) in enumerate(zip(states, alone)):
             f = dyn.derive(state, member)
             for name in ("phi_g", "sigma_g", "mu_g", "gamma_phi", "S"):
-                assert same_bits(getattr(fb, name).values[i],
-                                 getattr(f, name).values), name
+                assert same_bits(getattr(fb, name)[i], getattr(f, name)), name
             for name in ("grad_phi", "grad_N_sigma", "grad_mu", "v"):
-                assert all(same_bits(x.values[i], y.values) for x, y in
+                assert all(same_bits(x[i], y) for x, y in
                            zip(getattr(fb, name), getattr(f, name))), name
             assert same_bits(fb.M_gamma[i], f.M_gamma)
             assert same_bits(fb.mu.data[i], f.mu.data)
@@ -632,6 +629,17 @@ class TestMemberAxis:
             assert same_bits(sb.alpha.data[i], s.alpha.data)
             assert same_bits(sb.gamma.data[i], s.gamma.data)
             assert sb.norm()[i] == s.norm()
+
+    def test_grid_values_are_arrays(self, members):
+        batch, model, states, alone = members
+        for f, shape in ((dyn.derive(batch, model), (len(states),)),
+                         (dyn.derive(states[0], alone[0]), ())):
+            shape += f.grid.npoints
+            values = [f.phi_g, f.sigma_g, f.mu_g, f.gamma_phi, f.S,
+                      *f.grad_phi, *f.grad_mu, *f.grad_N_sigma, *f.v]
+            assert len(values) == 5 + 4 * f.grid.dim
+            for x in values:
+                assert type(x) is np.ndarray and x.shape == shape
 
     def test_snapshots_of_a_batch(self, members):
         batch, model, states, alone = members
@@ -645,8 +653,7 @@ class TestMemberAxis:
             for f, g in zip(snaps, alone_snaps):
                 assert same_bits(f.state.alpha.data[i], g.state.alpha.data)
                 assert same_bits(f.state.gamma.data[i], g.state.gamma.data)
-                assert all(same_bits(x.values[i], y.values)
-                           for x, y in zip(f.v, g.v))
+                assert all(same_bits(x[i], y) for x, y in zip(f.v, g.v))
 
     def test_no_flow_batch(self, members):
         batch, _, states, _ = members

@@ -89,7 +89,10 @@ class TestSweeps:
         # the limit run advances in lockstep with the members, so 350
         # more snapshots add only their per-member scalars (about 150
         # KiB); keeping each limit state (2.25 KiB on this basis) would
-        # add about 1.1 MiB.  The bound is half a state per snapshot
+        # add about 1.1 MiB.  The bound is half a state per snapshot.
+        # The differences are running maxima, so a snapshot keeps only
+        # its time and |v|^2 integrals: the second bound, 400 bytes per
+        # snapshot, is crossed by a new array per difference per snapshot
         basis = sp.build_basis(sp.Domain("rectangle", (1.0, 1.5)), (12, 12))
         model = make_model()
         initial = random_state(basis, 62, scale=0.1)
@@ -105,6 +108,7 @@ class TestSweeps:
                        for n in (50, 400))
         state = 2 * 8 * basis.n_modes
         assert long - short <= 350 * state / 2, (short, long)
+        assert long - short <= 350 * 400, (short, long)
 
     def test_permeability_sweep_rejects_volume_source(self, setup):
         basis, model, initial = setup
