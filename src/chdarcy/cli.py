@@ -12,7 +12,6 @@ import argparse
 import atexit
 import gc
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,15 +186,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_mms(args) -> int:
     config = _load_config(args)
-    # the study runs on its own 1D interval bases, so only the model
-    # pieces of the config are used: the volume source is dropped, and
-    # the configured constants are studied, chi and K in a limit mode too
-    model = config.build_model(config.build_basis())
-    model = replace(model.with_params(config.params), gamma_v=None)
+    # the study runs on its own 1D interval bases, so it takes the model
+    # as configured: without the volume source, and with the configured
+    # constants, chi and K in a limit mode too
     result = ex.manufactured_solution_study(
         orders=(1, 2, 3, 5),
         dts=(1e-2, 5e-3, 2.5e-3, 1.25e-3),
-        model=model,
+        model=config.model,
     )
     for k, err in zip(result.spatial_orders, result.spatial_errors):
         print(f"spatial order {k}: error {err:.3e}")

@@ -7,17 +7,19 @@ out-of-range key by its path; nothing is coerced, so no key takes a
 boolean for a number.  The rules that relate keys (the domain, the mode
 counts against the dimension, a cosine mode inside the basis, the step
 count, K = 0 and the no-flow limit) are checked after the walk, on
-values each of which is valid.  Every numeric constraint on the model
-constants is re-checked at load through validate_assumptions, and
-initial data comes from a small set of named analytic profiles so
-Neumann compatibility holds by construction.
+values each of which is valid.  parse_config builds the model, all of
+it but the volume source, which needs a basis, once: it checks the
+structural hypotheses on it through validate_assumptions and keeps it
+as RunConfig.model, and build_model adds the volume source and the
+limit mode.  Initial data comes from a small set of named analytic
+profiles so Neumann compatibility holds by construction.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -54,13 +56,8 @@ class RunConfig:
     modes: tuple[int, ...]
     T: float
     stepper: StepperConfig
-    params: ModelParams
-    potential_kind: str
-    mobility_m: float
-    mobility_n: float
-    source_spec: dict
+    model: TumourModel         # as configured, without the volume source
     gamma_v_spec: dict
-    sigma_inf_value: float
     initial_phi: dict
     initial_sigma: dict
     limit_mode: str            # "none" | "no-flow" | "no-chemotaxis"
@@ -80,34 +77,13 @@ class RunConfig:
     def build_basis(self) -> SpectralBasis:
         return sp.build_basis(self.domain, self.modes)
 
-    def _hypothesis_parts(self) -> dict:
-        """The model pieces the structural hypotheses speak about; none
-        depends on the basis."""
-        potential = (md.Potential.quartic_double_well()
-                     if self.potential_kind == "quartic-double-well"
-                     else md.Potential.quadratic())
-        spec = self.source_spec
-        if spec["kind"] == "zero":
-            sources = md.SourceModel.zero()
-        elif spec["kind"] == "hawkins":
-            sources = md.SourceModel.hawkins(
-                spec["f0"], self.params, interpolated=spec["interpolated"])
-        else:
-            sources = md.SourceModel.proliferation(
-                spec["lambda_p"], spec["lambda_a"], spec["lambda_c"])
-        return dict(params=self.params, potential=potential,
-                    mobility_m=self.mobility_m, mobility_n=self.mobility_n,
-                    sources=sources)
-
     def build_model(self, basis: SpectralBasis) -> TumourModel:
-        """The model the run integrates: under limit_mode "no-chemotaxis"
-        the chi = 0 model and under "no-flow" the K = 0 model, as the
-        paper obtains them from the full system."""
-        return TumourModel(
-            **self._hypothesis_parts(),
-            sigma_inf=self.sigma_inf_value,
-            gamma_v=self._build_gamma_v(basis),
-        ).effective(self.limit_mode)
+        """The model the run integrates: the configured model with its
+        volume source on basis, under limit_mode "no-chemotaxis" at
+        chi = 0 and under "no-flow" at K = 0, as the paper obtains them
+        from the full system."""
+        return replace(self.model, gamma_v=self._build_gamma_v(basis)
+                       ).effective(self.limit_mode)
 
     def _build_gamma_v(self, basis: SpectralBasis):
         spec = self.gamma_v_spec
@@ -456,20 +432,24 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
             dt=dt, scheme=scheme["name"], kappa=scheme["kappa"],
             energy_guard=scheme["energy_guard"], tol_E=scheme["tol_E"],
             max_halvings=scheme["max_halvings"]),
-        params=params, potential_kind=tree["potential"],
-        mobility_m=tree["mobility"]["m"], mobility_n=tree["mobility"]["n"],
-        source_spec=tree["sources"], gamma_v_spec=gamma_v,
-        sigma_inf_value=tree["sigma_inf"]["value"],
+        model=TumourModel(
+            params=params,
+            potential=(md.Potential.quartic_double_well()
+                       if tree["potential"] == "quartic-double-well"
+                       else md.Potential.quadratic()),
+            mobility_m=tree["mobility"]["m"],
+            mobility_n=tree["mobility"]["n"],
+            # the schema's source keys are SourceModel's fields
+            sources=md.SourceModel(**tree["sources"]),
+            sigma_inf=tree["sigma_inf"]["value"]),
+        gamma_v_spec=gamma_v,
         initial_phi=initial["phi"], initial_sigma=initial["sigma"],
         limit_mode=limit_mode, cadence=tree["cadence"], seed=tree["seed"],
     )
 
-    # structural hypotheses on the model pieces; no basis is built
+    # structural hypotheses on the model; no basis is built
     report = md.validate_assumptions(
-        **config._hypothesis_parts(),
-        gamma_v_zero=gamma_v["kind"] == "zero",
-        allow_limit_modes=limit_mode != "none",
-    )
+        config.model, allow_limit_modes=limit_mode != "none")
     config.validation = report
     hard_failures = [c for c in report.failures() if c.name != "A5 growth regime"]
     if hard_failures:

@@ -195,7 +195,8 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
     else:
         p, v = md.solve_darcy(grid, grad_phi, mu_g, sigma_g, model.gamma_v,
                               model.params)
-    gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, model.sources)
+    gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, model.sources,
+                                        model.params)
     chi = sp._per_member(model.params.chi, phi_g)
     return StateFields(
         state=state, model=model, no_flow=no_flow, grid=grid,

@@ -123,8 +123,8 @@ def sweep(spec: SweepSpec, model: TumourModel,
         raise ValueError("permeability sweep requires a zero volume source")
 
     def at(value):
-        return model.with_params(
-            model.params.with_(**{parameter: value, "b": value}))
+        return replace(model, params=replace(
+            model.params, **{parameter: value, "b": value}))
 
     limit = at(0.0)
     values = np.array(spec.values)

@@ -3,8 +3,11 @@
 Covers the constants and structural hypotheses on the potential, the
 mobilities, and the source terms, plus the pointwise operators: chemical
 potential, Darcy subsystem, reaction sources, and the free energy.
-Hypotheses are validated by dense sampling on a box, reported rather
-than raised.
+A source model is data, a kind and its rate constants, and reads D and
+chi from the params it is evaluated with, so each constant has one copy
+and a model with other constants, a limit model included, is a
+dataclasses.replace of its params.  Hypotheses are validated by dense
+sampling on a box, reported rather than raised.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ class ModelParams:
         for name in ("K", "chi", "b"):
             if sp._any_member(getattr(self, name) < 0):
                 raise ValueError(f"parameter {name} must be nonnegative")
-
-    def with_(self, **kw) -> "ModelParams":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -98,36 +98,24 @@ class SourceModel:
         Gamma_phi = Lambda_phi(phi, sigma) - Theta_phi(phi, sigma) * mu
         S         = Lambda_S(phi, sigma)   - Theta_S(phi, sigma)   * mu
 
-    A coefficient that is constant is returned as a Python float, not as
-    an array of the grid's shape; arithmetic broadcasts it to the same
-    values.
+    A source model is its kind and its rate constants; the model
+    constants it reads (D and chi) come from the params it is evaluated
+    with, so a model with other params needs no other source model.
     """
 
-    kind: str
-    lambda_phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    theta_phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lambda_S: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    theta_S: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    R0: float
-    R5: float | None = None
-    # preset parameters, kept so limit models can be rebuilt at chi = 0
-    f0: float | None = None
+    kind: str  # "zero" | "hawkins" | "proliferation"
+    f0: float = 0.0
     interpolated: bool = False
-
-    def gamma_phi(self, phi, mu, sigma):
-        return self.lambda_phi(phi, sigma) - self.theta_phi(phi, sigma) * mu
-
-    def S(self, phi, mu, sigma):
-        return self.lambda_S(phi, sigma) - self.theta_S(phi, sigma) * mu
+    lambda_p: float = 0.0
+    lambda_a: float = 0.0
+    lambda_c: float = 0.0
 
     @staticmethod
     def zero() -> "SourceModel":
-        z = lambda phi, sigma: 0.0
-        return SourceModel("zero", z, z, z, z, R0=1e-300)
+        return SourceModel("zero")
 
     @staticmethod
-    def hawkins(f0: float, params: ModelParams,
-                interpolated: bool = False) -> "SourceModel":
+    def hawkins(f0: float, interpolated: bool = False) -> "SourceModel":
         """Linear phenomenological reaction law:
 
             Gamma_phi = S = f(phi) * (D sigma + chi (1 - phi) - mu).
@@ -136,31 +124,51 @@ class SourceModel:
         mu-coefficient bounded below and lands the model in the
         superquadratic-potential regime.  With interpolated=True,
         f(phi) = f0 * h(phi) switches reactions off in the healthy phase.
-        A per-member chi scales each member's grid values.
         """
-        D, chi = params.D, params.chi
-        if interpolated:
-            f = lambda phi: f0 * interpolation_h(phi)
-            R5 = None
-        else:
-            f = lambda phi: f0
-            R5 = f0 if f0 > 0 else None
-        lam = lambda phi, sigma: f(phi) * (
-            D * sigma + sp._per_member(chi, phi) * (1.0 - phi))
-        theta = lambda phi, sigma: f(phi)
-        R0 = max(f0, f0 * max(D, 2.0 * float(np.max(chi)), 1.0))
-        return SourceModel("hawkins", lam, theta, lam, theta, R0=R0, R5=R5,
-                           f0=f0, interpolated=interpolated)
+        return SourceModel("hawkins", f0=f0, interpolated=interpolated)
 
     @staticmethod
     def proliferation(lambda_p: float, lambda_a: float,
                       lambda_c: float) -> "SourceModel":
         """Proliferation / apoptosis / consumption with interpolation h."""
-        lam_phi = lambda phi, sigma: interpolation_h(phi) * (lambda_p * sigma - lambda_a)
-        lam_S = lambda phi, sigma: lambda_c * interpolation_h(phi) * sigma
-        zero = lambda phi, sigma: 0.0
-        R0 = max(lambda_p, lambda_a, lambda_c, 1e-300)
-        return SourceModel("proliferation", lam_phi, zero, lam_S, zero, R0=R0)
+        return SourceModel("proliferation", lambda_p=lambda_p,
+                           lambda_a=lambda_a, lambda_c=lambda_c)
+
+    def coefficients(self, phi, sigma, params: ModelParams):
+        """(Lambda_phi, Theta_phi, Lambda_S, Theta_S) at phi and sigma.
+
+        A per-member chi scales each member's values.  A coefficient that
+        is constant is returned as a Python float, not as an array of the
+        grid's shape; arithmetic broadcasts it to the same values.
+        """
+        if self.kind == "hawkins":
+            f = (self.f0 * interpolation_h(phi) if self.interpolated
+                 else self.f0)
+            lam = f * (params.D * sigma
+                       + sp._per_member(params.chi, phi) * (1.0 - phi))
+            return lam, f, lam, f
+        if self.kind == "proliferation":
+            h = interpolation_h(phi)
+            return (h * (self.lambda_p * sigma - self.lambda_a), 0.0,
+                    self.lambda_c * h * sigma, 0.0)
+        return 0.0, 0.0, 0.0, 0.0
+
+    def R0(self, params: ModelParams) -> float:
+        """Bound on the Thetas and on the linear growth of the Lambdas."""
+        if self.kind == "hawkins":
+            f0 = self.f0
+            return max(f0, f0 * max(params.D, 2.0 * float(np.max(params.chi)),
+                                    1.0))
+        if self.kind == "proliferation":
+            return max(self.lambda_p, self.lambda_a, self.lambda_c, 1e-300)
+        return 1e-300
+
+    @property
+    def R5(self) -> float | None:
+        """Lower bound on Theta_phi, where there is a positive one."""
+        if self.kind == "hawkins" and not self.interpolated and self.f0 > 0:
+            return self.f0
+        return None
 
 
 # the constant each limit_mode sends to zero
@@ -169,7 +177,9 @@ LIMIT_PARAMETER = {"none": None, "no-chemotaxis": "chi", "no-flow": "K"}
 
 @dataclass
 class TumourModel:
-    """Everything the dynamics needs: constants, closures, and data.
+    """Everything the dynamics needs: constants, potential, sources and
+    data.  A model with other constants is a dataclasses.replace of its
+    params; the sources read them when they are evaluated.
 
     sigma_inf, the boundary nutrient level, is constant in space and
     time; gamma_v, the volume source, is constant in time and must have
@@ -187,15 +197,6 @@ class TumourModel:
     gamma_v: FieldCoeffs | None = None
     forcing: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
 
-    def with_params(self, params: ModelParams) -> "TumourModel":
-        sources = self.sources
-        if sources.kind == "hawkins":
-            # the hawkins closure bakes in D and chi; rebuild it
-            sources = SourceModel.hawkins(
-                sources.f0, params, interpolated=sources.interpolated
-            )
-        return replace(self, params=params, sources=sources)
-
     def effective(self, limit_mode: str) -> "TumourModel":
         """The model a limit_mode integrates.  The paper's limit systems
         are the full system at chi = 0 ("no-chemotaxis": no chemotaxis or
@@ -203,7 +204,7 @@ class TumourModel:
         name = LIMIT_PARAMETER[limit_mode]
         if name is None or not sp._any_member(getattr(self.params, name) != 0):
             return self
-        return self.with_params(self.params.with_(**{name: 0.0}))
+        return replace(self, params=replace(self.params, **{name: 0.0}))
 
 
 def chemical_potential(phi: FieldCoeffs, sigma: FieldCoeffs,
@@ -262,17 +263,21 @@ def solve_darcy(grid: QuadratureGrid, grad_phi: tuple[np.ndarray, ...],
 
 
 def evaluate_sources(phi: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
-                     sources: SourceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise reaction terms from phi, mu and sigma on one grid.
+                     sources: SourceModel, params: ModelParams
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise reaction terms from phi, mu and sigma on one grid, with
+    the constants of params.
 
-    When S has the same reaction law as Gamma_phi (the Hawkins closure),
-    it is evaluated once and the one array is returned for both.
+    When S has the same reaction law as Gamma_phi (zero and Hawkins
+    sources), it is evaluated once and the one array is returned for
+    both.
     """
-    gamma_phi = sources.gamma_phi(phi, mu, sigma)
-    if (sources.lambda_S is sources.lambda_phi
-            and sources.theta_S is sources.theta_phi):
+    lam_phi, theta_phi, lam_S, theta_S = sources.coefficients(
+        phi, sigma, params)
+    gamma_phi = lam_phi - theta_phi * mu
+    if sources.kind != "proliferation":
         return gamma_phi, gamma_phi
-    return gamma_phi, sources.S(phi, mu, sigma)
+    return gamma_phi, lam_S - theta_S * mu
 
 
 def free_energy(phi: FieldCoeffs, sigma: FieldCoeffs, phi_g: np.ndarray,
@@ -331,19 +336,18 @@ class ValidationReport:
         return out
 
 
-def validate_assumptions(params: ModelParams, potential: Potential,
-                         mobility_m: float, mobility_n: float,
-                         sources: SourceModel,
-                         gamma_v_zero: bool = True,
+def validate_assumptions(model: TumourModel,
                          check_sign_condition: bool = False,
                          allow_limit_modes: bool = False) -> ValidationReport:
-    """Dense-sampling validation of the structural hypotheses.
+    """Dense-sampling validation of the structural hypotheses on the
+    model's constants, mobilities, potential and sources.
 
     Positivity, mobility bounds, source growth, potential growth, the
     chemotaxis smallness condition A > 2 chi^2 / (D R1), and optionally
     the sign condition S * N_sigma - Gamma_phi * mu >= 0 (meaningful only
     when the volume source vanishes).
     """
+    params, potential, sources = model.params, model.potential, model.sources
     rep = ValidationReport()
     t = np.linspace(*SAMPLE_RANGE, N_SAMPLES)
     P, S_ = np.meshgrid(t, t, indexing="ij")
@@ -356,23 +360,21 @@ def validate_assumptions(params: ModelParams, potential: Potential,
             detail="all strictly positive" if not bad else f"nonpositive: {bad}")
 
     # constant mobilities: each is its own lower and upper bound
-    for label, mob in (("m", mobility_m), ("n", mobility_n)):
+    for label, mob in (("m", model.mobility_m), ("n", model.mobility_n)):
         rep.add(f"A2 mobility {label} bounds", mob > 0,
                 detail=f"{mob} <= {label} <= {mob}")
 
     # a constant coefficient comes back as a float: broadcast each to
     # the sample grid, where a failure's witness is looked up
-    theta_phi, theta_S, lam_phi, lam_S = (
-        np.broadcast_to(c(P, S_), P.shape)
-        for c in (sources.theta_phi, sources.theta_S,
-                  sources.lambda_phi, sources.lambda_S))
-    growth = sources.R0 * (1.0 + np.abs(P) + np.abs(S_))
-    tol = 1e-12 * (1.0 + sources.R0)
+    lam_phi, theta_phi, lam_S, theta_S = (
+        np.broadcast_to(c, P.shape)
+        for c in sources.coefficients(P, S_, params))
+    R0 = sources.R0(params)
+    growth = R0 * (1.0 + np.abs(P) + np.abs(S_))
+    tol = 1e-12 * (1.0 + R0)
     checks_A3 = [
-        ("A3 theta bounded by R0",
-         np.abs(theta_phi) <= sources.R0 + tol, theta_phi),
-        ("A3 theta_S bounded by R0",
-         np.abs(theta_S) <= sources.R0 + tol, theta_S),
+        ("A3 theta bounded by R0", np.abs(theta_phi) <= R0 + tol, theta_phi),
+        ("A3 theta_S bounded by R0", np.abs(theta_S) <= R0 + tol, theta_S),
         ("A3 lambda_phi linear growth", np.abs(lam_phi) <= growth + tol, lam_phi),
         ("A3 lambda_S linear growth", np.abs(lam_S) <= growth + tol, lam_S),
         ("A3 theta_phi nonnegative", theta_phi >= -1e-14, theta_phi),
@@ -419,14 +421,14 @@ def validate_assumptions(params: ModelParams, potential: Potential,
     rep.add("A5 chemotaxis smallness A > 2 chi^2 / (D R1)", lhs > rhs,
             detail=f"A = {lhs}, 2 chi^2/(D R1) = {rhs:.6g}")
 
-    if check_sign_condition and gamma_v_zero:
+    if check_sign_condition:
         mu_t = np.linspace(*SAMPLE_RANGE, 41)
         ok = True
         witness = None
         for mu in mu_t:
             N_sigma = params.D * S_ + params.chi * (1.0 - P)
-            expr = (sources.S(P, mu, S_) * N_sigma
-                    - sources.gamma_phi(P, mu, S_) * mu)
+            gamma_phi, S = evaluate_sources(P, mu, S_, sources, params)
+            expr = S * N_sigma - gamma_phi * mu
             if np.any(expr < -1e-10 * (1.0 + np.abs(expr).max())):
                 ok = False
                 i, j = np.unravel_index(np.argmin(expr), expr.shape)

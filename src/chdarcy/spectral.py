@@ -120,7 +120,6 @@ class SpectralBasis:
 
     domain: Domain
     modes: tuple[int, ...]
-    eigenvalues_1d: tuple[np.ndarray, ...] = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)  # flat, C-order over mode tuple
     # per-dim basis values at the endpoints 0 and L
     traces_1d: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
@@ -176,7 +175,6 @@ class SpectralBasis:
             basis=self,
             npoints=tuple(npoints),
             nodes=tuple(nodes),
-            weights=tuple(weights),
             W=weights[0] if self.dim == 1 else np.outer(*weights),
             synth=tuple(synth),
             deriv=tuple(deriv),
@@ -188,8 +186,7 @@ class QuadratureGrid:
     basis: SpectralBasis
     npoints: tuple[int, ...]
     nodes: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
-    W: np.ndarray = field(repr=False)  # tensor product of the weights
+    W: np.ndarray = field(repr=False)  # tensor product of the 1D weights
     synth: tuple[np.ndarray, ...]  # per-dim synthesis matrices, (n, k)
     deriv: tuple[np.ndarray, ...]  # per-dim derivative matrices, (n, k)
 
@@ -326,7 +323,7 @@ def build_basis(domain: Domain, modes_per_dim) -> SpectralBasis:
     else:
         flat = (eigs_1d[0][:, None] + eigs_1d[1][None, :]).ravel()
     return SpectralBasis(
-        domain=domain, modes=modes, eigenvalues_1d=eigs_1d, eigenvalues=flat,
+        domain=domain, modes=modes, eigenvalues=flat,
         traces_1d=tuple(_trace_1d(L, k) for L, k in zip(domain.lengths, modes)),
     )
 

@@ -23,7 +23,7 @@ def make_model(params=None, sources="hawkins", f0=0.1,
     if potential is None:
         potential = md.Potential.quartic_double_well()
     if sources == "hawkins":
-        source_model = md.SourceModel.hawkins(f0, params)
+        source_model = md.SourceModel.hawkins(f0)
     elif sources == "zero":
         source_model = md.SourceModel.zero()
     else:

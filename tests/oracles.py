@@ -138,8 +138,10 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
         for gb, vv in zip(basis_grads, v_vals)
     )
 
-    gamma_phi_g = model.sources.gamma_phi(phi_g, mu_g, sigma_g)
-    S_vals = model.sources.S(phi_g, mu_g, sigma_g)
+    lam_phi, theta_phi, lam_S, theta_S = model.sources.coefficients(
+        phi_g, sigma_g, params)
+    gamma_phi_g = lam_phi - theta_phi * mu_g
+    S_vals = lam_S - theta_S * mu_g
     R_phi = basis_vals @ (Wf * gamma_phi_g.reshape(nflat))
     R_S = basis_vals @ (Wf * S_vals.reshape(nflat))
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -373,7 +374,8 @@ class TestPureEvaluation:
         config = cf.parse_config(reference.read_text())
         basis = config.build_basis()
         model_K1 = config.build_model(basis)
-        model_K001 = model_K1.with_params(model_K1.params.with_(K=0.01))
+        model_K001 = replace(model_K1, params=replace(model_K1.params,
+                                                      K=0.01))
         state = config.build_initial_state(basis)
         fresh = state.copy()
         dg.energy(dyn.derive(state, model_K1))

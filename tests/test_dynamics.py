@@ -221,7 +221,7 @@ class TestRhs:
                         "sigma": {"kind": "constant", "value": 0.5}},
         }
         model = cf.parse_config(json.dumps(spec)).build_model(interval_basis)
-        chi0 = model.with_params(model.params.with_(chi=0.0))
+        chi0 = replace(model, params=replace(model.params, chi=0.0))
         spec["limit_mode"] = "no-chemotaxis"
         limit = cf.parse_config(json.dumps(spec)).build_model(interval_basis)
         state = random_state(interval_basis, 8)

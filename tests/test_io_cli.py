@@ -23,6 +23,7 @@ from chdarcy import diagnostics as dg
 from chdarcy import dynamics as dyn
 from chdarcy import experiments as ex
 from chdarcy import io as cio
+from chdarcy import model as md
 from chdarcy import spectral as sp
 
 from conftest import make_model, random_state
@@ -280,6 +281,20 @@ class TestParseConfig:
         assert basis.n_modes == 8
         state = config.build_initial_state(basis)
         assert abs(state.gamma.mean() - 0.5) < 1e-13
+
+    @pytest.mark.parametrize("limit_mode", ["none", "no-chemotaxis"])
+    def test_model_is_built_once(self, count_calls, limit_mode):
+        # parse_config builds the potential and the sources once, to
+        # check the hypotheses on them, and each build_model reuses them
+        spec = json.loads(REFERENCE.read_text())
+        spec["limit_mode"] = limit_mode
+        potentials = count_calls(md.Potential, "__init__")
+        sources = count_calls(md.SourceModel, "__init__")
+        config = cf.parse_config(json.dumps(spec))
+        basis = config.build_basis()
+        models = [config.build_model(basis) for _ in range(2)]
+        assert len(potentials) == len(sources) == 1
+        assert all(m.sources is config.model.sources for m in models)
 
     def test_content_hash_ignores_duration_and_cadence(self):
         a = cf.parse_config(json.dumps(small_config()))
@@ -1202,8 +1217,9 @@ def test_benchmark_hooks_resolve():
     # the benchmark's traced pass wraps the METHODS of child.py, which
     # fails with an AttributeError on a name the package lost, and reads
     # its layer metrics from the spans named in run.py.  SWEEPS,
-    # norm_suite and boundary_mass_matrix name functions that are gone
-    # from the package and are not checked here
+    # norm_suite, boundary_mass_matrix and experiments.member name
+    # functions that are gone from the package; transforms and
+    # config.build name groups of spans.  None of them is checked here
     methods = _script_constant("child.py", "METHODS")
     for layer, cls, attr in methods:
         owner = getattr(getattr(chdarcy, layer), cls)
@@ -1212,6 +1228,16 @@ def test_benchmark_hooks_resolve():
     names = [name for constant in ("TRANSFORMS", "CONFIG_BUILDS", "STEPPERS")
              for name in _script_constant("run.py", constant)]
     names += [f"io.{name}" for name in _script_constant("run.py", "IO_CALLS")]
+    # each per-layer metric <layer>.<name>.<stat> of a package module
+    # reads the spans of that module's callable, or of a wrapped method
+    layers = _script_constant("child.py", "LAYERS")
+    skipped = {"spectral.transforms", "spectral.boundary_mass_matrix",
+               "diagnostics.norm_suite", "experiments.member", "config.build"}
+    spans = {key.rsplit(".", 1)[0]
+             for key in _script_constant("run.py", "PER_LAYER")
+             if key.count(".") == 2 and key.split(".")[0] in layers}
+    assert "model.evaluate_sources" in spans
+    names += sorted(spans - skipped)
     for name in names:
         layer, attr = name.split(".")
         assert name in wrapped or callable(

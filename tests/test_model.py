@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,6 @@ class TestParams:
                 make_params(**{name: -1.0})
             make_params(**{name: 0.0})  # zero is a valid limit value
 
-    def test_with_returns_modified_copy(self):
-        p = make_params()
-        q = p.with_(K=0.25)
-        assert q.K == 0.25 and p.K == 1.0
-
 
 class TestPotential:
     def test_quartic_values(self):
@@ -46,29 +43,38 @@ class TestPotential:
         assert np.all(np.abs(pot.dpsi(t)) <= pot.R4 * (1 + np.abs(t)) + 1e-12)
 
 
+def rates(s, phi, mu, sigma, params=None):
+    """(Gamma_phi, S) from the coefficients of s, under params."""
+    lam_phi, theta_phi, lam_S, theta_S = s.coefficients(
+        phi, sigma, params or make_params())
+    return lam_phi - theta_phi * mu, lam_S - theta_S * mu
+
+
 class TestSources:
     def test_hawkins_constant_rate(self):
         params = make_params()
-        s = md.SourceModel.hawkins(0.1, params)
+        s = md.SourceModel.hawkins(0.1)
         phi, mu, sigma = 0.3, 0.2, 0.7
         expect = 0.1 * (params.D * sigma + params.chi * (1 - phi) - mu)
-        assert abs(s.gamma_phi(phi, mu, sigma) - expect) < 1e-15
-        assert abs(s.S(phi, mu, sigma) - expect) < 1e-15
+        gamma_phi, S = rates(s, phi, mu, sigma, params)
+        assert abs(gamma_phi - expect) < 1e-15
+        assert abs(S - expect) < 1e-15
         assert s.R5 == 0.1
 
     def test_hawkins_interpolated_switches_off_in_healthy_phase(self):
         params = make_params()
-        s = md.SourceModel.hawkins(0.1, params, interpolated=True)
-        assert s.gamma_phi(-1.0, 0.0, 1.0) == 0.0
-        assert abs(s.gamma_phi(1.0, 0.0, 1.0)
+        s = md.SourceModel.hawkins(0.1, interpolated=True)
+        assert rates(s, -1.0, 0.0, 1.0, params)[0] == 0.0
+        assert abs(rates(s, 1.0, 0.0, 1.0, params)[0]
                    - 0.1 * params.D * 1.0) < 1e-15
 
     def test_proliferation_values(self):
         s = md.SourceModel.proliferation(2.0, 0.5, 2.0)
         # h(1) = 1: Gamma_phi = 2*sigma - 0.5, S = 2*sigma
-        assert abs(s.gamma_phi(1.0, 0.0, 1.0) - 1.5) < 1e-15
-        assert abs(s.S(1.0, 0.0, 1.0) - 2.0) < 1e-15
-        assert s.gamma_phi(-1.0, 0.0, 1.0) == 0.0
+        gamma_phi, S = rates(s, 1.0, 0.0, 1.0)
+        assert abs(gamma_phi - 1.5) < 1e-15
+        assert abs(S - 2.0) < 1e-15
+        assert rates(s, -1.0, 0.0, 1.0)[0] == 0.0
 
     def _grid_fields(self, basis):
         grid = basis.default_grid
@@ -78,20 +84,21 @@ class TestSources:
     def test_hawkins_sources_are_one_field(self, interval_basis):
         phi_g, mu_g, sigma_g = self._grid_fields(interval_basis)
         for interpolated in (False, True):
-            s = md.SourceModel.hawkins(0.1, make_params(),
-                                       interpolated=interpolated)
-            gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, s)
+            s = md.SourceModel.hawkins(0.1, interpolated=interpolated)
+            gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, s,
+                                               make_params())
             assert S is gamma_phi
-            assert same_bits(S, s.S(phi_g, mu_g, sigma_g))
+            assert same_bits(S, rates(s, phi_g, mu_g, sigma_g)[1])
 
     def test_proliferation_sources_are_two_fields(self, interval_basis):
         phi_g, mu_g, sigma_g = self._grid_fields(interval_basis)
         s = md.SourceModel.proliferation(2.0, 0.5, 2.0)
-        gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, s)
+        gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, s,
+                                           make_params())
         assert S is not gamma_phi
-        args = (phi_g, mu_g, sigma_g)
-        assert same_bits(gamma_phi, s.gamma_phi(*args))
-        assert same_bits(S, s.S(*args))
+        expect = rates(s, phi_g, mu_g, sigma_g)
+        assert same_bits(gamma_phi, expect[0])
+        assert same_bits(S, expect[1])
 
 
 class TestInterpolation:
@@ -213,31 +220,26 @@ class TestNutrientFreeEnergy:
 
 class TestValidation:
     def test_hawkins_quartic_is_case2(self):
-        params = make_params()
-        m = make_model(params)
-        rep = md.validate_assumptions(params, m.potential, m.mobility_m,
-                                      m.mobility_n, m.sources,
-                                      check_sign_condition=True)
+        rep = md.validate_assumptions(make_model(), check_sign_condition=True)
         assert rep.passed
         assert rep.regime == "case2"
 
     def test_proliferation_quadratic_is_case1(self):
-        params = make_params()
         sources = md.SourceModel.proliferation(0.5, 0.2, 0.5)
         pot = md.Potential.quadratic()
-        rep = md.validate_assumptions(params, pot, 1.0, 1.0, sources)
+        rep = md.validate_assumptions(make_model(sources=sources,
+                                                 potential=pot))
         assert rep.regime == "case1"
         assert rep.passed
 
     def test_constant_rate_failure_has_a_witness(self):
         # the constant Hawkins rate is a float, not a grid array; the check
         # broadcasts it to the sample grid to locate the failing sample
-        params = make_params()
-        m = make_model(params)
-        sources = md.SourceModel.hawkins(-0.1, params)
-        assert isinstance(sources.theta_phi(np.zeros(3), np.zeros(3)), float)
-        rep = md.validate_assumptions(params, m.potential, m.mobility_m,
-                                      m.mobility_n, sources)
+        sources = md.SourceModel.hawkins(-0.1)
+        theta_phi = sources.coefficients(np.zeros(3), np.zeros(3),
+                                         make_params())[1]
+        assert isinstance(theta_phi, float)
+        rep = md.validate_assumptions(make_model(sources=sources))
         sign = next(c for c in rep.checks
                     if c.name == "A3 theta_phi nonnegative")
         assert not sign.passed
@@ -246,46 +248,37 @@ class TestValidation:
     def test_constant_closures_store_no_grid_array(self):
         phi = np.zeros((3, 40, 30))
         zero = md.SourceModel.zero()
-        assert zero.theta_phi(phi, phi) == 0.0
-        assert same_bits(zero.gamma_phi(phi, -phi - 1.0, phi),
+        assert zero.coefficients(phi, phi, make_params()) == (0.0,) * 4
+        assert same_bits(rates(zero, phi, -phi - 1.0, phi)[0],
                          np.zeros_like(phi))
 
     def test_large_chemotaxis_fails_smallness(self):
-        params = make_params(chi=10.0)
-        m = make_model(params)
-        rep = md.validate_assumptions(params, m.potential, m.mobility_m,
-                                      m.mobility_n, m.sources)
+        rep = md.validate_assumptions(make_model(make_params(chi=10.0)))
         names = [c.name for c in rep.failures()]
         assert any("smallness" in n for n in names)
 
     def test_limit_modes_relax_positivity(self):
-        params = make_params(K=0.0, b=0.0)
-        m = make_model(params, sources="zero")
-        strict = md.validate_assumptions(params, m.potential, m.mobility_m,
-                                         m.mobility_n, m.sources)
-        assert not strict.passed
-        relaxed = md.validate_assumptions(params, m.potential, m.mobility_m,
-                                          m.mobility_n, m.sources,
-                                          allow_limit_modes=True)
+        m = make_model(make_params(K=0.0, b=0.0), sources="zero")
+        assert not md.validate_assumptions(m).passed
+        relaxed = md.validate_assumptions(m, allow_limit_modes=True)
         hard = [c for c in relaxed.failures() if c.name != "A5 growth regime"]
         assert not hard
 
     def test_report_lines_format(self):
-        params = make_params()
-        m = make_model(params)
-        rep = md.validate_assumptions(params, m.potential, m.mobility_m,
-                                      m.mobility_n, m.sources)
-        lines = rep.lines()
+        lines = md.validate_assumptions(make_model()).lines()
         assert lines[0].startswith("regime:")
         assert all(line.startswith(("[PASS]", "[FAIL]")) for line in lines[1:])
 
 
 class TestModelRebuild:
-    def test_with_params_rebuilds_hawkins(self):
+    def test_replaced_params_reach_the_sources(self):
+        # the sources are data and keep no constant of the model
         model = make_model()
-        changed = model.with_params(model.params.with_(chi=0.0, D=2.0))
+        assert not any(callable(v) for v in vars(model.sources).values())
+        changed = replace(model, params=replace(model.params, chi=0.0, D=2.0))
         # sources must see the new constants
-        val = changed.sources.gamma_phi(0.0, 0.0, 1.0)
+        val = md.evaluate_sources(0.0, 0.0, 1.0, changed.sources,
+                                  changed.params)[0]
         assert abs(val - 0.1 * 2.0) < 1e-15
 
     def test_effective_drops_chemotaxis(self):
