@@ -393,6 +393,8 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
     # a T / dt that overflows to inf is refused here too
     if T / dt > MAX_STEPS:
         ck.fail("$.T", f"T / dt, the step count, must be <= {MAX_STEPS}")
+    elif abs(T / dt - round(T / dt)) > 1e-9 * max(1.0, T / dt):
+        ck.fail("$.T", "T / dt, the step count, must be a whole number")
 
     params = ModelParams(**tree["params"])
     limit_mode = tree["limit_mode"]

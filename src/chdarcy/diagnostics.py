@@ -36,8 +36,8 @@ class EnergyBreakdown:
     chemotaxis_part: float   # chi int sigma (1 - phi)
     total: float
 
-    diss_mu: float           # int m(phi) |grad mu|^2
-    diss_nutrient: float     # int n(phi) |grad N_sigma|^2
+    diss_mu: float           # int m |grad mu|^2
+    diss_nutrient: float     # int n |grad N_sigma|^2
     diss_darcy: float        # (1/K) |v|^2
     diss_boundary: float     # D b |sigma|^2 on the boundary
 
@@ -68,16 +68,16 @@ def energy(f: StateFields) -> EnergyBreakdown:
     sp._single_member(state.alpha, "energy")
     params = eff.params
     grid = f.grid
-    W = grid.W
     alpha, gamma = state.alpha, state.gamma
 
     psi_part, gradient_part, nutrient_part, chemotaxis_part = f.energy_parts
     total = psi_part + gradient_part + nutrient_part + chemotaxis_part
 
-    diss_mu = float((W * eff.mobility_m
-                     * sum(g ** 2 for g in f.grad_mu)).sum())
-    diss_nutrient = float((W * eff.mobility_n
-                           * sum(g ** 2 for g in f.grad_N_sigma)).sum())
+    # int m |grad mu|^2 and int n |grad N_sigma|^2, sums over the modes
+    lam, mu = state.basis.eigenvalues, f.mu.data
+    N = params.D * gamma.data - params.chi * alpha.data  # N_sigma - chi
+    diss_mu = eff.mobility_m * float((lam * mu * mu).sum())
+    diss_nutrient = eff.mobility_n * float((lam * N * N).sum())
     diss_darcy = 0.0 if f.no_flow else f.v_sq / params.K
     diss_boundary = params.D * params.b * float(gamma.data @ f.M_gamma)
 

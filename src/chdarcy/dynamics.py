@@ -5,9 +5,11 @@ nutrient; the chemical potential, pressure, and velocity are derived
 algebraically each step.  derive evaluates a state once into
 StateFields, whose grid values are plain arrays on its one grid, the
 basis's default grid, which is passed explicitly to every transform.
-Two steppers are provided: a stabilized first-order IMEX scheme whose
-implicit operator is diagonal in the eigenbasis, and an explicit RK4
-oracle for cross-checks at small steps.
+The grid carries the nonlinear terms; the diffusive ones, diagonal in
+the eigenbasis, stay on the coefficients.  Two steppers are provided: a
+stabilized first-order IMEX scheme whose implicit operator is diagonal
+in the eigenbasis, and an explicit RK4 oracle for cross-checks at small
+steps.
 
 A state may hold several members on one basis and time grid (leading
 axes of the coefficient arrays, with K, chi and b given per member in
@@ -133,14 +135,11 @@ class StateFields:
     phi_g: np.ndarray
     sigma_g: np.ndarray
     mu_g: np.ndarray
-    grad_phi: tuple[np.ndarray, ...]
-    grad_mu: tuple[np.ndarray, ...]
     mu: FieldCoeffs
     p: FieldCoeffs
     v: tuple[np.ndarray, ...]
     gamma_phi: np.ndarray  # Gamma_phi on the grid
     S: np.ndarray          # nutrient consumption; gamma_phi itself when equal
-    grad_N_sigma: tuple[np.ndarray, ...]  # D grad(sigma) - chi grad(phi)
     M_gamma: np.ndarray   # int_bdry sigma w_j, the boundary mass times gamma
 
     @cached_property
@@ -172,18 +171,18 @@ def _no_flow(model: TumourModel) -> bool:
 
 
 def derive(state: SimState, model: TumourModel) -> StateFields:
-    """Evaluate the state: grid values, mu, p, v, the sources, the
-    nutrient flux gradient and the boundary product.
+    """Evaluate the state: grid values, mu, p, v, the sources and the
+    boundary product.
 
-    phi, sigma and mu are each synthesized and differentiated once; mu
-    and the Darcy solve take those grid fields instead of redoing them.
-    At K = 0 p and v are exact zeros and no Darcy system is solved.
+    phi, sigma and mu are each synthesized once; mu and the Darcy solve
+    take those grid fields instead of redoing them.  grad(phi) is taken
+    for the Darcy forcing only (rhs needs no gradient).  At K = 0 p and
+    v are exact zeros and no Darcy system is solved.
     """
     basis = state.basis
     grid = basis.default_grid
     phi_g = sp.to_grid(state.alpha, grid)
     sigma_g = sp.to_grid(state.gamma, grid)
-    grad_phi = sp.gradient_on_grid(state.alpha, grid)
     mu = md.chemical_potential(state.alpha, state.gamma, phi_g, grid,
                                model.params, model.potential)
     mu_g = sp.to_grid(mu, grid)
@@ -193,49 +192,44 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
         p = sp._unchecked(basis, np.zeros(members + (basis.n_modes,)))
         v = tuple(np.zeros(members + grid.npoints) for _ in range(basis.dim))
     else:
-        p, v = md.solve_darcy(grid, grad_phi, mu_g, sigma_g, model.gamma_v,
-                              model.params)
+        p, v = md.solve_darcy(grid, sp.gradient_on_grid(state.alpha, grid),
+                              mu_g, sigma_g, model.gamma_v, model.params)
     gamma_phi, S = md.evaluate_sources(phi_g, mu_g, sigma_g, model.sources,
                                         model.params)
-    chi = sp._per_member(model.params.chi, phi_g)
     return StateFields(
         state=state, model=model, no_flow=no_flow, grid=grid,
         phi_g=phi_g, sigma_g=sigma_g, mu_g=mu_g,
-        grad_phi=grad_phi,
-        grad_mu=sp.gradient_on_grid(mu, grid),
         mu=mu, p=p, v=v, gamma_phi=gamma_phi, S=S,
-        grad_N_sigma=tuple(
-            model.params.D * gs - chi * gp
-            for gs, gp in zip(sp.gradient_on_grid(state.gamma, grid),
-                              grad_phi)),
         M_gamma=sp.boundary_mass_apply(basis, state.gamma.data),
     )
 
 
 def rhs(f: StateFields) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix-free right-hand side of the coefficient ODE system at f.
+    """Matrix-free right-hand side of the coefficient ODE system at f:
 
-    Each equation is tested against every w_j once: its fluxes are added
-    on the grid and projected together with its source by sp.weak_form.
-    A model forcing is added last, at the state's time.
+        d/dt alpha_j = int Gamma_phi w_j + int phi v.grad(w_j) - m lam_j mu_j
+        d/dt gamma_j = -int S w_j + int sigma v.grad(w_j)
+                       - n lam_j (D gamma_j - chi alpha_j)
+                       + b int_bdry (sigma_inf - sigma) w_j
+
+    The diffusive terms are diagonal in the eigenbasis because the
+    mobilities m and n are constants; a phi-dependent mobility would
+    bring its flux back to the grid.  Each equation's source and
+    convective flux are projected by one sp.weak_form; a model forcing
+    is added last, at the state's time.
     """
     state, model, params = f.state, f.model, f.model.params
+    lam = state.basis.eigenvalues
 
-    def project(source, mobility, gradients, transported):
-        """int source w_j - int (mobility grad - transported v).grad(w_j);
-        the fluxes die with this call, before the next equation's."""
-        flux = [mobility * g for g in gradients]
-        if not f.no_flow:
-            for F, vi in zip(flux, f.v):
-                F -= transported * vi
-        return sp.weak_form(f.grid, source, tuple(flux)).data
+    def project(source, transported):
+        """int source w_j + int transported v.grad(w_j); no flux at K = 0."""
+        flux = () if f.no_flow else tuple(-transported * vi for vi in f.v)
+        return sp.weak_form(f.grid, source, flux).data
 
-    # d/dt alpha_j = int Gamma_phi w_j - int (m grad(mu) - phi v).grad(w_j)
-    dalpha = project(f.gamma_phi, model.mobility_m, f.grad_mu, f.phi_g)
-    # d/dt gamma_j = -int S w_j
-    #               - int (n (D grad(sigma) - chi grad(phi)) - sigma v).grad(w_j)
-    #               + b int_bdry (sigma_inf - sigma) w_j
-    dgamma = project(-f.S, model.mobility_n, f.grad_N_sigma, f.sigma_g)
+    dalpha = project(f.gamma_phi, f.phi_g) - model.mobility_m * lam * f.mu.data
+    chi = sp._per_member(params.chi, state.alpha.data)
+    dgamma = project(-f.S, f.sigma_g) - model.mobility_n * lam * (
+        params.D * state.gamma.data - chi * state.alpha.data)
     # in a batch, a member with b = 0 next to members with b != 0 gets
     # 0 * (...) added: its rates are unchanged up to the sign of a zero
     if sp._any_member(params.b != 0.0):

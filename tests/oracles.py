@@ -63,6 +63,32 @@ def boundary_mass_matrix(basis: SpectralBasis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dense Galerkin assembly: the rhs oracle
 
+def basis_on_grid(grid) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Nodal values and gradient components of every basis function on
+    grid, each a (n_modes, n_points) array, spatially flattened."""
+    basis = grid.basis
+    k = basis.n_modes
+    nflat = int(np.prod(grid.npoints))
+    vals = np.empty((k, nflat))
+    grads = [np.empty((k, nflat)) for _ in range(basis.dim)]
+    for j in range(k):
+        e = np.zeros(k)
+        e[j] = 1.0
+        cj = FieldCoeffs(basis, e)
+        vals[j] = sp.to_grid(cj, grid).reshape(nflat)
+        for d, comp in enumerate(sp.gradient_on_grid(cj, grid)):
+            grads[d][j] = comp.reshape(nflat)
+    return vals, grads
+
+
+def quadrature_stiffness(grid) -> np.ndarray:
+    """sum_q W grad(w_i).grad(w_j) over the nodes of grid: the stiffness
+    matrix by quadrature, which the solver takes as diag(eigenvalues)."""
+    _, grads = basis_on_grid(grid)
+    Wf = grid.W.reshape(-1)
+    return sum((gb * Wf) @ gb.T for gb in grads)
+
+
 @dataclass
 class DenseGalerkinOperators:
     """All Galerkin matrices and vectors at a state, by dense quadrature."""
@@ -96,18 +122,9 @@ def dense_galerkin_operators(state: SimState, model: TumourModel,
     k = basis.n_modes
     nflat = int(np.prod(grid.npoints))
     Wf = W.reshape(nflat)
-    # nodal values and gradients of every basis function, spatially flattened
-    basis_vals = np.empty((k, nflat))
-    basis_grads = [np.empty((k, nflat)) for _ in range(basis.dim)]
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = 1.0
-        cj = FieldCoeffs(basis, e)
-        basis_vals[j] = sp.to_grid(cj, grid).reshape(nflat)
-        for d, comp in enumerate(sp.gradient_on_grid(cj, grid)):
-            basis_grads[d][j] = comp.reshape(nflat)
+    basis_vals, basis_grads = basis_on_grid(grid)
 
-    stiffness = sum((gb * Wf) @ gb.T for gb in basis_grads)
+    stiffness = quadrature_stiffness(grid)
     S = np.diag(basis.eigenvalues)
     S_m = model.mobility_m * stiffness
     S_n = model.mobility_n * stiffness
@@ -258,7 +275,9 @@ def weak_residual(states: list[SimState], j: int, equation: str,
                     float(np.max(np.abs(
                         vi + params.K * (gp - drive * gphi)
                     )))
-                    for vi, gp, gphi in zip(der.v, grad_p, der.grad_phi)
+                    for vi, gp, gphi in zip(
+                        der.v, grad_p,
+                        sp.gradient_on_grid(state.alpha, der.grid))
                 )
         max_abs = max(max_abs, abs(r))
     return WeakResidual(equation, j, max_abs, max_abs)
@@ -286,7 +305,7 @@ def pressure_reformulations(state: SimState, model: TumourModel
     sigma = f.sigma_g
     mu = f.mu_g
     p = sp.to_grid(f.p, grid)
-    grad_sq = sum(g ** 2 for g in f.grad_phi)
+    grad_sq = sum(g ** 2 for g in sp.gradient_on_grid(state.alpha, grid))
 
     interface = params.A * eff.potential.psi(phi) + 0.5 * params.B * grad_sq
     q = p - interface

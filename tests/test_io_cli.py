@@ -1303,6 +1303,33 @@ def test_step_count_cap_is_inclusive():
         f"$.T: T / dt, the step count, must be <= {cf.MAX_STEPS}"]
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("T", [0.0016, 0.0004])
+def test_horizon_between_steps_is_config_error(tmp_path, capsys, command, T):
+    # a run takes round(T / dt) steps: to t = 0.002, past T, for
+    # T = 0.0016, and none for T = 0.0004
+    spec = json.loads(REFERENCE.read_text())
+    spec.update(modes=[6, 6], dt=0.001, T=T)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(spec))
+    assert cli.main(_argv(command, cfg, tmp_path)) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.strip().endswith(
+        "$.T: T / dt, the step count, must be a whole number")
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("T,dt", [(0.0, 0.001), (0.02, 0.001), (0.3, 0.1),
+                                  (0.5, 0.001), (1e-9 * 7, 1e-9)])
+def test_horizon_on_the_step_grid_is_accepted(T, dt):
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point: a whole number
+    # of steps up to the rounding of the division
+    spec = json.loads(REFERENCE.read_text())
+    spec.update(T=T, dt=dt)
+    assert cf.parse_config(json.dumps(spec)).T == T
+
+
 def _deep_nesting():
     return "[" * 100000
 

@@ -115,6 +115,30 @@ class TestEigenstructure:
                                atol=1e-12)
 
 
+    @pytest.mark.parametrize("kind,lengths,modes", [
+        ("interval", (1.0,), 8), ("interval", (2.5,), 128),
+        ("rectangle", (1.0, 1.5), (5, 4)), ("rectangle", (2.0, 1.0), (7, 6)),
+        ("rectangle", (1.0, 1.5), (16, 16))])
+    def test_quadrature_stiffness_is_the_eigenvalue_diagonal(
+            self, kind, lengths, modes):
+        # the premise of the diagonal diffusive rates of dynamics.rhs and
+        # the spectral dissipation of diagnostics.energy: on the default
+        # grid the midpoint rule integrates grad(w_i).grad(w_j) exactly
+        basis = sp.build_basis(sp.Domain(kind, lengths), modes)
+        grid = basis.default_grid
+        lam = basis.eigenvalues
+        tol = 1e-12 * lam.max()
+        stiffness = oracles.quadrature_stiffness(grid)
+        assert np.max(np.abs(stiffness - np.diag(lam))) <= tol
+        # so a constant-mobility flux projects to -m lam mu
+        m = 0.7
+        mu = sp.FieldCoeffs(basis, np.random.default_rng(7).uniform(
+            -1.0, 1.0, basis.n_modes))
+        flux = tuple(m * g for g in sp.gradient_on_grid(mu, grid))
+        projected = sp.weak_form(grid, None, flux).data
+        assert np.max(np.abs(projected + m * lam * mu.data)) <= tol
+
+
 class TestTransforms:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6))
