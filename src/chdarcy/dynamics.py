@@ -130,14 +130,14 @@ class StateFields:
 
     state: SimState
     model: TumourModel
-    no_flow: bool        # K = 0: p and v are identically zero
+    no_flow: bool        # K = 0: p is identically zero and v is ()
     grid: QuadratureGrid
     phi_g: np.ndarray
     sigma_g: np.ndarray
     mu_g: np.ndarray
     mu: FieldCoeffs
     p: FieldCoeffs
-    v: tuple[np.ndarray, ...]
+    v: tuple[np.ndarray, ...]  # dim components; none at K = 0
     gamma_phi: np.ndarray  # Gamma_phi on the grid
     S: np.ndarray          # nutrient consumption; gamma_phi itself when equal
     M_gamma: np.ndarray   # int_bdry sigma w_j, the boundary mass times gamma
@@ -155,7 +155,8 @@ class StateFields:
     def v_sq(self) -> float:
         """int |v|^2 of a single member, computed on first use: the
         ledger's Darcy dissipation and the observer's |v| share it."""
-        return self.grid.integrate(sum(vi ** 2 for vi in self.v))
+        return 0.0 if self.no_flow else self.grid.integrate(
+            sum(vi ** 2 for vi in self.v))
 
 
 def _no_flow(model: TumourModel) -> bool:
@@ -176,8 +177,8 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
 
     phi, sigma and mu are each synthesized once; mu and the Darcy solve
     take those grid fields instead of redoing them.  grad(phi) is taken
-    for the Darcy forcing only (rhs needs no gradient).  At K = 0 p and
-    v are exact zeros and no Darcy system is solved.
+    for the Darcy forcing only (rhs needs no gradient).  At K = 0 p is
+    an exact zero, v holds no component and no Darcy system is solved.
     """
     basis = state.basis
     grid = basis.default_grid
@@ -190,7 +191,7 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
     if no_flow:
         members = state.alpha.data.shape[:-1]
         p = sp._unchecked(basis, np.zeros(members + (basis.n_modes,)))
-        v = tuple(np.zeros(members + grid.npoints) for _ in range(basis.dim))
+        v = ()
     else:
         p, v = md.solve_darcy(grid, sp.gradient_on_grid(state.alpha, grid),
                               mu_g, sigma_g, model.gamma_v, model.params)
@@ -223,7 +224,7 @@ def rhs(f: StateFields) -> tuple[np.ndarray, np.ndarray]:
 
     def project(source, transported):
         """int source w_j + int transported v.grad(w_j); no flux at K = 0."""
-        flux = () if f.no_flow else tuple(-transported * vi for vi in f.v)
+        flux = tuple(-transported * vi for vi in f.v)
         return sp.weak_form(f.grid, source, flux).data
 
     dalpha = project(f.gamma_phi, f.phi_g) - model.mobility_m * lam * f.mu.data

@@ -178,8 +178,8 @@ def _lockstep_rows(spec: SweepSpec, values: tuple[float, ...],
             f.state.alpha, ref.state.alpha), out=max_phi)
         np.maximum(max_sigma, _snapshot_difference(
             f.state.gamma, ref.state.gamma), out=max_sigma)
-        v_sq.append(f.grid.integrate_members(
-            sum(vi ** 2 for vi in f.v)))
+        v_sq.append(np.zeros(f.state.alpha.data.shape[:-1]) if f.no_flow
+                    else f.grid.integrate_members(sum(vi ** 2 for vi in f.v)))
 
     dyn.run(initial.copy(), spec.stepper, limit, spec.T, observer=reduce,
             cadence=spec.cadence)

@@ -7,6 +7,9 @@ eigenvalues adding.  All quadrature is the uniform midpoint rule, which
 integrates products of resolved cosine modes exactly, so the transforms
 below are projections rather than approximations.
 
+Each transform is one loop over the axes, applying a 1D matrix per axis
+through _along, the one place that knows how a field's axes are laid out.
+
 Fields are FieldCoeffs, the unknowns of the Galerkin scheme.  Values on
 a quadrature grid are the intermediates of a projection and are plain
 arrays; every transform takes the grid they live on as an argument, and
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -77,15 +80,9 @@ class Domain:
 
     @property
     def boundary_measure(self) -> float:
-        if self.dim == 1:
-            return 2.0
-        Lx, Ly = self.lengths
-        return 2.0 * (Lx + Ly)
-
-
-def _eigenvalues_1d(L: float, k: int) -> np.ndarray:
-    m = np.arange(k)
-    return (m * np.pi / L) ** 2
+        """2 sum_d prod_{e != d} L_e: the two end faces of each axis."""
+        L = self.lengths
+        return 2.0 * sum(math.prod(L[:d] + L[d + 1:]) for d in range(self.dim))
 
 
 def _synthesis_1d(L: float, k: int, x: np.ndarray) -> np.ndarray:
@@ -160,10 +157,11 @@ class SpectralBasis:
 
     def grid_with_points(self, npoints: tuple[int, ...]) -> "QuadratureGrid":
         minimum = tuple(int(np.ceil(1.5 * k)) + 1 for k in self.modes)
-        if any(n < m for n, m in zip(npoints, minimum)):
+        if len(npoints) != self.dim or any(
+                n < m for n, m in zip(npoints, minimum)):
             raise BasisMismatchError(
-                f"grid {npoints} below dealiasing minimum {minimum}"
-            )
+                f"grid {tuple(npoints)} does not meet the dealiasing minimum "
+                f"{minimum}, one count per axis")
         nodes, weights, synth, deriv = [], [], [], []
         for L, k, n in zip(self.domain.lengths, self.modes, npoints):
             x = (np.arange(n) + 0.5) * (L / n)
@@ -175,7 +173,7 @@ class SpectralBasis:
             basis=self,
             npoints=tuple(npoints),
             nodes=tuple(nodes),
-            W=weights[0] if self.dim == 1 else np.outer(*weights),
+            W=reduce(np.multiply.outer, weights),
             synth=tuple(synth),
             deriv=tuple(deriv),
         )
@@ -195,9 +193,7 @@ class QuadratureGrid:
         return self.basis.dim
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
-        if self.dim == 1:
-            return (self.nodes[0],)
-        return np.meshgrid(self.nodes[0], self.nodes[1], indexing="ij")
+        return np.meshgrid(*self.nodes, indexing="ij")
 
     def integrate(self, values: np.ndarray) -> float:
         """Integral of one member's grid values."""
@@ -288,15 +284,15 @@ def _any_member(flags) -> bool:
     return bool(flags.any()) if isinstance(flags, np.ndarray) else bool(flags)
 
 
-def _along_first_axis(M: np.ndarray, x: np.ndarray, dim: int) -> np.ndarray:
-    """M applied along the first grid or mode axis of each member of x.
-
-    Stacked, so each member is multiplied exactly as it would be alone;
-    in 1D a member is a column vector.
-    """
+def _along(M: np.ndarray, x: np.ndarray, d: int, dim: int) -> np.ndarray:
+    """The 1D matrix M applied along field axis d of each member of x,
+    whose members are fields of dim axes; a vector M contracts axis d.
+    Stacked: each member (in 1D, a column vector) is multiplied alone."""
     if dim == 1:
-        return np.matmul(M, x[..., None])[..., 0]
-    return M @ x
+        return _dot(M, x) if M.ndim == 1 else np.matmul(M, x[..., None])[..., 0]
+    if d == dim - 2:
+        return M @ x
+    return x @ M.T
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -315,15 +311,11 @@ def build_basis(domain: Domain, modes_per_dim) -> SpectralBasis:
         modes = tuple(int(k) for k in modes_per_dim)
     if len(modes) != domain.dim or any(k < 1 for k in modes):
         raise InvalidDomainError(f"invalid mode counts {modes} for {domain.kind}")
-    eigs_1d = tuple(
-        _eigenvalues_1d(L, k) for L, k in zip(domain.lengths, modes)
-    )
-    if domain.dim == 1:
-        flat = eigs_1d[0].copy()
-    else:
-        flat = (eigs_1d[0][:, None] + eigs_1d[1][None, :]).ravel()
+    eigs_1d = [(np.arange(k) * np.pi / L) ** 2
+               for L, k in zip(domain.lengths, modes)]
     return SpectralBasis(
-        domain=domain, modes=modes, eigenvalues=flat,
+        domain=domain, modes=modes,
+        eigenvalues=reduce(np.add.outer, eigs_1d).ravel(),
         traces_1d=tuple(_trace_1d(L, k) for L, k in zip(domain.lengths, modes)),
     )
 
@@ -332,9 +324,10 @@ def to_grid(c: FieldCoeffs, g: QuadratureGrid) -> np.ndarray:
     """Synthesis: evaluate the cosine series at the grid nodes."""
     if g.basis is not c.basis:
         raise BasisMismatchError("grid was built for a different basis")
-    if c.basis.dim == 1:
-        return _along_first_axis(g.synth[0], c.data, 1)
-    return g.synth[0] @ c.tensor() @ g.synth[1].T
+    x = c.tensor()
+    for d, S in enumerate(g.synth):
+        x = _along(S, x, d, g.dim)
+    return x
 
 
 def weak_form(g: QuadratureGrid, source: np.ndarray | None,
@@ -351,19 +344,21 @@ def weak_form(g: QuadratureGrid, source: np.ndarray | None,
             f"{len(flux)} components for a {g.dim}-dimensional grid"
         )
     S, D, W, dim = g.synth, g.deriv, g.W, g.dim
-    # source and x-flux are tested in x together, so on a rectangle they
-    # share one y-transform
-    rows = (_along_first_axis(S[0].T, W * source, dim)
-            if source is not None else None)
+    # the source and the first flux component are tested along axis 0
+    # together, so they share every later-axis transform
+    data = _along(S[0].T, W * source, 0, dim) if source is not None else None
     if flux:
-        fx = _along_first_axis(D[0].T, W * flux[0], dim)
-        rows = -fx if rows is None else rows - fx
-    if dim == 1:
-        return _unchecked(g.basis, rows)
-    data = rows @ S[1]
-    if flux:
-        data -= S[0].T @ (W * flux[1]) @ D[1]
-    return _unchecked(g.basis, data.reshape(data.shape[:-2] + (-1,)))
+        f0 = _along(D[0].T, W * flux[0], 0, dim)
+        data = -f0 if data is None else data - f0
+    for d in range(1, dim):
+        data = _along(S[d].T, data, d, dim)
+    # every later component is tested with D along its own axis
+    for i in range(1, len(flux)):
+        fi = W * flux[i]
+        for d in range(dim):
+            fi = _along((D if d == i else S)[d].T, fi, d, dim)
+        data -= fi
+    return _unchecked(g.basis, data.reshape(data.shape[:data.ndim - dim] + (-1,)))
 
 
 def to_coeffs(g: QuadratureGrid, values) -> FieldCoeffs:
@@ -385,10 +380,14 @@ def gradient_on_grid(c: FieldCoeffs, g: QuadratureGrid
     """Exact derivative of the cosine series, evaluated at the nodes."""
     if g.basis is not c.basis:
         raise BasisMismatchError("grid was built for a different basis")
-    if c.basis.dim == 1:
-        return (_along_first_axis(g.deriv[0], c.data, 1),)
     C = c.tensor()
-    return (g.deriv[0] @ C @ g.synth[1].T, g.synth[0] @ C @ g.deriv[1].T)
+    components = []
+    for i in range(g.dim):
+        x = C
+        for d in range(g.dim):
+            x = _along((g.deriv if d == i else g.synth)[d], x, d, g.dim)
+        components.append(x)
+    return tuple(components)
 
 
 def divergence_to_coeffs(g: QuadratureGrid,
@@ -401,21 +400,21 @@ def divergence_to_coeffs(g: QuadratureGrid,
 def boundary_mass_apply(basis: SpectralBasis, c: np.ndarray) -> np.ndarray:
     """M @ c for the boundary mass matrix M, without forming M.
 
-    Each 1D factor B = left left^T + right right^T has rank 2, and on a
-    rectangle M = kron(Bx, I) + kron(I, By), so with G = c.reshape(kx, ky)
-    the product is Bx G + G By: O(n_modes) work and memory.  c may hold
-    one vector per member, shape (..., n_modes).
+    Each 1D factor B_d = left left^T + right right^T has rank 2, and M
+    is the sum over axes d of B_d applied along axis d of
+    G = c.reshape(modes) (on a rectangle, Bx G + G By): O(n_modes) work
+    and memory.  c may hold one vector per member, shape (..., n_modes).
     """
-    if basis.dim == 1:
-        (left, right), = basis.traces_1d
-        return (left * _dot(left, c)[..., None]
-                + right * _dot(right, c)[..., None])
-    (lx, rx), (ly, ry) = basis.traces_1d
+    dim = basis.dim
     G = c.reshape(c.shape[:-1] + basis.modes)
-    # outer products, written out so they stay per member
-    out = (lx[:, None] * (lx @ G)[..., None, :]
-           + rx[:, None] * (rx @ G)[..., None, :]
-           + (G @ ly)[..., :, None] * ly + (G @ ry)[..., :, None] * ry)
+    out = None
+    for d, traces in enumerate(basis.traces_1d):
+        # t along axis d times its contraction, unit axis at d: per member
+        tail = (None,) * (dim - 1 - d)
+        unit = (..., None) + (slice(None),) * (dim - 1 - d)
+        for t in traces:
+            term = t[(...,) + tail] * _along(t, G, d, dim)[unit]
+            out = term if out is None else out + term
     return out.reshape(c.shape)
 
 

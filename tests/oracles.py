@@ -267,7 +267,8 @@ def weak_residual(states: list[SimState], j: int, equation: str,
                 r = basis.eigenvalues[j] * der.p.data[j] - rhs_j
         else:  # velocity, pointwise on the grid where v lives
             if der.no_flow:
-                r = max(float(np.max(np.abs(vi))) for vi in der.v)
+                r = max((float(np.max(np.abs(vi))) for vi in der.v),
+                        default=0.0)
             else:
                 grad_p = sp.gradient_on_grid(der.p, der.grid)
                 drive = der.mu_g + params.chi * der.sigma_g

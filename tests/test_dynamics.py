@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import weakref
 from dataclasses import replace
@@ -195,7 +196,20 @@ class TestRhs:
         model = make_model(make_params(K=0.0))
         state = random_state(interval_basis, 3)
         der = dyn.derive(state, model)
-        assert all(np.all(vi == 0.0) for vi in der.v)
+        assert der.v == () and der.v_sq == 0.0
+
+    def test_no_flow_evaluation_holds_no_velocity(self, rect_basis):
+        # phi, sigma, mu and Gamma_phi, which S shares under Hawkins
+        # sources; a flow state adds the two components of v
+        grid = rect_basis.default_grid
+        for K, expected in ((0.0, 4), (1.0, 6)):
+            der = dyn.derive(random_state(rect_basis, 3),
+                             make_model(make_params(K=K)))
+            held = [getattr(der, f.name) for f in dataclasses.fields(der)]
+            held = [x for v in held
+                    for x in (v if isinstance(v, tuple) else (v,))]
+            assert len({id(x) for x in held if isinstance(x, np.ndarray)
+                        and x.shape == grid.npoints}) == expected
 
     def test_batch_mixing_k_zero_and_k_positive_is_an_error(
             self, interval_basis):

@@ -224,6 +224,14 @@ class TestTransforms:
         with pytest.raises(sp.BasisMismatchError):
             interval_basis.grid_with_points((8,))
 
+    def test_grid_takes_one_point_count_per_axis(self, interval_basis,
+                                                 rect_basis):
+        # each count is at its axis's dealiasing minimum
+        for basis, npoints in ((interval_basis, (16, 16)),
+                               (rect_basis, (10,))):
+            with pytest.raises(sp.BasisMismatchError):
+                basis.grid_with_points(npoints)
+
     def test_basis_mismatch_rejected(self, interval_basis, rect_basis):
         c = sp.constant_field(interval_basis, 1.0)
         with pytest.raises(sp.BasisMismatchError):
@@ -340,13 +348,72 @@ class TestGridOwnership:
         assert ref() is None
 
 
+class TestCrossDimension:
+    """A rectangle with one mode along an axis of length Ly is the
+    interval times that axis's constant mode 1/sqrt(Ly), whichever axis
+    carries the interval's modes."""
+
+    L, Ly, k = 1.3, 0.7, 9
+
+    @pytest.fixture(params=[0, 1], ids=["modes-along-x", "modes-along-y"])
+    def pair(self, request):
+        axis = request.param
+        interval = sp.build_basis(sp.Domain("interval", (self.L,)), self.k)
+        g1 = interval.default_grid
+        lengths, modes, npoints = [self.Ly] * 2, [1] * 2, [3] * 2
+        lengths[axis], modes[axis], npoints[axis] = self.L, self.k, g1.npoints[0]
+        rect = sp.build_basis(sp.Domain("rectangle", tuple(lengths)),
+                              tuple(modes))
+        return interval, g1, rect, rect.grid_with_points(tuple(npoints)), axis
+
+    def test_rectangle_reproduces_the_interval(self, pair):
+        interval, g1, rect, g2, axis = pair
+
+        def close(a, b):
+            return np.max(np.abs(a - b)) < 1e-13
+
+        def spread(values):
+            """Interval values, constant along the rectangle's other axis."""
+            return np.broadcast_to(np.expand_dims(values, 1 - axis),
+                                   g2.npoints)
+
+        root = np.sqrt(self.Ly)
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal(self.k)
+        c1, c2 = sp.FieldCoeffs(interval, data), sp.FieldCoeffs(rect, data)
+        assert close(root * sp.to_grid(c2, g2), spread(sp.to_grid(c1, g1)))
+        grad = sp.gradient_on_grid(c2, g2)
+        assert close(root * grad[axis],
+                     spread(sp.gradient_on_grid(c1, g1)[0]))
+        assert np.all(grad[1 - axis] == 0.0)
+
+        s, F = rng.standard_normal((2,) + g1.npoints)
+        flux = [np.zeros(g2.npoints)] * 2
+        flux[axis] = spread(F)
+        assert close(sp.weak_form(g2, spread(s)).data / root,
+                     sp.weak_form(g1, s).data)
+        assert close(sp.weak_form(g2, spread(s), tuple(flux)).data / root,
+                     sp.weak_form(g1, s, (F,)).data)
+
+        assert np.array_equal(rect.eigenvalues, interval.eigenvalues)
+        assert close(sp.boundary_mass_apply(rect, data),
+                     sp.boundary_mass_apply(interval, data)
+                     + 2.0 / self.Ly * data)
+
+
 class TestMemberAxis:
     """Leading member axes: each member of a batch is computed as it
     would be alone, bit for bit, for batches of one and of three."""
 
-    @pytest.fixture(params=["interval", "rectangle"])
+    @pytest.fixture(params=["interval", "rectangle", (6, 1), (1, 5)],
+                    ids=["interval", "rectangle", "rectangle-6x1",
+                         "rectangle-1x5"])
     def basis(self, request, interval_basis, rect_basis):
-        return interval_basis if request.param == "interval" else rect_basis
+        if request.param == "interval":
+            return interval_basis
+        if request.param == "rectangle":
+            return rect_basis
+        return sp.build_basis(rect_basis.domain, request.param)
 
     @pytest.fixture(params=[1, 3], ids=["1-member", "3-members"])
     def data(self, request, basis):
