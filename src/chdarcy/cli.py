@@ -104,20 +104,19 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _write_outputs(out: Path, collector, state, config_hash):
+def _write_outputs(out: Path, records, state, accumulators, config_hash):
     out.mkdir(parents=True, exist_ok=True)
-    cio.write_diagnostics_csv((r.row() for r in collector.records),
+    cio.write_diagnostics_csv((r.row() for r in records),
                               out / "diagnostics.csv")
     cio.write_field_snapshot(state, out / "final.snap")
-    cio.write_checkpoint(
-        cio.Checkpoint(config_hash, state, collector.accumulators()),
-        out / "checkpoint.ckpt",
-    )
+    cio.write_checkpoint(cio.Checkpoint(config_hash, state, accumulators),
+                         out / "checkpoint.ckpt")
 
 
 def _cmd_run(args) -> int:
     """run from the initial data, or resume from a checkpoint: only the
-    start state, the collector's history and observing the start differ."""
+    start state, the collector's time integrals and the first row, which
+    a resume does not write, differ."""
     resume = args.command == "resume"
     if resume and (Path(args.out).resolve()
                    == Path(args.checkpoint).resolve().parent):
@@ -136,19 +135,22 @@ def _cmd_run(args) -> int:
                 ["$.checkpoint: checkpoint was produced by a different config"])
     model = config.build_model(basis)
     stepper = config.build_stepper()
-    collector = dg.DiagnosticsCollector(model)
+    collector = dg.DiagnosticsCollector()
     if resume:
         start = ck.state
         if config.T - start.t < -1e-12:
             raise cf.ConfigError(["$.T: checkpoint is already past T"])
-        collector.restore(ck.accumulators, start)
+        collector.restore(ck.accumulators)
     else:
         start = config.build_initial_state(basis)
     final = dyn.run(start, stepper, model, max(config.T - start.t, 0.0),
-                    observer=collector.observe, cadence=config.cadence,
-                    observe_initial=not resume)
-    _write_outputs(Path(args.out), collector, final, config.content_hash())
-    n = len(collector.records)
+                    observer=collector.observe, cadence=config.cadence)
+    # a resume's first record is the checkpoint's own row, which the run
+    # it continues has already written
+    records = collector.records[1:] if resume else collector.records
+    _write_outputs(Path(args.out), records, final, collector.accumulators(),
+                   config.content_hash())
+    n = len(records)
     print(f"resumed at t={start.t:g}, wrote {n} rows" if resume
           else f"wrote {n} diagnostics rows to {args.out}")
     return EXIT_OK

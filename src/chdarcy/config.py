@@ -42,6 +42,11 @@ MAX_MODES = 512
 # run for days while writing nothing; anything above is refused.
 MAX_STEPS = 10**9
 
+# Largest number of halvings the energy guard may take.  An interval it
+# rejects at every level costs 2^(h+1) - 1 substeps, 131 071 at 16, about
+# 30 s at the 0.24 ms cheapest step; at 40 it would be about 2 * 10^12.
+MAX_HALVINGS = 16
+
 
 class ConfigError(Exception):
     def __init__(self, violations):
@@ -395,6 +400,8 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         ck.fail("$.T", f"T / dt, the step count, must be <= {MAX_STEPS}")
     elif abs(T / dt - round(T / dt)) > 1e-9 * max(1.0, T / dt):
         ck.fail("$.T", "T / dt, the step count, must be a whole number")
+    if tree["scheme"]["max_halvings"] > MAX_HALVINGS:
+        ck.fail("$.scheme.max_halvings", f"must be <= {MAX_HALVINGS}")
 
     params = ModelParams(**tree["params"])
     limit_mode = tree["limit_mode"]

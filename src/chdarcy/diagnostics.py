@@ -16,8 +16,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import spectral as sp
-from .dynamics import SimState, StateFields
-from .model import TumourModel
+from .dynamics import StateFields
 from .spectral import FieldCoeffs
 
 
@@ -220,8 +219,7 @@ class DiagnosticsCollector:
     laws and the energy identity, so its state can be checkpointed.
     """
 
-    def __init__(self, model: TumourModel):
-        self.model = model
+    def __init__(self):
         self.records: list[DiagnosticsRecord] = []
         self._prev = None  # last snapshot: state, energy ledger, mass rates
         self._acc = np.zeros(4)
@@ -229,10 +227,12 @@ class DiagnosticsCollector:
     def accumulators(self) -> np.ndarray:
         return self._acc.copy()
 
-    def restore(self, acc: np.ndarray, last_state: SimState):
+    def restore(self, acc: np.ndarray):
+        """Continue a checkpointed run with the time integrals acc.  The
+        resumed run observes its start, the checkpointed state, first:
+        that record repeats the checkpoint's row with zero residuals and
+        rebuilds the ledger the next interval is measured against."""
         self._acc = np.asarray(acc, dtype=float).copy()
-        f = dyn._evaluate(last_state, self.model)
-        self._prev = (last_state, energy(f), _mass_rates(f))
 
     def observe(self, fields: StateFields):
         """Record a snapshot from its evaluation.  A record that is not

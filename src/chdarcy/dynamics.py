@@ -381,32 +381,18 @@ def step_rk4_explicit(f: StateFields, config: StepperConfig) -> SimState:
 Observer = Callable[[StateFields], None]
 
 
-def _snapshot_due(i: int, n_steps: int, cadence: int,
-                  observe_initial: bool) -> bool:
-    return (i % cadence == 0 or i == n_steps) and (i > 0 or observe_initial)
-
-
-def _evaluate(state: SimState, model: TumourModel) -> StateFields:
-    """derive, with a state that cannot be evaluated (non-finite values)
-    reported as a BlowUpError at its time."""
-    try:
-        return derive(state, model)
-    except sp.SpectralError as exc:
-        raise BlowUpError("state evaluation produced non-finite values",
-                          t=state.t, state=state) from exc
-
-
 def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
-              T: float, cadence: int = 1, observe_initial: bool = True):
-    """Advance for a duration T, yielding the StateFields of every
-    `cadence`-th state and of the last one.
+              T: float, cadence: int = 1):
+    """Advance for a duration T, yielding the StateFields of the start,
+    of every `cadence`-th state and of the last one.
 
     Each state is evaluated once (derive) and that evaluation drives its
-    step and is what is yielded.  kappa and the IMEX factors are
-    resolved once for the run.  observe_initial=False skips the starting
-    state, which is what a resumed run wants: its first snapshot was
-    already written.  Nothing is kept, so a consumer that reduces each
-    snapshot on arrival holds one state at a time.
+    step and is what is yielded; a state that cannot be evaluated
+    (non-finite values) is a BlowUpError at its time.  kappa and the
+    IMEX factors are resolved once for the run.  A resumed run is a run
+    from its checkpointed state, so its first snapshot is that state.
+    Nothing is kept, so a consumer that reduces each snapshot on arrival
+    holds one state at a time.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -421,11 +407,12 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
         stepper = step_rk4_explicit
     state = initial
     for i in range(n_steps + 1):
-        due = _snapshot_due(i, n_steps, cadence, observe_initial)
-        if i == n_steps and not due:
-            return  # a resumed run already at its horizon
-        fields = _evaluate(state, model)
-        if due:
+        try:
+            fields = derive(state, model)
+        except sp.SpectralError as exc:
+            raise BlowUpError("state evaluation produced non-finite values",
+                              t=state.t, state=state) from exc
+        if i % cadence == 0 or i == n_steps:
             yield fields
         if i == n_steps:
             return
@@ -436,17 +423,16 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
 
 def run(initial: SimState, config: StepperConfig, model: TumourModel,
         T: float, observer: Observer | None = None,
-        cadence: int = 1, observe_initial: bool = True) -> SimState:
-    """Advance for a duration T and return the final state, or `initial`
-    when nothing is stepped (a resumed run already at its horizon).
+        cadence: int = 1) -> SimState:
+    """Advance for a duration T and return the final state, `initial`
+    itself when nothing is stepped.
 
-    The observer receives the snapshots of `snapshots`: each state is
-    evaluated once, and that evaluation drives its step.  No state is
-    kept, so a run holds one evaluation at a time whatever its length.
+    The observer receives the snapshots of `snapshots`, the start first:
+    each state is evaluated once, and that evaluation drives its step.
+    No state is kept, so a run holds one evaluation at a time whatever
+    its length.
     """
-    final = initial
-    for fields in snapshots(initial, config, model, T, cadence,
-                            observe_initial):
+    for fields in snapshots(initial, config, model, T, cadence):
         final = fields.state
         if observer is not None:
             observer(fields)

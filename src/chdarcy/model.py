@@ -294,8 +294,8 @@ def free_energy(phi: FieldCoeffs, sigma: FieldCoeffs, phi_g: np.ndarray,
     )
 
 
-# validate_assumptions samples phi and sigma (and mu, for the sign
-# condition) on this range, at this many points per axis
+# validate_assumptions samples phi and sigma on this range, at this
+# many points per axis
 SAMPLE_RANGE = (-3.0, 3.0)
 N_SAMPLES = 121
 
@@ -337,15 +337,12 @@ class ValidationReport:
 
 
 def validate_assumptions(model: TumourModel,
-                         check_sign_condition: bool = False,
                          allow_limit_modes: bool = False) -> ValidationReport:
     """Dense-sampling validation of the structural hypotheses on the
     model's constants, mobilities, potential and sources.
 
-    Positivity, mobility bounds, source growth, potential growth, the
-    chemotaxis smallness condition A > 2 chi^2 / (D R1), and optionally
-    the sign condition S * N_sigma - Gamma_phi * mu >= 0 (meaningful only
-    when the volume source vanishes).
+    Positivity, mobility bounds, source growth, potential growth and the
+    chemotaxis smallness condition A > 2 chi^2 / (D R1).
     """
     params, potential, sources = model.params, model.potential, model.sources
     rep = ValidationReport()
@@ -420,21 +417,5 @@ def validate_assumptions(model: TumourModel,
     rhs = 2.0 * params.chi * params.chi / (params.D * potential.R1)
     rep.add("A5 chemotaxis smallness A > 2 chi^2 / (D R1)", lhs > rhs,
             detail=f"A = {lhs}, 2 chi^2/(D R1) = {rhs:.6g}")
-
-    if check_sign_condition:
-        mu_t = np.linspace(*SAMPLE_RANGE, 41)
-        ok = True
-        witness = None
-        for mu in mu_t:
-            N_sigma = params.D * S_ + params.chi * (1.0 - P)
-            gamma_phi, S = evaluate_sources(P, mu, S_, sources, params)
-            expr = S * N_sigma - gamma_phi * mu
-            if np.any(expr < -1e-10 * (1.0 + np.abs(expr).max())):
-                ok = False
-                i, j = np.unravel_index(np.argmin(expr), expr.shape)
-                witness = (float(P[i, j]), float(mu), float(S_[i, j]))
-                break
-        rep.add("sign condition S*N_sigma - Gamma_phi*mu >= 0", ok,
-                witness=witness)
 
     return rep

@@ -233,9 +233,6 @@ class FieldCoeffs:
     def copy(self) -> "FieldCoeffs":
         return FieldCoeffs(self.basis, self.data.copy())
 
-    def mean(self) -> float:
-        return float(self.data[0]) / np.sqrt(self.basis.domain.volume)
-
     def tensor(self) -> np.ndarray:
         return self.data.reshape(self.data.shape[:-1] + self.basis.modes)
 

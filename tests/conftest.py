@@ -61,7 +61,7 @@ def collected(states, model) -> list:
     """The DiagnosticsCollector's records of states observed in turn,
     each through its evaluation dyn.derive(state, model): the rows a run
     writes, for a list of states that need not come from one run."""
-    collector = dg.DiagnosticsCollector(model)
+    collector = dg.DiagnosticsCollector()
     for s in states:
         collector.observe(dyn.derive(s, model))
     return collector.records

@@ -2,11 +2,11 @@
 
 None of this is on a command's path: a dense-quadrature assembly of
 every Galerkin operator (the oracle of the matrix-free rhs), the dense
-boundary mass matrix and the diagonal inverse Laplacian, residuals of
-the weak-form equations, the three rescaled pressures, the
-integral-form Gronwall envelope, time-aggregated norm suites, the
-nutrient free energy density, and two ways to build a manufactured
-solution.
+boundary mass matrix, the diagonal inverse Laplacian and a field's
+mean, residuals of the weak-form equations, the three rescaled
+pressures, the integral-form Gronwall envelope, time-aggregated norm
+suites, the nutrient free energy density, the sign condition on the
+sources, and two ways to build a manufactured solution.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from scipy.integrate import cumulative_simpson
 
 from chdarcy import diagnostics as dg
 from chdarcy import dynamics as dyn
+from chdarcy import model as md
 from chdarcy import spectral as sp
 from chdarcy.dynamics import SimState
 from chdarcy.experiments import ManufacturedSolution
@@ -58,6 +59,11 @@ def boundary_mass_matrix(basis: SpectralBasis) -> np.ndarray:
     # Edge x = const contributes trace_x * delta_{n n'}; likewise for y.
     M = np.kron(Bx, np.eye(ky)) + np.kron(np.eye(kx), By)
     return M
+
+
+def mean(c: FieldCoeffs) -> float:
+    """The mean of a field over its domain, from its constant mode."""
+    return float(c.data[0]) / np.sqrt(c.basis.domain.volume)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +205,24 @@ def nutrient_free_energy_density(phi: np.ndarray, sigma: np.ndarray,
     N_sigma = params.D * sigma + params.chi * (1.0 - phi)
     N_phi = -params.chi * sigma
     return N, N_sigma, N_phi
+
+
+def sign_condition_witness(model: TumourModel):
+    """A point (phi, mu, sigma) where the sign condition
+    S N_sigma - Gamma_phi mu >= 0 fails, or None where it holds, sampled
+    on the box of model.validate_assumptions with 41 values of mu.  The
+    condition is meaningful only when the volume source vanishes."""
+    params = model.params
+    t = np.linspace(*md.SAMPLE_RANGE, md.N_SAMPLES)
+    P, S_ = np.meshgrid(t, t, indexing="ij")
+    _, N_sigma, _ = nutrient_free_energy_density(P, S_, params)
+    for mu in np.linspace(*md.SAMPLE_RANGE, 41):
+        gamma_phi, S = md.evaluate_sources(P, mu, S_, model.sources, params)
+        expr = S * N_sigma - gamma_phi * mu
+        if np.any(expr < -1e-10 * (1.0 + np.abs(expr).max())):
+            i, j = np.unravel_index(np.argmin(expr), expr.shape)
+            return float(P[i, j]), float(mu), float(S_[i, j])
+    return None
 
 
 @dataclass

@@ -44,7 +44,7 @@ def build_run(spec):
 def reference_run():
     """In-process reference run with full per-step diagnostics."""
     config, basis, model, stepper, initial = build_run(load_reference_spec())
-    collector = dg.DiagnosticsCollector(model)
+    collector = dg.DiagnosticsCollector()
     traj = []
 
     def observer(fields):
@@ -67,7 +67,7 @@ def lyapunov_records():
     out = {}
     for dt in (1e-3, 5e-4):
         stepper = dyn.StepperConfig(dt=dt, energy_guard=True, tol_E=1e-10)
-        collector = dg.DiagnosticsCollector(model)
+        collector = dg.DiagnosticsCollector()
         dyn.run(initial.copy(), stepper, model, config.T,
                 observer=collector.observe, cadence=1)
         out[dt] = collector.records
@@ -114,7 +114,7 @@ def test_reference_128_steps_within_memory():
 
     config, basis, model, stepper, initial = build_run(
         load_reference_spec(modes=[128, 128], T=2 * 0.001))
-    collector = dg.DiagnosticsCollector(model)
+    collector = dg.DiagnosticsCollector()
     tracemalloc.start()
     try:
         final = dyn.run(initial, stepper, model, config.T,

@@ -326,7 +326,7 @@ class TestCollector:
     def test_accumulators_nondecreasing_and_rows_consistent(self, interval_basis):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model)
+        collector = dg.DiagnosticsCollector()
         seen = []
 
         def observer(fields):
@@ -348,22 +348,39 @@ class TestCollector:
         config = dyn.StepperConfig(dt=1e-3)
         initial = random_state(interval_basis, 12, scale=0.1)
 
-        full = dg.DiagnosticsCollector(model)
+        full = dg.DiagnosticsCollector()
         dyn.run(initial.copy(), config, model, 0.01,
                 observer=full.observe)
 
-        first = dg.DiagnosticsCollector(model)
+        first = dg.DiagnosticsCollector()
         mid = dyn.run(initial.copy(), config, model, 0.005,
                       observer=first.observe)
-        second = dg.DiagnosticsCollector(model)
-        second.restore(first.accumulators(), mid)
-        dyn.run(mid, config, model, 0.005,
-                observer=second.observe, observe_initial=False)
+        second = dg.DiagnosticsCollector()
+        second.restore(first.accumulators())
+        dyn.run(mid, config, model, 0.005, observer=second.observe)
 
-        merged = first.records + second.records
+        # the resumed run's first record is the checkpoint's row again
+        merged = first.records + second.records[1:]
         assert len(merged) == len(full.records)
         for a, b in zip(merged, full.records):
             assert a.row() == b.row()
+
+    def test_resumed_first_record_is_the_checkpoint_row(self):
+        basis = sp.build_basis(sp.Domain("rectangle", (1.0, 1.0)), (8, 8))
+        model = make_model()
+        config = dyn.StepperConfig(dt=1e-3)
+        first = dg.DiagnosticsCollector()
+        mid = dyn.run(random_state(basis, 13, scale=0.1), config, model,
+                      5 * config.dt, observer=first.observe)
+        second = dg.DiagnosticsCollector()
+        second.restore(first.accumulators())
+        dyn.run(mid, config, model, 5 * config.dt, observer=second.observe)
+
+        assert len(second.records) == 6
+        k = dg.CSV_COLUMNS.index("res_mass_phi")
+        last, again = first.records[-1].row(), second.records[0].row()
+        assert np.array(again[:k]).tobytes() == np.array(last[:k]).tobytes()
+        assert again[k:] == (0.0, 0.0, 0.0)
 
 
 class TestPureEvaluation:
@@ -403,7 +420,7 @@ class TestOneLedger:
         basis = sp.build_basis(sp.Domain("rectangle", (1.0, 1.0)), (8, 8))
         model = make_model()  # b = 0.1, Hawkins sources
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model)
+        collector = dg.DiagnosticsCollector()
         n = 20
         dyn.run(random_state(basis, 7, scale=0.1), config, model,
                 n * config.dt, observer=collector.observe)

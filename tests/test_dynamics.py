@@ -165,7 +165,7 @@ class TestRhs:
         monkeypatch.setattr(oracles, "boundary_mass_matrix", refuse)
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model)
+        collector = dg.DiagnosticsCollector()
         dyn.run(random_state(rect_basis, 23), config, model, 3e-3,
                 observer=collector.observe)
         assert len(collector.records) == 4
@@ -467,7 +467,7 @@ class TestEvaluationBudget:
         calls = count_calls(md, "free_energy")
         model = make_model(make_params(b=0.0), sources="zero")
         config = dyn.StepperConfig(dt=1e-3, energy_guard=True, tol_E=1e-12)
-        collector = dg.DiagnosticsCollector(model)
+        collector = dg.DiagnosticsCollector()
         dyn.run(random_state(rect_basis, 41, scale=0.1), config, model,
                 self.n * config.dt, observer=collector.observe)
         assert len(collector.records) == self.n + 1
@@ -477,7 +477,7 @@ class TestEvaluationBudget:
             self, rect_basis, source_calls):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model)
+        collector = dg.DiagnosticsCollector()
         dyn.run(random_state(rect_basis, 42), config, model,
                 self.n * config.dt, observer=collector.observe)
         assert len(collector.records) == self.n + 1
@@ -487,7 +487,7 @@ class TestEvaluationBudget:
                                                     source_calls):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model)
+        collector = dg.DiagnosticsCollector()
         dyn.run(random_state(rect_basis, 42), config, model,
                 self.n * config.dt, observer=collector.observe)
         assert len(collector.records) == self.n + 1
@@ -585,7 +585,7 @@ class TestRunFailures:
     def test_overflowing_state_is_blowup(self, request, basis, guarded):
         model = make_model(make_params(b=0.0), sources="zero")
         config = dyn.StepperConfig(dt=1e-3, energy_guard=guarded)
-        collector = dg.DiagnosticsCollector(model)
+        collector = dg.DiagnosticsCollector()
         state = random_state(request.getfixturevalue(basis), 3)
         state.alpha.data *= 1e120
         with pytest.raises(dyn.BlowUpError) as info, np.errstate(all="ignore"):
@@ -698,7 +698,7 @@ class TestMemberAxis:
         fields = dyn.derive(batch, model)
         with pytest.raises(sp.BasisMismatchError):
             dg.energy(fields)
-        collector = dg.DiagnosticsCollector(model)
+        collector = dg.DiagnosticsCollector()
         with pytest.raises(sp.BasisMismatchError):
             collector.observe(fields)
         assert collector.records == []
@@ -724,12 +724,6 @@ class TestSnapshots:
         for f, state in zip(snaps, seen):
             assert f.state.t == state.t
             assert same_bits(f.state.alpha.data, state.alpha.data)
-
-    def test_resumed_run_at_its_horizon_yields_nothing(self, interval_basis):
-        snaps = dyn.snapshots(random_state(interval_basis, 48),
-                              dyn.StepperConfig(dt=1e-3), make_model(), 0.0,
-                              observe_initial=False)
-        assert list(snaps) == []
 
     @pytest.mark.parametrize("cadence", [0, -1])
     def test_refuses_a_cadence_below_one(self, interval_basis, cadence):
@@ -798,7 +792,7 @@ class TestWorkingSet:
             config = replace(config, scheme="rk4-explicit")
         state = random_state(rect_basis, 50, scale=0.1)
         if case == "run-observed":
-            collector = dg.DiagnosticsCollector(model)
+            collector = dg.DiagnosticsCollector()
             dyn.run(state, config, model, n * config.dt,
                     observer=collector.observe)
             assert len(collector.records) == n + 1
@@ -832,7 +826,7 @@ class TestWorkingSet:
             lambda x, y: 0.5 + 0.1 * np.cos(np.pi * x), basis))
         config = dyn.StepperConfig(dt=1e-3)
         dg.energy(dyn.derive(state, model))  # the basis builds its grid and constants
-        collector = dg.DiagnosticsCollector(model)
+        collector = dg.DiagnosticsCollector()
         peak = traced_peak(dyn.run, state, config, model, 4 * config.dt,
                            observer=collector.observe, cadence=4)
         assert len(collector.records) == 2

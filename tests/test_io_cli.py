@@ -26,6 +26,7 @@ from chdarcy import io as cio
 from chdarcy import model as md
 from chdarcy import spectral as sp
 
+import oracles
 from conftest import make_model, random_state
 
 
@@ -54,7 +55,7 @@ class TestDiagnosticsCsv:
     def collect(self, basis, n_steps=5):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
-        collector = dg.DiagnosticsCollector(model)
+        collector = dg.DiagnosticsCollector()
         dyn.run(random_state(basis, 5, scale=0.1), config, model,
                 n_steps * config.dt, observer=collector.observe)
         return collector.records
@@ -280,7 +281,7 @@ class TestParseConfig:
         basis = config.build_basis()
         assert basis.n_modes == 8
         state = config.build_initial_state(basis)
-        assert abs(state.gamma.mean() - 0.5) < 1e-13
+        assert abs(oracles.mean(state.gamma) - 0.5) < 1e-13
 
     @pytest.mark.parametrize("limit_mode", ["none", "no-chemotaxis"])
     def test_model_is_built_once(self, count_calls, limit_mode):
@@ -458,6 +459,17 @@ class TestConfigFaults:
                 cf.parse_config(json.dumps(_reference_spec(modes=modes)))
             assert any(v.startswith("$.modes:")
                        for v in err.value.violations), modes
+
+    def test_halvings_above_the_cap_are_rejected(self, tmp_path, capsys):
+        for halvings, code in ((cf.MAX_HALVINGS, cli.EXIT_OK),
+                               (cf.MAX_HALVINGS + 1, cli.EXIT_CONFIG)):
+            spec = _reference_spec()
+            spec["scheme"]["max_halvings"] = halvings
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(spec))
+            assert cli.main(["validate", "--config", str(cfg)]) == code
+        assert ("config error: $.scheme.max_halvings: must be <= 16"
+                in capsys.readouterr().err)
 
     def test_cap_admits_the_shipped_sizes(self):
         for modes in ([128, 128], [cf.MAX_MODES, cf.MAX_MODES]):
@@ -774,6 +786,31 @@ class TestCli:
         assert merged == cio.read_diagnostics_csv(full_out / "diagnostics.csv")
         assert (rest_out / "final.snap").read_bytes() \
             == (full_out / "final.snap").read_bytes()
+
+    def test_resume_evaluates_each_state_once(self, tmp_path, count_calls):
+        full_cfg = self.write_config(tmp_path, small_config(T=0.01))
+        half_cfg = tmp_path / "half.json"
+        half_cfg.write_text(json.dumps(small_config(T=0.004)))
+        half_out = tmp_path / "half"
+        assert cli.main(["run", "--config", str(half_cfg),
+                         "--out", str(half_out)]) == cli.EXIT_OK
+        calls = count_calls(md, "evaluate_sources")
+        assert cli.main(["resume", "--config", str(full_cfg),
+                         "--checkpoint", str(half_out / "checkpoint.ckpt"),
+                         "--out", str(tmp_path / "rest")]) == cli.EXIT_OK
+        assert len(calls) == 6 + 1  # the checkpointed state and 6 steps
+
+    def test_resume_at_its_horizon_writes_no_row(self, tmp_path):
+        cfg = self.write_config(tmp_path, small_config(T=0.005))
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(first)]) == cli.EXIT_OK
+        assert cli.main(["resume", "--config", str(cfg),
+                         "--checkpoint", str(first / "checkpoint.ckpt"),
+                         "--out", str(again)]) == cli.EXIT_OK
+        assert cio.read_diagnostics_csv(again / "diagnostics.csv") == []
+        for name in ("final.snap", "checkpoint.ckpt"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
 
     def test_resume_hash_mismatch_is_config_error(self, tmp_path):
         cfg = self.write_config(tmp_path)

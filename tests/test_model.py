@@ -142,7 +142,7 @@ class TestChemicalPotential:
         mu = md.chemical_potential(
             phi, sigma, sp.to_grid(phi, interval_basis.default_grid),
             interval_basis.default_grid, params, pot)
-        assert abs(mu.mean() + params.chi) < 1e-13
+        assert abs(oracles.mean(mu) + params.chi) < 1e-13
 
 
 class TestDarcy:
@@ -177,7 +177,7 @@ class TestDarcy:
         p, _ = md.solve_darcy(grid, sp.gradient_on_grid(state.alpha, grid),
                               sp.to_grid(mu, grid),
                               sp.to_grid(state.gamma, grid), None, params)
-        assert abs(p.mean()) < 1e-13
+        assert abs(oracles.mean(p)) < 1e-13
 
     def test_gamma_v_mean_zero_enforced(self, interval_basis):
         params = make_params()
@@ -220,9 +220,11 @@ class TestNutrientFreeEnergy:
 
 class TestValidation:
     def test_hawkins_quartic_is_case2(self):
-        rep = md.validate_assumptions(make_model(), check_sign_condition=True)
+        model = make_model()
+        rep = md.validate_assumptions(model)
         assert rep.passed
         assert rep.regime == "case2"
+        assert oracles.sign_condition_witness(model) is None
 
     def test_proliferation_quadratic_is_case1(self):
         sources = md.SourceModel.proliferation(0.5, 0.2, 0.5)
