@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O failure.  Floating-point overflow and invalid operations warn
 nothing: a value that leaves the float range is caught where a state
-or a diagnostics record is made, and exits 3 with one line.
+or a diagnostics row is made, and exits 3 with one line.
 """
 
 from __future__ import annotations
@@ -106,8 +106,7 @@ def _cmd_validate(args) -> int:
 
 def _write_outputs(out: Path, records, state, accumulators, config_hash):
     out.mkdir(parents=True, exist_ok=True)
-    cio.write_diagnostics_csv((r.row() for r in records),
-                              out / "diagnostics.csv")
+    cio.write_diagnostics_csv(records, out / "diagnostics.csv")
     cio.write_field_snapshot(state, out / "final.snap")
     cio.write_checkpoint(cio.Checkpoint(config_hash, state, accumulators),
                          out / "checkpoint.ckpt")
@@ -145,7 +144,7 @@ def _cmd_run(args) -> int:
         start = config.build_initial_state(basis)
     final = dyn.run(start, stepper, model, max(config.T - start.t, 0.0),
                     observer=collector.observe, cadence=config.cadence)
-    # a resume's first record is the checkpoint's own row, which the run
+    # a resume's first row is the checkpoint's own, which the run
     # it continues has already written
     records = collector.records[1:] if resume else collector.records
     _write_outputs(Path(args.out), records, final, collector.accumulators(),

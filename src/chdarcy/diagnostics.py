@@ -10,6 +10,7 @@ interval before it: the rows of diagnostics.csv.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,7 +162,7 @@ def velocity_time_norms(times, v_sq, K: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# per-snapshot records for CSV output
+# the rows of diagnostics.csv, one per snapshot, named by the header
 
 CSV_COLUMNS = (
     "time",
@@ -173,46 +174,12 @@ CSV_COLUMNS = (
     "acc_diss_mu", "acc_diss_nutrient", "acc_diss_darcy", "acc_diss_boundary",
     "res_mass_phi", "res_mass_sigma", "res_energy_identity",
 )
-
-
-@dataclass
-class DiagnosticsRecord:
-    time: float
-    breakdown: EnergyBreakdown
-    mass_phi: float
-    mass_sigma: float
-    norm_phi_H1: float
-    norm_sigma_L2: float
-    norm_mu_H1: float
-    norm_grad_sigma: float
-    norm_v_L2: float
-    norm_v_scaled: float
-    norm_p_H1: float
-    norm_sigma_boundary: float
-    acc_diss: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    res_mass_phi: float = 0.0
-    res_mass_sigma: float = 0.0
-    res_energy_identity: float = 0.0
-
-    def row(self) -> tuple[float, ...]:
-        b = self.breakdown
-        return (
-            self.time,
-            b.total, b.psi_part, b.gradient_part, b.nutrient_part,
-            b.chemotaxis_part,
-            b.diss_mu, b.diss_nutrient, b.diss_darcy, b.diss_boundary,
-            self.mass_phi, self.mass_sigma,
-            self.norm_phi_H1, self.norm_sigma_L2, self.norm_mu_H1,
-            self.norm_grad_sigma, self.norm_v_L2, self.norm_v_scaled,
-            self.norm_p_H1, self.norm_sigma_boundary,
-            *self.acc_diss,
-            self.res_mass_phi, self.res_mass_sigma, self.res_energy_identity,
-        )
+DiagnosticsRow = namedtuple("DiagnosticsRow", CSV_COLUMNS)
 
 
 class DiagnosticsCollector:
     """Observer that turns the run's evaluated snapshots into
-    DiagnosticsRecords.
+    DiagnosticsRows.
 
     Keeps running time-integrals of the dissipation terms (trapezoid
     between recorded snapshots) and per-interval residuals of the mass
@@ -220,7 +187,7 @@ class DiagnosticsCollector:
     """
 
     def __init__(self):
-        self.records: list[DiagnosticsRecord] = []
+        self.records: list[DiagnosticsRow] = []
         self._prev = None  # last snapshot: state, energy ledger, mass rates
         self._acc = np.zeros(4)
 
@@ -230,12 +197,12 @@ class DiagnosticsCollector:
     def restore(self, acc: np.ndarray):
         """Continue a checkpointed run with the time integrals acc.  The
         resumed run observes its start, the checkpointed state, first:
-        that record repeats the checkpoint's row with zero residuals and
+        that row repeats the checkpoint's row with zero residuals and
         rebuilds the ledger the next interval is measured against."""
         self._acc = np.asarray(acc, dtype=float).copy()
 
     def observe(self, fields: StateFields):
-        """Record a snapshot from its evaluation.  A record that is not
+        """Record a snapshot's row from its evaluation.  A row that is not
         finite is a BlowUpError at the snapshot's time, and is not kept."""
         state, basis, t = fields.state, fields.state.basis, fields.state.t
         bd = energy(fields)
@@ -257,9 +224,12 @@ class DiagnosticsCollector:
             res_sigma = _mass_defect(dt, prev.gamma, state.gamma, rate_sigma)
             res_energy = _energy_defect(dt, prev_bd, bd)
 
-        record = DiagnosticsRecord(
+        row = DiagnosticsRow(
             time=t,
-            breakdown=bd,
+            E_total=bd.total, E_psi=bd.psi_part, E_gradient=bd.gradient_part,
+            E_nutrient=bd.nutrient_part, E_chemotaxis=bd.chemotaxis_part,
+            diss_mu=bd.diss_mu, diss_nutrient=bd.diss_nutrient,
+            diss_darcy=bd.diss_darcy, diss_boundary=bd.diss_boundary,
             mass_phi=state.alpha.data[0] * vol_root,
             mass_sigma=state.gamma.data[0] * vol_root,
             norm_phi_H1=sp.norm(state.alpha, "H1"),
@@ -271,13 +241,14 @@ class DiagnosticsCollector:
                            else float(v_L2 / np.sqrt(params.K))),
             norm_p_H1=sp.norm(fields.p, "H1"),
             norm_sigma_boundary=float(np.sqrt(max(0.0, sigma_bdry_sq))),
-            acc_diss=tuple(self._acc),
+            acc_diss_mu=self._acc[0], acc_diss_nutrient=self._acc[1],
+            acc_diss_darcy=self._acc[2], acc_diss_boundary=self._acc[3],
             res_mass_phi=res_phi,
             res_mass_sigma=res_sigma,
             res_energy_identity=res_energy,
         )
-        if not all(map(math.isfinite, record.row())):
+        if not all(map(math.isfinite, row)):
             raise dyn.BlowUpError("diagnostics left the float range",
                                   t=t, state=state)
-        self.records.append(record)
+        self.records.append(row)
         self._prev = (state, bd, _mass_rates(fields))

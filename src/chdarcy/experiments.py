@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,10 +77,10 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     """One member: its velocity norms, and the largest L2 distance over
-    the snapshots of its phi and sigma to the limit run's."""
+    the snapshots of its phi and sigma to the limit run's.  The fields
+    are the sweep table's header (io.SWEEP_COLUMNS)."""
 
     value: float
     v_l2l2: float

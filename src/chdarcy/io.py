@@ -20,6 +20,7 @@ import numpy as np
 from . import spectral as sp
 from .diagnostics import CSV_COLUMNS
 from .dynamics import SimState
+from .experiments import SweepRow
 from .spectral import FieldCoeffs, SpectralBasis
 
 
@@ -44,22 +45,20 @@ def _write_csv(path, header, rows, what: str) -> None:
 
 
 def write_diagnostics_csv(rows, path) -> None:
-    """One line per row of CSV_COLUMNS values (DiagnosticsRecord.row)."""
+    """One line per row of CSV_COLUMNS values (diagnostics.DiagnosticsRow)."""
     _write_csv(path, CSV_COLUMNS, (map(_fmt, row) for row in rows),
                "diagnostics CSV")
 
 
-SWEEP_COLUMNS = ("value", "v_l2l2", "v_scaled", "diff_phi", "diff_sigma",
-                 "failed")
+SWEEP_COLUMNS = SweepRow._fields
 
 
 def write_sweep_csv(rows, path) -> None:
-    """One line per experiments.SweepRow; failed is empty for a member
-    that ran to the end."""
-    _write_csv(path, SWEEP_COLUMNS, (
-        (*map(_fmt, (r.value, r.v_l2l2, r.v_scaled, r.diff_phi,
-                     r.diff_sigma)), r.failed or "")
-        for r in rows), "sweep table")
+    """One line per SweepRow; failed is empty for a member that ran to
+    the end."""
+    _write_csv(path, SWEEP_COLUMNS,
+               ((*map(_fmt, r[:-1]), r.failed or "") for r in rows),
+               "sweep table")
 
 
 def read_diagnostics_csv(path) -> list[tuple[float, ...]]:
@@ -99,10 +98,15 @@ def _basis_header(basis: SpectralBasis, t: float) -> bytes:
     return ("\n".join(lines) + "\n\n").encode("ascii")
 
 
+MAX_HEADER_LINE = 1024  # bytes; the longest real line holds about 60
+
+
 def _line(fh) -> str:
-    raw = fh.readline()
+    """The next header line, read no further than MAX_HEADER_LINE bytes:
+    a file without a newline there is not loaded whole."""
+    raw = fh.readline(MAX_HEADER_LINE)
     if not raw.endswith(b"\n"):
-        raise SnapshotFormatError("truncated header")
+        raise SnapshotFormatError("truncated or overlong header line")
     try:
         return raw[:-1].decode("ascii")
     except UnicodeDecodeError as exc:
@@ -210,8 +214,7 @@ def write_checkpoint(ck: Checkpoint, path) -> None:
 def read_checkpoint(path, basis: SpectralBasis | None = None) -> Checkpoint:
     path = Path(path)
     with path.open("rb") as fh:
-        first = fh.readline()
-        if first != (CHECKPOINT_MAGIC + "\n").encode("ascii"):
+        if _line(fh) != CHECKPOINT_MAGIC:
             raise SnapshotFormatError("bad checkpoint magic")
         key, _, config_hash = _line(fh).partition(" ")
         if key != "config":

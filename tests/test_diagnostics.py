@@ -323,6 +323,47 @@ class TestNormSuite:
 
 
 class TestCollector:
+    def test_each_column_holds_the_quantity_it_names(self):
+        basis = sp.build_basis(sp.Domain("rectangle", (1.0, 0.7)), (6, 5))
+        model = make_model(make_params(K=0.5))
+        f = dyn.derive(random_state(basis, 21, scale=0.3, t=0.25), model)
+        collector = dg.DiagnosticsCollector()
+        collector.observe(f)
+        (row,) = collector.records
+        # no two of the columns below coincide, so a swap would show
+        assert len(set(row[:20])) == 20
+
+        state, bd = f.state, dg.energy(f)
+        assert row.time == 0.25
+        assert (row.E_total, row.E_psi, row.E_gradient, row.E_nutrient,
+                row.E_chemotaxis) == (bd.total, bd.psi_part, bd.gradient_part,
+                                      bd.nutrient_part, bd.chemotaxis_part)
+        assert (row.diss_mu, row.diss_nutrient, row.diss_darcy,
+                row.diss_boundary) == (bd.diss_mu, bd.diss_nutrient,
+                                       bd.diss_darcy, bd.diss_boundary)
+        vol_root = np.sqrt(0.7)
+        assert row.mass_phi == state.alpha.data[0] * vol_root
+        assert row.mass_sigma == state.gamma.data[0] * vol_root
+        assert row.mass_phi == pytest.approx(f.grid.integrate(f.phi_g),
+                                             rel=1e-12)
+        assert (row.norm_phi_H1, row.norm_sigma_L2, row.norm_mu_H1,
+                row.norm_grad_sigma, row.norm_p_H1) == (
+            sp.norm(state.alpha, "H1"), sp.norm(state.gamma, "L2"),
+            sp.norm(f.mu, "H1"), sp.norm(state.gamma, "H1-seminorm"),
+            sp.norm(f.p, "H1"))
+        v_L2 = np.sqrt(f.grid.integrate(sum(vi ** 2 for vi in f.v)))
+        assert row.norm_v_L2 == pytest.approx(v_L2, rel=1e-12)
+        assert row.norm_v_scaled == pytest.approx(v_L2 / np.sqrt(0.5),
+                                                  rel=1e-12)
+        boundary = state.gamma.data @ sp.boundary_mass_apply(
+            basis, state.gamma.data)
+        assert row.norm_sigma_boundary == pytest.approx(np.sqrt(boundary),
+                                                        rel=1e-12)
+        # a first snapshot closes no interval
+        assert (row.acc_diss_mu, row.acc_diss_nutrient, row.acc_diss_darcy,
+                row.acc_diss_boundary, row.res_mass_phi, row.res_mass_sigma,
+                row.res_energy_identity) == (0.0,) * 7
+
     def test_accumulators_nondecreasing_and_rows_consistent(self, interval_basis):
         model = make_model()
         config = dyn.StepperConfig(dt=1e-3)
@@ -337,7 +378,7 @@ class TestCollector:
                 config, model, 0.01, observer=observer)
         acc = np.array(seen)
         assert np.all(np.diff(acc, axis=0) >= -1e-15)
-        rows = [r.row() for r in collector.records]
+        rows = collector.records
         assert all(len(row) == len(dg.CSV_COLUMNS) for row in rows)
         # per-interval mass residuals recorded by the collector stay tiny
         idx = dg.CSV_COLUMNS.index("res_mass_phi")
@@ -363,7 +404,7 @@ class TestCollector:
         merged = first.records + second.records[1:]
         assert len(merged) == len(full.records)
         for a, b in zip(merged, full.records):
-            assert a.row() == b.row()
+            assert a == b
 
     def test_resumed_first_record_is_the_checkpoint_row(self):
         basis = sp.build_basis(sp.Domain("rectangle", (1.0, 1.0)), (8, 8))
@@ -378,7 +419,7 @@ class TestCollector:
 
         assert len(second.records) == 6
         k = dg.CSV_COLUMNS.index("res_mass_phi")
-        last, again = first.records[-1].row(), second.records[0].row()
+        last, again = first.records[-1], second.records[0]
         assert np.array(again[:k]).tobytes() == np.array(last[:k]).tobytes()
         assert again[k:] == (0.0, 0.0, 0.0)
 

@@ -27,7 +27,7 @@ from chdarcy import model as md
 from chdarcy import spectral as sp
 
 import oracles
-from conftest import make_model, random_state
+from conftest import make_model, random_state, traced_peak
 
 
 def small_config(**overrides):
@@ -63,11 +63,11 @@ class TestDiagnosticsCsv:
     def test_round_trip_is_bit_exact(self, interval_basis, tmp_path):
         records = self.collect(interval_basis)
         path = tmp_path / "diag.csv"
-        cio.write_diagnostics_csv([r.row() for r in records], path)
+        cio.write_diagnostics_csv(records, path)
         rows = cio.read_diagnostics_csv(path)
         assert len(rows) == len(records)
         for rec, row in zip(records, rows):
-            assert row == rec.row()
+            assert row == rec
 
     def test_empty_file_keeps_header(self, tmp_path):
         path = tmp_path / "diag.csv"
@@ -234,6 +234,24 @@ class TestHeaderChecks:
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(cio.SnapshotFormatError):
             _read(kind, path, interval_basis)
+
+    @pytest.mark.parametrize("after_magic", [False, True],
+                             ids=["first-line", "after-magic"])
+    def test_newline_free_file_is_refused_unread(self, kind, after_magic,
+                                                 tmp_path):
+        # a header line is read no further than MAX_HEADER_LINE bytes, so
+        # a large file without a newline is refused without being loaded
+        magic = cio.SNAPSHOT_MAGIC if kind == "snapshot" \
+            else cio.CHECKPOINT_MAGIC
+        path = tmp_path / "f"
+        path.write_bytes((magic.encode() + b"\n" if after_magic else b"")
+                         + bytes(4 << 20))
+
+        def refused():
+            with pytest.raises(cio.SnapshotFormatError):
+                _read(kind, path)
+
+        assert traced_peak(refused) < 64 * 1024
 
     def test_non_finite_payload(self, kind, interval_basis, tmp_path):
         path = tmp_path / "f"
@@ -840,6 +858,15 @@ class TestCli:
             assert "config error: --out:" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_resume_newline_free_checkpoint_is_io_failure(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        ckpt = tmp_path / "large.ckpt"
+        ckpt.write_bytes(bytes(4 << 20))
+        code = cli.main(["resume", "--config", str(cfg),
+                         "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_IO
+
     def test_resume_missing_checkpoint_is_io_failure(self, tmp_path):
         cfg = self.write_config(tmp_path)
         code = cli.main(["resume", "--config", str(cfg),
@@ -1414,3 +1441,18 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     total, dissipation = map(float, capsys.readouterr().out.split())
     assert np.isfinite(total) and dissipation >= 0.0
+
+
+def test_each_table_header_is_its_rows_fields():
+    assert dg.DiagnosticsRow._fields == dg.CSV_COLUMNS
+    assert cio.SWEEP_COLUMNS is ex.SweepRow._fields
+
+
+def test_readme_lists_every_output_column_in_order():
+    section = README.read_text().split("## Output files", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    diagnostics, sweep = (
+        tuple(re.findall(r"^- `(\w+)`:", part, re.M))
+        for part in section.split("`sweep_k.csv` and `sweep_chi.csv` have"))
+    assert diagnostics == dg.CSV_COLUMNS
+    assert sweep == cio.SWEEP_COLUMNS
