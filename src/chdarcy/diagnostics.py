@@ -79,7 +79,7 @@ def energy(f: StateFields) -> EnergyBreakdown:
     diss_mu = eff.mobility_m * float((lam * mu * mu).sum())
     diss_nutrient = eff.mobility_n * float((lam * N * N).sum())
     diss_darcy = 0.0 if f.no_flow else f.v_sq / params.K
-    diss_boundary = params.D * params.b * float(gamma.data @ f.M_gamma)
+    diss_boundary = params.D * params.b * f.sigma_boundary_sq
 
     # N_sigma, the sigma-derivative of the nutrient free energy density
     N_sigma = params.D * f.sigma_g + params.chi * (1.0 - f.phi_g)
@@ -96,7 +96,7 @@ def energy(f: StateFields) -> EnergyBreakdown:
     # boundary work, exact in the truncated basis: traces of the series
     bvec = state.basis.boundary_vector
     bdry_measure = state.basis.domain.boundary_measure
-    int_sigma = float(gamma.data @ bvec)
+    int_sigma = f.sigma_boundary
     int_N_sigma = (params.D * int_sigma
                    + params.chi * (bdry_measure - float(alpha.data @ bvec)))
     int_sigma_one_minus_phi = int_sigma - float(f.M_gamma @ alpha.data)
@@ -142,7 +142,7 @@ def _mass_rates(f: StateFields) -> tuple[float, float]:
                 else f.grid.integrate(f.S))
     rate_sigma = -consumed + params.b * (
         f.model.sigma_inf * state.basis.domain.boundary_measure
-        - float(state.gamma.data @ state.basis.boundary_vector)
+        - f.sigma_boundary
     )
     return rate_phi, rate_sigma
 
@@ -188,7 +188,8 @@ class DiagnosticsCollector:
 
     def __init__(self):
         self.records: list[DiagnosticsRow] = []
-        self._prev = None  # last snapshot: state, energy ledger, mass rates
+        # last snapshot: state, energy ledger, dissipation vector, mass rates
+        self._prev = None
         self._acc = np.zeros(4)
 
     def accumulators(self) -> np.ndarray:
@@ -209,16 +210,13 @@ class DiagnosticsCollector:
         params = fields.model.params
         vol_root = np.sqrt(basis.domain.volume)
         v_L2 = float(np.sqrt(fields.v_sq))
-        sigma_bdry_sq = float(state.gamma.data @ fields.M_gamma)
+        diss = np.array([bd.diss_mu, bd.diss_nutrient,
+                         bd.diss_darcy, bd.diss_boundary])
 
         res_phi = res_sigma = res_energy = 0.0
         if self._prev is not None:
-            prev, prev_bd, (rate_phi, rate_sigma) = self._prev
+            prev, prev_bd, prev_diss, (rate_phi, rate_sigma) = self._prev
             dt = t - prev.t
-            diss = np.array([bd.diss_mu, bd.diss_nutrient,
-                             bd.diss_darcy, bd.diss_boundary])
-            prev_diss = np.array([prev_bd.diss_mu, prev_bd.diss_nutrient,
-                                  prev_bd.diss_darcy, prev_bd.diss_boundary])
             self._acc += 0.5 * dt * (diss + prev_diss)
             res_phi = _mass_defect(dt, prev.alpha, state.alpha, rate_phi)
             res_sigma = _mass_defect(dt, prev.gamma, state.gamma, rate_sigma)
@@ -240,7 +238,8 @@ class DiagnosticsCollector:
             norm_v_scaled=(0.0 if fields.no_flow
                            else float(v_L2 / np.sqrt(params.K))),
             norm_p_H1=sp.norm(fields.p, "H1"),
-            norm_sigma_boundary=float(np.sqrt(max(0.0, sigma_bdry_sq))),
+            norm_sigma_boundary=float(
+                np.sqrt(max(0.0, fields.sigma_boundary_sq))),
             acc_diss_mu=self._acc[0], acc_diss_nutrient=self._acc[1],
             acc_diss_darcy=self._acc[2], acc_diss_boundary=self._acc[3],
             res_mass_phi=res_phi,
@@ -251,4 +250,4 @@ class DiagnosticsCollector:
             raise dyn.BlowUpError("diagnostics left the float range",
                                   t=t, state=state)
         self.records.append(row)
-        self._prev = (state, bd, _mass_rates(fields))
+        self._prev = (state, bd, diss, _mass_rates(fields))

@@ -9,7 +9,8 @@ The grid carries the nonlinear terms; the diffusive ones, diagonal in
 the eigenbasis, stay on the coefficients.  Two steppers are provided: a
 stabilized first-order IMEX scheme whose implicit operator is diagonal
 in the eigenbasis, and an explicit RK4 oracle for cross-checks at small
-steps.
+steps.  Each returns the new state with a StepReport, which hands what
+the step computed at that state on to its evaluation.
 
 A state may hold several members on one basis and time grid (leading
 axes of the coefficient arrays, with K, chi and b given per member in
@@ -115,6 +116,31 @@ def project_initial_data(phi0, sigma0, basis: SpectralBasis
 
 
 @dataclass(frozen=True, eq=False)
+class StepReport:
+    """What a step did, and what it computed at the state it returned.
+
+    substeps is the number of substeps of the accepted interval, 1 unless
+    the energy guard halved it; rejected_energy and rejected_nonfinite
+    count the guard's rejected attempts, by an energy rise beyond tol_E
+    and by a non-finite substep.  Under the guard, phi_g, sigma_g and
+    energy_parts are the returned state's phi and sigma on the basis's
+    default grid and its free energy parts, computed for the guard's E1:
+    derive builds that state's evaluation from them.  Otherwise they are
+    None.
+    """
+
+    substeps: int = 1
+    rejected_energy: int = 0
+    rejected_nonfinite: int = 0
+    phi_g: np.ndarray | None = None
+    sigma_g: np.ndarray | None = None
+    energy_parts: tuple[float, float, float, float] | None = None
+
+
+_ONE_STEP = StepReport()  # an unguarded step: one substep, nothing handed on
+
+
+@dataclass(frozen=True, eq=False)
 class StateFields:
     """Everything a model fixes algebraically at one state.
 
@@ -125,7 +151,8 @@ class StateFields:
     none of them rebuilds what it holds.  Its fields are not checked
     for finiteness: the state and mu are, and a non-finite field makes
     the step's rates or new state non-finite, which the steppers report
-    as a BlowUpError at the state's time.
+    as a BlowUpError at the state's time.  report is the StepReport of
+    the step that made the state, None for a run's first state.
     """
 
     state: SimState
@@ -141,11 +168,15 @@ class StateFields:
     gamma_phi: np.ndarray  # Gamma_phi on the grid
     S: np.ndarray          # nutrient consumption; gamma_phi itself when equal
     M_gamma: np.ndarray   # int_bdry sigma w_j, the boundary mass times gamma
+    report: StepReport | None
 
     @cached_property
     def energy_parts(self) -> tuple[float, float, float, float]:
-        """The four parts of E at this state (model.free_energy), computed
-        on first use: the energy guard and the ledger share them."""
+        """The four parts of E at this state (model.free_energy), the
+        guard's E1 when its step handed them on, else computed on first
+        use: the energy guard and the ledger share them."""
+        if self.report is not None and self.report.energy_parts is not None:
+            return self.report.energy_parts
         state, model = self.state, self.model
         return md.free_energy(state.alpha, state.gamma, self.phi_g,
                               self.sigma_g, self.grid, model.params,
@@ -157,6 +188,19 @@ class StateFields:
         ledger's Darcy dissipation and the observer's |v| share it."""
         return 0.0 if self.no_flow else self.grid.integrate(
             sum(vi ** 2 for vi in self.v))
+
+    @cached_property
+    def sigma_boundary_sq(self) -> float:
+        """int_bdry sigma^2 of a single member, gamma . M gamma: the
+        ledger's boundary dissipation and the observer's boundary norm
+        share it."""
+        return float(self.state.gamma.data @ self.M_gamma)
+
+    @cached_property
+    def sigma_boundary(self) -> float:
+        """int_bdry sigma of a single member, gamma . bvec: the ledger's
+        boundary work and the nutrient's mass rate share it."""
+        return float(self.state.gamma.data @ self.state.basis.boundary_vector)
 
 
 def _no_flow(model: TumourModel) -> bool:
@@ -171,19 +215,26 @@ def _no_flow(model: TumourModel) -> bool:
     return bool(zero.all())
 
 
-def derive(state: SimState, model: TumourModel) -> StateFields:
+def derive(state: SimState, model: TumourModel,
+           report: StepReport | None = None) -> StateFields:
     """Evaluate the state: grid values, mu, p, v, the sources and the
     boundary product.
 
     phi, sigma and mu are each synthesized once; mu and the Darcy solve
-    take those grid fields instead of redoing them.  grad(phi) is taken
-    for the Darcy forcing only (rhs needs no gradient).  At K = 0 p is
-    an exact zero, v holds no component and no Darcy system is solved.
+    take those grid fields instead of redoing them.  report is the
+    StepReport of the step that returned the state: phi and sigma on the
+    grid and the free energy it hands on become the evaluation's own,
+    with the same bits a synthesis would give.  grad(phi) is taken for
+    the Darcy forcing only (rhs needs no gradient).  At K = 0 p is an
+    exact zero, v holds no component and no Darcy system is solved.
     """
     basis = state.basis
     grid = basis.default_grid
-    phi_g = sp.to_grid(state.alpha, grid)
-    sigma_g = sp.to_grid(state.gamma, grid)
+    if report is not None and report.phi_g is not None:
+        phi_g, sigma_g = report.phi_g, report.sigma_g
+    else:
+        phi_g = sp.to_grid(state.alpha, grid)
+        sigma_g = sp.to_grid(state.gamma, grid)
     mu = md.chemical_potential(state.alpha, state.gamma, phi_g, grid,
                                model.params, model.potential)
     mu_g = sp.to_grid(mu, grid)
@@ -202,6 +253,7 @@ def derive(state: SimState, model: TumourModel) -> StateFields:
         phi_g=phi_g, sigma_g=sigma_g, mu_g=mu_g,
         mu=mu, p=p, v=v, gamma_phi=gamma_phi, S=S,
         M_gamma=sp.boundary_mass_apply(basis, state.gamma.data),
+        report=report,
     )
 
 
@@ -306,8 +358,9 @@ def _source_free(model: TumourModel) -> bool:
 
 def step_imex(f: StateFields, config: StepperConfig,
               factors: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> SimState:
-    """One stabilized IMEX step of length config.dt from evaluated state f.
+              ) -> tuple[SimState, StepReport]:
+    """One stabilized IMEX step of length config.dt from evaluated state f:
+    the new state and the step's StepReport.
 
     The implicit operator damps each mode of the increment with the
     frozen worst-case linear symbol, so no linear solve is needed.  In
@@ -320,16 +373,18 @@ def step_imex(f: StateFields, config: StepperConfig,
         factors = _implicit_factors(state.basis, model, config, dt)
     try:
         if not (config.energy_guard and _source_free(model)):
-            return _imex_update(state, rhs(f), factors, dt)
+            return _imex_update(state, rhs(f), factors, dt), _ONE_STEP
     except sp.SpectralError as exc:
         raise BlowUpError("IMEX step produced non-finite values",
                           t=state.t, state=state) from exc
 
     # the guard compares E alone, which needs phi and sigma on the grid
     # but nothing derived, so no accepted state is evaluated here; E0 is
-    # the evaluation's own, which the ledger reads too
+    # the evaluation's own, which the ledger reads too, and the accepted
+    # state's grid fields and E1 are handed on in the report
     grid = f.grid
     E0 = sum(f.energy_parts)
+    rejected_energy = rejected_nonfinite = 0
     for halving in range(config.max_halvings + 1):
         nsub = 2 ** halving
         sub = state
@@ -342,13 +397,18 @@ def step_imex(f: StateFields, config: StepperConfig,
                         sub, rhs(f if k == 0 else derive(sub, model)),
                         factors, dt / nsub)
         except (sp.SpectralError, FloatingPointError):
-            continue  # non-finite substep counts as a rejected interval
-        E1 = sum(md.free_energy(sub.alpha, sub.gamma,
-                                sp.to_grid(sub.alpha, grid),
-                                sp.to_grid(sub.gamma, grid), grid,
-                                model.params, model.potential))
-        if E1 <= E0 + config.tol_E:
-            return sub
+            rejected_nonfinite += 1  # a rejected interval too
+            continue
+        phi_g = sp.to_grid(sub.alpha, grid)
+        sigma_g = sp.to_grid(sub.gamma, grid)
+        parts = md.free_energy(sub.alpha, sub.gamma, phi_g, sigma_g, grid,
+                               model.params, model.potential)
+        if sum(parts) <= E0 + config.tol_E:
+            return sub, StepReport(
+                substeps=nsub, rejected_energy=rejected_energy,
+                rejected_nonfinite=rejected_nonfinite,
+                phi_g=phi_g, sigma_g=sigma_g, energy_parts=parts)
+        rejected_energy += 1
     # the evaluation's fields are not checked, so rates that are not
     # finite at the state itself, which no halving helps, show up here
     with np.errstate(all="ignore"):
@@ -361,8 +421,10 @@ def step_imex(f: StateFields, config: StepperConfig,
     )
 
 
-def step_rk4_explicit(f: StateFields, config: StepperConfig) -> SimState:
-    """Classical RK4 step from f; oracle integrator for small dt."""
+def step_rk4_explicit(f: StateFields, config: StepperConfig
+                      ) -> tuple[SimState, StepReport]:
+    """Classical RK4 step from f, the new state and its StepReport (one
+    substep, nothing handed on); oracle integrator for small dt."""
     state, model = f.state, f.model
 
     def tendency(s):
@@ -375,7 +437,7 @@ def step_rk4_explicit(f: StateFields, config: StepperConfig) -> SimState:
                           t=state.t, state=state) from exc
     if np.any(new.norm() > 1e3 * np.maximum(1.0, state.norm())):
         raise BlowUpError("explicit step blew up", t=state.t, state=state)
-    return new
+    return new, _ONE_STEP
 
 
 Observer = Callable[[StateFields], None]
@@ -386,13 +448,14 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
     """Advance for a duration T, yielding the StateFields of the start,
     of every `cadence`-th state and of the last one.
 
-    Each state is evaluated once (derive) and that evaluation drives its
-    step and is what is yielded; a state that cannot be evaluated
-    (non-finite values) is a BlowUpError at its time.  kappa and the
-    IMEX factors are resolved once for the run.  A resumed run is a run
-    from its checkpointed state, so its first snapshot is that state.
-    Nothing is kept, so a consumer that reduces each snapshot on arrival
-    holds one state at a time.
+    Each state is evaluated once (derive), from what the step that made
+    it hands on in its StepReport, and that evaluation, which holds the
+    report, drives its step and is what is yielded; a state that cannot
+    be evaluated (non-finite values) is a BlowUpError at its time.
+    kappa and the IMEX factors are resolved once for the run.  A resumed
+    run is a run from its checkpointed state, so its first snapshot is
+    that state.  Nothing is kept, so a consumer that reduces each
+    snapshot on arrival holds one state at a time.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -405,10 +468,10 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
             initial.basis, model, config, config.dt))
     else:
         stepper = step_rk4_explicit
-    state = initial
+    state, report = initial, None
     for i in range(n_steps + 1):
         try:
-            fields = derive(state, model)
+            fields = derive(state, model, report)
         except sp.SpectralError as exc:
             raise BlowUpError("state evaluation produced non-finite values",
                               t=state.t, state=state) from exc
@@ -416,7 +479,7 @@ def snapshots(initial: SimState, config: StepperConfig, model: TumourModel,
             yield fields
         if i == n_steps:
             return
-        state = stepper(fields, config)
+        state, report = stepper(fields, config)
         # drop this state's evaluation before the next one is built
         del fields
 

@@ -12,6 +12,7 @@ import csv
 import io as _io
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,22 +33,28 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path, header, rows, what: str) -> None:
-    """header, then one line per row; an OSError names what was written."""
+@contextmanager
+def _csv_file(path, what: str):
+    """path opened to write a CSV file; an OSError names what was written."""
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            yield fh
     except OSError as exc:
         raise OSError(f"writing {what} {path}: {exc}") from exc
 
 
+# csv.writer's bytes for a row of numbers, which it quotes none of
+_DIAGNOSTICS_HEADER = ",".join(CSV_COLUMNS) + "\r\n"
+_DIAGNOSTICS_LINE = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\r\n"
+
+
 def write_diagnostics_csv(rows, path) -> None:
-    """One line per row of CSV_COLUMNS values (diagnostics.DiagnosticsRow)."""
-    _write_csv(path, CSV_COLUMNS, (map(_fmt, row) for row in rows),
-               "diagnostics CSV")
+    """One line per row of CSV_COLUMNS values (diagnostics.DiagnosticsRow),
+    formatted by a single % each."""
+    with _csv_file(path, "diagnostics CSV") as fh:
+        fh.write(_DIAGNOSTICS_HEADER)
+        fh.writelines(_DIAGNOSTICS_LINE % tuple(row) for row in rows)
 
 
 SWEEP_COLUMNS = SweepRow._fields
@@ -56,9 +63,10 @@ SWEEP_COLUMNS = SweepRow._fields
 def write_sweep_csv(rows, path) -> None:
     """One line per SweepRow; failed is empty for a member that ran to
     the end."""
-    _write_csv(path, SWEEP_COLUMNS,
-               ((*map(_fmt, r[:-1]), r.failed or "") for r in rows),
-               "sweep table")
+    with _csv_file(path, "sweep table") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows((*map(_fmt, r[:-1]), r.failed or "") for r in rows)
 
 
 def read_diagnostics_csv(path) -> list[tuple[float, ...]]:

@@ -279,7 +279,7 @@ class TestImex:
         config = dyn.StepperConfig(dt=1e-2)
         state = dyn.SimState(0.0, sp.constant_field(interval_basis, 1.0),
                              sp.constant_field(interval_basis, 0.0))
-        new = dyn.step_imex(dyn.derive(state, model), config)
+        new, _ = dyn.step_imex(dyn.derive(state, model), config)
         assert np.max(np.abs(new.alpha.data - state.alpha.data)) < 1e-14
         assert np.max(np.abs(new.gamma.data - state.gamma.data)) < 1e-14
 
@@ -294,7 +294,7 @@ class TestImex:
         data[2] = 1.0
         state = dyn.SimState(0.0, sp.FieldCoeffs(basis, data),
                              sp.constant_field(basis, 0.0))
-        new = dyn.step_imex(dyn.derive(state, model), config)
+        new, _ = dyn.step_imex(dyn.derive(state, model), config)
         lam = basis.eigenvalues[2]
         L = params.B * lam ** 2 + params.A * kappa * lam
         expect = 1.0 / (1.0 + config.dt * L)
@@ -321,13 +321,49 @@ class TestImex:
         with pytest.raises(dyn.StepFailureError):
             dyn.step_imex(dyn.derive(state, model), config)
 
+    def test_energy_guard_halves_and_then_accepts(self):
+        # the whole step and its first halving raise E; four substeps
+        # of dt/4 do not
+        basis = sp.build_basis(sp.Domain("interval", (1.0,)), 16)
+        model = make_model(make_params(b=0.0), sources="zero")
+        state = random_state(basis, 30, scale=0.25)
+        config = dyn.StepperConfig(dt=0.01, energy_guard=True, tol_E=0.0,
+                                   max_halvings=8)
+        new, report = dyn.step_imex(dyn.derive(state, model), config)
+        assert (report.substeps, report.rejected_energy,
+                report.rejected_nonfinite) == (4, 2, 0)
+        assert sum(report.energy_parts) <= sum(
+            dyn.derive(state, model).energy_parts)
+
+        handed = dyn.derive(new, model, report)
+        fresh = dyn.derive(new, model)
+        assert handed.phi_g is report.phi_g
+        assert handed.sigma_g is report.sigma_g
+        assert handed.report is report and fresh.report is None
+        for name in ("phi_g", "sigma_g", "mu_g", "gamma_phi", "S", "M_gamma"):
+            assert same_bits(getattr(handed, name), getattr(fresh, name)), name
+        assert len(handed.v) == len(fresh.v) == 1
+        assert all(same_bits(x, y) for x, y in zip(handed.v, fresh.v))
+        for name in ("mu", "p"):
+            assert same_bits(getattr(handed, name).data,
+                             getattr(fresh, name).data), name
+        assert same_bits(handed.energy_parts, fresh.energy_parts)
+
+    def test_unguarded_step_reports_one_substep(self, interval_basis):
+        state = random_state(interval_basis, 31)
+        _, report = dyn.step_imex(dyn.derive(state, make_model()),
+                                  dyn.StepperConfig(dt=1e-3))
+        assert (report.substeps, report.rejected_energy,
+                report.rejected_nonfinite) == (1, 0, 0)
+        assert report.phi_g is None and report.energy_parts is None
+
     def test_energy_guard_accepts_decaying_step(self, interval_basis):
         model = make_model(make_params(b=0.0), sources="zero")
         state = random_state(interval_basis, 30, scale=0.2)
         config = dyn.StepperConfig(dt=1e-3, energy_guard=True, tol_E=0.0,
                                    max_halvings=6)
         e0 = dg.energy(dyn.derive(state, model)).total
-        new = dyn.step_imex(dyn.derive(state, model), config)
+        new, _ = dyn.step_imex(dyn.derive(state, model), config)
         assert dg.energy(dyn.derive(new, model)).total <= e0 + 1e-12
 
 
@@ -353,7 +389,8 @@ class TestRk4:
         data[1] = 1.0
         state = dyn.SimState(0.0, sp.FieldCoeffs(basis, data),
                              sp.constant_field(basis, 0.0))
-        new = dyn.step_rk4_explicit(dyn.derive(state, model), config)
+        new, report = dyn.step_rk4_explicit(dyn.derive(state, model), config)
+        assert report.substeps == 1 and report.phi_g is None
         lam = basis.eigenvalues[1]
         L = params.B * lam ** 2 + params.A * kappa * lam
         assert abs(new.alpha.data[1] - np.exp(-L * dt)) < (L * dt) ** 5
@@ -364,14 +401,16 @@ class TestRk4:
         config = dyn.StepperConfig(dt=50.0, scheme="rk4-explicit")
         with pytest.raises(dyn.BlowUpError), np.errstate(all="ignore"):
             for _ in range(40):
-                state = dyn.step_rk4_explicit(dyn.derive(state, model), config)
+                state, _ = dyn.step_rk4_explicit(dyn.derive(state, model),
+                                                 config)
 
     def test_consistent_with_imex_at_small_dt(self, rect_basis):
         model = make_model()
         state = random_state(rect_basis, 7)
         dt = 1e-6
-        s1 = dyn.step_imex(dyn.derive(state, model), dyn.StepperConfig(dt=dt))
-        s2 = dyn.step_rk4_explicit(
+        s1, _ = dyn.step_imex(dyn.derive(state, model),
+                              dyn.StepperConfig(dt=dt))
+        s2, _ = dyn.step_rk4_explicit(
             dyn.derive(state.copy(), model),
             dyn.StepperConfig(dt=dt, scheme="rk4-explicit"))
         assert np.max(np.abs(s1.alpha.data - s2.alpha.data)) < 1e-5 * dt ** 0.0 * 1e-1
@@ -460,10 +499,11 @@ class TestEvaluationBudget:
         assert len(seen) == self.n + 1
         assert len(source_calls) <= self.n + 1
 
-    def test_guarded_observed_run_computes_two_free_energies_per_step(
+    def test_guarded_observed_run_makes_one_free_energy_per_state(
             self, rect_basis, count_calls):
-        # the guard's E0 and the ledger share one per state; the guard's
-        # E1 of each new state is the other
+        # the guard's E1 of each new state is handed on to its evaluation,
+        # where the ledger and the next step's E0 read it; only the first
+        # state computes its own
         calls = count_calls(md, "free_energy")
         model = make_model(make_params(b=0.0), sources="zero")
         config = dyn.StepperConfig(dt=1e-3, energy_guard=True, tol_E=1e-12)
@@ -471,7 +511,20 @@ class TestEvaluationBudget:
         dyn.run(random_state(rect_basis, 41, scale=0.1), config, model,
                 self.n * config.dt, observer=collector.observe)
         assert len(collector.records) == self.n + 1
-        assert len(calls) <= 2 * self.n + 1
+        assert len(calls) == self.n + 1
+
+    def test_guarded_flow_step_makes_three_syntheses(self, rect_basis,
+                                                     count_calls):
+        # the guard synthesizes phi and sigma of the accepted state, and
+        # that state's evaluation synthesizes only mu; the first state's
+        # evaluation synthesizes all three
+        calls = count_calls(sp, "to_grid")
+        model = make_model(make_params(b=0.0), sources="zero")
+        config = dyn.StepperConfig(dt=1e-3, energy_guard=True, tol_E=1e-12)
+        collector = dg.DiagnosticsCollector()
+        dyn.run(random_state(rect_basis, 41, scale=0.1), config, model,
+                self.n * config.dt, observer=collector.observe)
+        assert len(calls) == 3 + 3 * self.n
 
     def test_observed_run_evaluates_each_state_at_most_twice(
             self, rect_basis, source_calls):
@@ -637,7 +690,7 @@ class TestMemberAxis:
         config = dyn.StepperConfig(dt=1e-3)
         fb = dyn.derive(batch, model)
         rb = dyn.rhs(fb)
-        sb = dyn.step_imex(fb, config)
+        sb, _ = dyn.step_imex(fb, config)
         for i, (state, member) in enumerate(zip(states, alone)):
             f = dyn.derive(state, member)
             for name in ("phi_g", "sigma_g", "mu_g", "gamma_phi", "S"):
@@ -648,7 +701,7 @@ class TestMemberAxis:
             assert same_bits(fb.p.data[i], f.p.data)
             r = dyn.rhs(f)
             assert same_bits(rb[0][i], r[0]) and same_bits(rb[1][i], r[1])
-            s = dyn.step_imex(f, config)
+            s, _ = dyn.step_imex(f, config)
             assert same_bits(sb.alpha.data[i], s.alpha.data)
             assert same_bits(sb.gamma.data[i], s.gamma.data)
             assert sb.norm()[i] == s.norm()
@@ -687,9 +740,9 @@ class TestMemberAxis:
         config = dyn.StepperConfig(dt=1e-3)
         fb = dyn.derive(batch, model)
         assert fb.p.data.shape == batch.alpha.data.shape
-        step = dyn.step_imex(fb, config)
+        step, _ = dyn.step_imex(fb, config)
         for i, (state, member) in enumerate(zip(states, alone)):
-            s = dyn.step_imex(dyn.derive(state, member), config)
+            s, _ = dyn.step_imex(dyn.derive(state, member), config)
             assert same_bits(step.alpha.data[i], s.alpha.data)
             assert same_bits(step.gamma.data[i], s.gamma.data)
 
@@ -725,6 +778,16 @@ class TestSnapshots:
             assert f.state.t == state.t
             assert same_bits(f.state.alpha.data, state.alpha.data)
 
+    def test_each_snapshot_holds_its_step_report(self, interval_basis):
+        model = make_model(make_params(b=0.0), sources="zero")
+        config = dyn.StepperConfig(dt=1e-3, energy_guard=True)
+        reports = [f.report for f in dyn.snapshots(
+            random_state(interval_basis, 46, scale=0.1), config, model,
+            4e-3, cadence=2)]
+        assert len(reports) == 3 and reports[0] is None
+        for report in reports[1:]:
+            assert report.substeps == 1 and report.energy_parts is not None
+
     @pytest.mark.parametrize("cadence", [0, -1])
     def test_refuses_a_cadence_below_one(self, interval_basis, cadence):
         snaps = dyn.snapshots(random_state(interval_basis, 48),
@@ -759,18 +822,18 @@ class TestWorkingSet:
         evaluations, stepped, alive = [], [], []
         real_derive = dyn.derive
 
-        def tracked_derive(state, model):
+        def tracked_derive(state, model, report=None):
             if any(state is s for s in stepped):
                 alive.append(sum(ref() is not None for ref in evaluations))
-            fields = real_derive(state, model)
+            fields = real_derive(state, model, report)
             evaluations.append(weakref.ref(fields))
             return fields
 
         def tracked(step):
             def stepper(*args, **kwargs):
-                new = step(*args, **kwargs)
+                new, report = step(*args, **kwargs)
                 stepped.append(new)
-                return new
+                return new, report
             return stepper
 
         monkeypatch.setattr(dyn, "derive", tracked_derive)

@@ -69,6 +69,24 @@ class TestDiagnosticsCsv:
         for rec, row in zip(records, rows):
             assert row == rec
 
+    def test_bytes_are_those_of_csv_writer(self, interval_basis, tmp_path):
+        # the one-format-per-row writer against csv.writer over
+        # cells formatted one by one, on a run's rows and on edge values
+        n = len(dg.CSV_COLUMNS)
+        edge = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                1.7976931348623157e308, 0.1, 1 / 3]
+        rows = [*self.collect(interval_basis), np.resize(edge, n),
+                np.arange(n), [np.float64(x) for x in np.resize(edge, n)]]
+        path = tmp_path / "diag.csv"
+        cio.write_diagnostics_csv(rows, path)
+        expected = tmp_path / "expected.csv"
+        with expected.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(dg.CSV_COLUMNS)
+            writer.writerows([f"{float(x):.17g}" for x in row]
+                             for row in rows)
+        assert path.read_bytes() == expected.read_bytes()
+
     def test_empty_file_keeps_header(self, tmp_path):
         path = tmp_path / "diag.csv"
         cio.write_diagnostics_csv([], path)
