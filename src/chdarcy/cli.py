@@ -80,17 +80,10 @@ def _load_config(args) -> cf.RunConfig:
         raise cf.ConfigError([f"$: not UTF-8 text ({exc})"])
     except OSError as exc:
         raise _IOFailure(f"cannot read config: {exc}")
-    config = cf.parse_config(text, strict=args.strict)
-    if args.seed is not None and args.seed < 0:
-        raise cf.ConfigError(["--seed: must be an int >= 0"])
-    if args.cadence is not None and args.cadence < 1:
-        raise cf.ConfigError(["--cadence: must be an int >= 1"])
-    if args.seed is not None:
-        config.seed = args.seed
-        config.raw["seed"] = args.seed
-    if args.cadence is not None:
-        config.cadence = args.cadence
-    return config
+    # the flags replace the file's top-level keys before the schema's checks
+    overrides = {key: getattr(args, key) for key in ("seed", "cadence")
+                 if getattr(args, key) is not None}
+    return cf.parse_config(text, strict=args.strict, overrides=overrides)
 
 
 class _IOFailure(Exception):
@@ -169,12 +162,12 @@ def _cmd_sweep(args) -> int:
                             cadence=config.cadence)
     except ValueError as exc:
         raise cf.ConfigError([f"--values: {exc}"])
-    if parameter == "K" and config.gamma_v_spec["kind"] != "zero":
+    basis = config.build_basis()
+    model = config.build_model(basis)
+    if parameter == "K" and model.gamma_v is not None:
         raise cf.ConfigError(
             ["$.gamma_v: the permeability sweep needs a zero volume source"])
-    basis = config.build_basis()
-    rows = ex.sweep(spec, config.build_model(basis),
-                    config.build_initial_state(basis))
+    rows = ex.sweep(spec, model, config.build_initial_state(basis))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cio.write_sweep_csv(rows, out / name)

@@ -7,12 +7,14 @@ out-of-range key by its path; nothing is coerced, so no key takes a
 boolean for a number.  The rules that relate keys (the domain, the mode
 counts against the dimension, a cosine mode inside the basis, the step
 count, K = 0 and the no-flow limit) are checked after the walk, on
-values each of which is valid.  parse_config builds the model, all of
-it but the volume source, which needs a basis, once: it checks the
-structural hypotheses on it through validate_assumptions and keeps it
-as RunConfig.model, and build_model adds the volume source and the
-limit mode.  Initial data comes from a small set of named analytic
-profiles so Neumann compatibility holds by construction.
+values each of which is valid; overrides of top-level keys (the CLI's
+--seed and --cadence) replace the file's before the walk.  parse_config
+builds the model, all of it but the volume source, which needs a basis,
+once: it checks the structural hypotheses on it through
+validate_assumptions and keeps it as RunConfig.model, and build_model
+adds the volume source and the limit mode.  Initial data comes from a
+small set of named analytic profiles so Neumann compatibility holds by
+construction.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     raw: dict
     domain: sp.Domain
@@ -68,7 +70,7 @@ class RunConfig:
     limit_mode: str            # "none" | "no-flow" | "no-chemotaxis"
     cadence: int
     seed: int
-    validation: md.ValidationReport = field(repr=False, default=None)
+    validation: md.ValidationReport = field(repr=False)
 
     def content_hash(self) -> str:
         """Hash of everything that fixes the trajectory (not T or output)."""
@@ -92,7 +94,7 @@ class RunConfig:
 
     def _build_gamma_v(self, basis: SpectralBasis):
         spec = self.gamma_v_spec
-        if spec["kind"] == "zero":
+        if spec["kind"] == "zero" or spec["amplitude"] == 0:
             return None
         # cosine profile: zero-mean by construction (no constant mode)
         mode = spec["mode"]
@@ -368,7 +370,9 @@ class _Checker:
             else ""))
 
 
-def parse_config(text: str, strict: bool = True) -> RunConfig:
+def parse_config(text: str, strict: bool = True,
+                 overrides: dict | None = None) -> RunConfig:
+    """The checked config of text, overrides replacing its top-level keys."""
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -377,6 +381,7 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         raise ConfigError([f"$: invalid JSON ({exc})"])
     if not isinstance(raw, dict):
         raise ConfigError(["$: top level must be an object"])
+    raw = {**raw, **(overrides or {})}
 
     ck = _Checker(strict)
     tree = ck.walk(_SCHEMA, raw, "$")
@@ -434,36 +439,32 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
     if ck.violations:
         raise ConfigError(ck.violations)
 
-    scheme = tree["scheme"]
-    config = RunConfig(
-        raw=raw, domain=domain, modes=modes, T=T,
-        stepper=StepperConfig(
-            dt=dt, scheme=scheme["name"], kappa=scheme["kappa"],
-            energy_guard=scheme["energy_guard"], tol_E=scheme["tol_E"],
-            max_halvings=scheme["max_halvings"]),
-        model=TumourModel(
-            params=params,
-            potential=(md.Potential.quartic_double_well()
-                       if tree["potential"] == "quartic-double-well"
-                       else md.Potential.quadratic()),
-            mobility_m=tree["mobility"]["m"],
-            mobility_n=tree["mobility"]["n"],
-            # the schema's source keys are SourceModel's fields
-            sources=md.SourceModel(**tree["sources"]),
-            sigma_inf=tree["sigma_inf"]["value"]),
-        gamma_v_spec=gamma_v,
-        initial_phi=initial["phi"], initial_sigma=initial["sigma"],
-        limit_mode=limit_mode, cadence=tree["cadence"], seed=tree["seed"],
-    )
-
     # structural hypotheses on the model; no basis is built
+    model = TumourModel(
+        params=params,
+        potential=(md.Potential.quartic_double_well()
+                   if tree["potential"] == "quartic-double-well"
+                   else md.Potential.quadratic()),
+        mobility_m=tree["mobility"]["m"], mobility_n=tree["mobility"]["n"],
+        # the schema's source keys are SourceModel's fields
+        sources=md.SourceModel(**tree["sources"]),
+        sigma_inf=tree["sigma_inf"]["value"])
     report = md.validate_assumptions(
-        config.model, allow_limit_modes=limit_mode != "none")
-    config.validation = report
+        model, allow_limit_modes=limit_mode != "none")
     hard_failures = [c for c in report.failures() if c.name != "A5 growth regime"]
     if hard_failures:
         raise ConfigError(
             [f"$.params: {c.name}" + (f" ({c.detail})" if c.detail else "")
              for c in hard_failures]
         )
-    return config
+    scheme = tree["scheme"]
+    return RunConfig(
+        raw=raw, domain=domain, modes=modes, T=T,
+        stepper=StepperConfig(
+            dt=dt, scheme=scheme["name"], kappa=scheme["kappa"],
+            energy_guard=scheme["energy_guard"], tol_E=scheme["tol_E"],
+            max_halvings=scheme["max_halvings"]),
+        model=model, gamma_v_spec=gamma_v,
+        initial_phi=initial["phi"], initial_sigma=initial["sigma"],
+        limit_mode=limit_mode, cadence=tree["cadence"], seed=tree["seed"],
+        validation=report)

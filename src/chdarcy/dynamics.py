@@ -63,7 +63,7 @@ class SimState:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepperConfig:
     SCHEMES = ("imex1", "rk4-explicit")  # a class constant, not a field
 
@@ -350,7 +350,12 @@ def _rk4_update(state: SimState, dt: float,
 
 
 def _source_free(model: TumourModel) -> bool:
-    return (model.sources.kind == "zero"
+    """No source acts: the reaction rates of the sources' kind, b and
+    the volume source all vanish, and nothing forces the equations."""
+    src = model.sources
+    rates = {"zero": (), "hawkins": (src.f0,),
+             "proliferation": (src.lambda_p, src.lambda_a, src.lambda_c)}
+    return (not any(rates[src.kind])
             and not sp._any_member(model.params.b != 0.0)
             and model.gamma_v is None
             and model.forcing is None)

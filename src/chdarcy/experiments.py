@@ -54,7 +54,7 @@ def fit_rate(x, y) -> RateFit:
     return RateFit(x, y, float(slope), float(intercept), residual)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     parameter: str              # "K" | "chi"
     values: tuple[float, ...]   # strictly decreasing, positive, finite

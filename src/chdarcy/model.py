@@ -175,7 +175,7 @@ class SourceModel:
 LIMIT_PARAMETER = {"none": None, "no-chemotaxis": "chi", "no-flow": "K"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TumourModel:
     """Everything the dynamics needs: constants, potential, sources and
     data.  A model with other constants is a dataclasses.replace of its

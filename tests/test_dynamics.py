@@ -571,7 +571,8 @@ class TestEvaluationBudget:
             calls.append(1)
             return d2psi(t)
 
-        model.potential = replace(model.potential, d2psi=counted)
+        model = replace(model, potential=replace(model.potential,
+                                                 d2psi=counted))
         config = dyn.StepperConfig(dt=1e-3)
         dyn.run(random_state(interval_basis, 44), config, model,
                 self.n * config.dt)

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -333,6 +334,16 @@ class TestParseConfig:
         assert len(potentials) == len(sources) == 1
         assert all(m.sources is config.model.sources for m in models)
 
+    def test_configuration_values_are_frozen(self):
+        config = cf.parse_config(json.dumps(small_config()))
+        spec = ex.SweepSpec("K", (1.0, 0.5), config.stepper, config.T)
+        for obj, name, value in [(config, "seed", 7), (config, "cadence", 2),
+                                 (config.stepper, "dt", 0.5),
+                                 (config.model, "mobility_m", 2.0),
+                                 (spec, "T", 1.0)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+
     def test_content_hash_ignores_duration_and_cadence(self):
         a = cf.parse_config(json.dumps(small_config()))
         b = cf.parse_config(json.dumps(small_config(T=0.5, cadence=7)))
@@ -600,7 +611,7 @@ class TestConfigFaults:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--seed", "--cadence"])
-    def test_negative_override_is_config_error(self, tmp_path, flag):
+    def test_negative_override_is_config_error(self, tmp_path, capsys, flag):
         spec = small_config()
         spec["initial"]["phi"] = {"kind": "random", "amplitude": 0.05}
         cfg = tmp_path / "run.json"
@@ -608,6 +619,9 @@ class TestConfigFaults:
         code = cli.main(["run", "--config", str(cfg), flag, "-1",
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: $.{flag[2:]}: ")
 
 
 @pytest.mark.parametrize("values,gamma_v", [
@@ -936,6 +950,34 @@ class TestCli:
             outs.append((out / "final.snap").read_bytes())
         assert outs[0] != outs[1]
 
+    @pytest.mark.parametrize("key,value", [("seed", 7), ("cadence", 2)])
+    def test_override_is_the_configs_own_value(self, tmp_path, key, value):
+        spec = small_config()
+        spec["initial"]["phi"] = {"kind": "random", "amplitude": 0.1}
+        outs = {}
+        for name, file_value, argv in [("flag", 1, [f"--{key}", str(value)]),
+                                       ("file", value, [])]:
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(dict(spec, **{key: file_value})))
+            out = tmp_path / name
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                             *argv]) == cli.EXIT_OK
+            outs[name] = [(out / f).read_bytes() for f in
+                          ("diagnostics.csv", "final.snap", "checkpoint.ckpt")]
+        assert outs["flag"] == outs["file"]
+        # the checkpoint of the overridden run resumes under the file
+        checkpoint = tmp_path / "flag" / "checkpoint.ckpt"
+        assert cli.main(["resume", "--config", str(tmp_path / "file.json"),
+                         "--checkpoint", str(checkpoint),
+                         "--out", str(tmp_path / "rest")]) == cli.EXIT_OK
+
+    def test_cadence_override_replaces_an_invalid_file_value(self, tmp_path):
+        cfg = self.write_config(tmp_path, small_config(cadence=0))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--cadence", "2"]) == cli.EXIT_OK
+        assert len(cio.read_diagnostics_csv(out / "diagnostics.csv")) == 6
+
 
 REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
@@ -1211,6 +1253,54 @@ def test_every_command_runs_every_limit_mode(tmp_path, capsys, limit_mode, K,
     assert "Traceback" not in err
     if refused:
         assert "$.gamma_v:" in err
+
+
+# sources that vanish without being spelled "zero"
+NO_SOURCE_SPELLINGS = {
+    "hawkins-f0-0": {"sources": {"kind": "hawkins", "f0": 0.0}},
+    "proliferation-0": {"sources": {"kind": "proliferation", "lambda_p": 0.0,
+                                    "lambda_a": 0.0, "lambda_c": 0.0}},
+    "gamma_v-amplitude-0": {"gamma_v": {"kind": "cosine", "amplitude": 0.0,
+                                        "mode": [1]}},
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(NO_SOURCE_SPELLINGS))
+def test_energy_guard_holds_for_every_vanishing_source(tmp_path, spelling):
+    # a start far from equilibrium at a step the guard must halve
+    spec = small_config(modes=[16], dt=0.03, T=0.12,
+                        limit_mode="no-chemotaxis", sources={"kind": "zero"},
+                        scheme={"name": "imex1", "energy_guard": True,
+                                "tol_E": 0.0, "max_halvings": 8})
+    spec["params"]["b"] = 0.0
+    spec["initial"]["phi"] = {"kind": "random", "amplitude": 1.5, "cutoff": 8}
+    outs = []
+    for name, extra in [("zero", {}),
+                        (spelling, NO_SOURCE_SPELLINGS[spelling])]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(dict(spec, **extra)))
+        out = tmp_path / name
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(out)]) == cli.EXIT_OK
+        outs.append([(out / f).read_bytes()
+                     for f in ("diagnostics.csv", "final.snap")])
+    rows = cio.read_diagnostics_csv(tmp_path / "zero" / "diagnostics.csv")
+    energies = [dg.DiagnosticsRow._make(r).E_total for r in rows]
+    assert all(b < a for a, b in zip(energies, energies[1:]))
+    assert outs[1] == outs[0]
+
+
+def test_sweep_k_takes_a_zero_amplitude_volume_source(tmp_path):
+    tables = []
+    for gamma_v in ({"kind": "zero"},
+                    {"kind": "cosine", "amplitude": 0.0, "mode": [1]}):
+        cfg = tmp_path / f"{gamma_v['kind']}.json"
+        cfg.write_text(json.dumps(small_config(T=0.004, gamma_v=gamma_v)))
+        out = tmp_path / gamma_v["kind"]
+        assert cli.main(["sweep-k", "--config", str(cfg), "--out", str(out),
+                         "--values", "1,0.5"]) == cli.EXIT_OK
+        tables.append((out / "sweep_k.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_no_flow_sweep_chi_has_zero_velocity(tmp_path):
